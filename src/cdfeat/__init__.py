@@ -11,7 +11,6 @@ from .core import (
     pair_ratios,
     restrict_normalize,
     select_indices,
-    thresholds,
 )
 from .metrics import ConfusionMatrix, confusion, error_rate, macro_micro_f
 from .model import (
@@ -74,7 +73,6 @@ __all__ = [
     "restrict_normalize",
     "select_indices",
     "smo_train",
-    "thresholds",
     "train",
     "transform",
     "validate_dataset",

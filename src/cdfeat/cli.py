@@ -221,13 +221,14 @@ def _load_dataset(cfg: dict, default_split: str) -> Dataset:
 
 
 def _cap_per_class(dataset: Dataset, cap: int) -> Dataset:
-    keep: list[int] = []
-    for idx_list in dataset.class_index:
-        keep.extend(idx_list[:cap])
-    keep.sort()
-    x = np.stack([dataset.samples[i] for i in keep])
-    y = [dataset.labels[i] for i in keep]
-    return Dataset.from_arrays(x, y, label_names=dataset.label_names)
+    """Keep the first `cap` rows of each class, in storage order."""
+    labels = dataset.labels
+    keep = np.sort(np.concatenate(
+        [np.flatnonzero(labels == c)[:cap] for c in range(dataset.num_classes)]
+    ))
+    return Dataset.from_arrays(
+        dataset.samples[keep], labels[keep], label_names=dataset.label_names
+    )
 
 
 def _config_echo_lines(cfg: dict) -> list[str]:
@@ -291,7 +292,7 @@ def cmd_train(cfg: dict) -> int:
             base, tol=tol, max_passes=max_passes, seed=seed, jobs=jobs
         )
         result = cross_validate(
-            dataset.matrix(), np.asarray(dataset.labels), grid, folds, seed, trainer
+            dataset.matrix(), dataset.labels, grid, folds, seed, trainer
         )
         for k, (cell, acc) in enumerate(result.table):
             report.append(

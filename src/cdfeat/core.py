@@ -51,11 +51,6 @@ def pair_mean(ratios) -> float:
     return float(np.mean(ratios))
 
 
-def thresholds(mu_xy: float, mu_yx: float, cfg: CdfConfig) -> tuple[float, float]:
-    """Scale the two ratio means by (b, b_prime) into selection thresholds."""
-    return cfg.b * mu_xy, cfg.b_prime * mu_yx
-
-
 def select_indices(
     t_x,
     t_y,
@@ -152,12 +147,10 @@ def sample_feature(sample, mask, ref_x, ref_y, feature_mode: str, eps: float) ->
 def build_pair_context(
     profile_x: ClassProfile, profile_y: ClassProfile, cfg: CdfConfig
 ) -> PairContext:
-    """Ratios, thresholds, mask and masked references for one class pair."""
+    """Ratio means, thresholds, mask and masked references for one class pair."""
     b, b_prime = cfg.multipliers(profile_x.class_id, profile_y.class_id)
-    ratios = pair_ratios(profile_x.mean_vec, profile_y.mean_vec, cfg.smoothing_eps)
-    ratios_rev = pair_ratios(profile_y.mean_vec, profile_x.mean_vec, cfg.smoothing_eps)
-    mu_xy = pair_mean(ratios)
-    mu_yx = pair_mean(ratios_rev)
+    mu_xy = pair_mean(pair_ratios(profile_x.mean_vec, profile_y.mean_vec, cfg.smoothing_eps))
+    mu_yx = pair_mean(pair_ratios(profile_y.mean_vec, profile_x.mean_vec, cfg.smoothing_eps))
     tau = b * mu_xy
     tau_prime = b_prime * mu_yx
     mask, fallback = select_indices(
@@ -173,7 +166,6 @@ def build_pair_context(
     return PairContext(
         class_x=profile_x.class_id,
         class_y=profile_y.class_id,
-        ratios=ratios,
         mu_xy=mu_xy,
         mu_yx=mu_yx,
         tau=tau,

@@ -2,8 +2,10 @@
 
 All types are immutable after construction (frozen dataclasses over read-only
 numpy arrays) and safe to share across threads. Model serialization is a
-versioned JSON document ("cdf-model/1") whose reals carry 17 significant
-digits so that save/load round-trips are exact.
+versioned JSON document ("cdf-model/2") whose reals carry 17 significant
+digits so that save/load round-trips are exact. Documents in the older
+"cdf-model/1" format still load; the per-pair ratio vectors and the log-base
+config field that /1 also stored are ignored, since predict never reads them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 from .report import fmt_float
 from .svm import KernelSpec, SvmModel
 
-MODEL_FORMAT = "cdf-model/1"
+MODEL_FORMAT = "cdf-model/2"
+READABLE_FORMATS = (MODEL_FORMAT, "cdf-model/1")
 
 SELECTION_MODES = ("ratio", "literal")
 FEATURE_MODES = ("dual_kl", "scalar_kl", "elementwise_kl")
@@ -36,7 +39,6 @@ class CdfConfig:
     selection_mode: str = "ratio"
     feature_mode: str = "dual_kl"
     smoothing_eps: float = 1e-9
-    kl_log_base: str = "natural"
     pair_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -48,8 +50,6 @@ class CdfConfig:
             raise ValueError(f"unknown selection_mode {self.selection_mode!r}")
         if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
-        if self.kl_log_base != "natural":
-            raise ValueError("only the natural log base is supported")
         for (x, y), (b, bp) in self.pair_overrides.items():
             if not x < y:
                 raise ValueError(f"override pair ({x},{y}) not in canonical order")
@@ -68,7 +68,6 @@ class CdfConfig:
             and self.selection_mode == other.selection_mode
             and self.feature_mode == other.feature_mode
             and self.smoothing_eps == other.smoothing_eps
-            and self.kl_log_base == other.kl_log_base
             and self.pair_overrides == other.pair_overrides
         )
 
@@ -90,59 +89,56 @@ def _array_eq(a: np.ndarray, b: np.ndarray) -> bool:
 class Dataset:
     """A labeled sample collection with dense integer class ids.
 
-    `samples[i]` is a 1-D vector of non-negative reals, `labels[i]` its class
-    id in [0, num_classes). `class_index[c]` lists the sample indices of class
-    c, and `label_names` keeps the original label strings as a side table.
-    Construction does not reject invalid data; use `validate_dataset`.
+    `samples` is a read-only (n, dim) float matrix whose row i is a vector of
+    non-negative reals, and `labels` a read-only int64 array whose entry i is
+    that row's class id in [0, num_classes). `label_names` keeps the original
+    label strings as a side table. Construction does not reject invalid data;
+    use `validate_dataset`.
     """
 
-    samples: tuple
-    labels: tuple
+    samples: np.ndarray
+    labels: np.ndarray
     num_classes: int
     dim: int
-    class_index: tuple
     label_names: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples", _readonly(self.samples))
+        # Labels are small, so they are copied and the caller's array stays writable.
+        labels = np.array(self.labels, dtype=np.int64)
+        labels.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_arrays(cls, x, y, label_names=None) -> "Dataset":
         """Build a Dataset from a 2-D sample matrix and dense integer labels."""
-        x = _readonly(x)
+        x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ValueError(f"sample matrix must be 2-D, got ndim={x.ndim}")
-        y = [int(v) for v in y]
-        if len(y) != x.shape[0]:
-            raise ValueError(f"{x.shape[0]} samples but {len(y)} labels")
-        if label_names is not None:
-            m = len(label_names)
-        else:
-            m = (max(y) + 1) if y else 0
+        y = np.asarray(y, dtype=np.int64)
+        if y.shape != (x.shape[0],):
+            raise ValueError(f"{x.shape[0]} samples but {y.size} labels")
+        if label_names is None:
+            m = int(y.max()) + 1 if y.size else 0
             label_names = tuple(str(c) for c in range(m))
-        index = tuple(
-            tuple(i for i, lab in enumerate(y) if lab == c) for c in range(m)
-        )
-        samples = tuple(x[i] for i in range(x.shape[0]))
         return cls(
-            samples=samples,
-            labels=tuple(y),
-            num_classes=m,
+            samples=x,
+            labels=y,
+            num_classes=len(label_names),
             dim=x.shape[1],
-            class_index=index,
             label_names=tuple(label_names),
         )
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.labels)
 
     def class_matrix(self, class_id: int) -> np.ndarray:
-        """Stack all samples of one class into a 2-D array."""
-        idx = self.class_index[class_id]
-        return np.stack([self.samples[i] for i in idx]) if idx else np.empty((0, self.dim))
+        """The rows of one class, in storage order."""
+        return self.samples[self.labels == class_id]
 
     def matrix(self) -> np.ndarray:
-        """Stack all samples into a 2-D array in storage order."""
-        if not self.samples:
-            return np.empty((0, self.dim))
-        return np.stack(self.samples)
+        """All samples as one 2-D array in storage order (not a copy)."""
+        return self.samples
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -150,33 +146,27 @@ class Dataset:
         return (
             self.num_classes == other.num_classes
             and self.dim == other.dim
-            and self.labels == other.labels
-            and self.class_index == other.class_index
             and self.label_names == other.label_names
-            and len(self.samples) == len(other.samples)
-            and all(_array_eq(a, b) for a, b in zip(self.samples, other.samples))
+            and _array_eq(self.labels, other.labels)
+            and _array_eq(self.samples, other.samples)
         )
 
 
 def validate_dataset(dataset: Dataset) -> list[str]:
     """Report every violated Dataset invariant; empty list means valid."""
-    violations = []
-    m = dataset.num_classes
-    for i, vec in enumerate(dataset.samples):
-        v = np.asarray(vec)
-        if v.ndim != 1 or v.shape[0] != dataset.dim:
-            violations.append(
-                f"sample {i}: length {v.size} does not match dim {dataset.dim}"
-            )
-        if v.size and (not np.all(np.isfinite(v)) or np.any(v < 0)):
-            violations.append(f"sample {i}: components must be finite and >= 0")
-    for i, lab in enumerate(dataset.labels):
-        if not 0 <= lab < m:
-            violations.append(f"sample {i}: class id {lab} outside [0, {m})")
-    seen = set(dataset.labels)
-    for c in range(m):
-        if c not in seen:
-            violations.append(f"class {c} has no samples")
+    x, y, m = dataset.samples, dataset.labels, dataset.num_classes
+    if x.shape != (y.size, dataset.dim):
+        return [f"sample matrix shape {x.shape} is not ({y.size}, {dataset.dim})"]
+    violations = [
+        f"sample {i}: components must be finite and >= 0"
+        for i in np.flatnonzero(~np.all(np.isfinite(x) & (x >= 0), axis=1))
+    ]
+    violations += [
+        f"sample {i}: class id {y[i]} outside [0, {m})"
+        for i in np.flatnonzero((y < 0) | (y >= m))
+    ]
+    counts = np.bincount(y[(y >= 0) & (y < m)], minlength=m)
+    violations += [f"class {c} has no samples" for c in np.flatnonzero(counts == 0)]
     return violations
 
 
@@ -215,7 +205,7 @@ class ClassProfile:
 
 @dataclass(frozen=True)
 class PairContext:
-    """Ratio vector, thresholds and selected-index mask for one class pair.
+    """Ratio means, thresholds and selected-index mask for one class pair.
 
     `ref_x` / `ref_y` are the two class mean profiles restricted to the mask
     and normalized to probability vectors; prediction reuses them so train
@@ -226,7 +216,6 @@ class PairContext:
 
     class_x: int
     class_y: int
-    ratios: np.ndarray
     mu_xy: float
     mu_yx: float
     tau: float
@@ -241,7 +230,6 @@ class PairContext:
     ref_y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ratios", _readonly(self.ratios))
         object.__setattr__(self, "mask", _readonly(self.mask, dtype=np.int64))
         object.__setattr__(self, "ref_x", _readonly(self.ref_x))
         object.__setattr__(self, "ref_y", _readonly(self.ref_y))
@@ -253,8 +241,6 @@ class PairContext:
             raise ValueError("mask must be non-empty")
         if np.any(np.diff(self.mask) <= 0):
             raise ValueError("mask must be strictly increasing")
-        if not np.all(np.isfinite(self.ratios)) or np.any(self.ratios <= 0):
-            raise ValueError("ratio entries must be finite and > 0")
         if self.smoothing_eps <= 0:
             raise ValueError("smoothing_eps must be > 0")
 
@@ -269,7 +255,6 @@ class PairContext:
             and self.selection_mode == other.selection_mode
             and self.smoothing_eps == other.smoothing_eps
             and self.fallback == other.fallback
-            and _array_eq(self.ratios, other.ratios)
             and _array_eq(self.mask, other.mask)
             and _array_eq(self.ref_x, other.ref_x)
             and _array_eq(self.ref_y, other.ref_y)
@@ -413,7 +398,7 @@ def _kernel_from(doc: dict) -> KernelSpec:
 
 
 def model_to_json(model: CdfModel) -> str:
-    """Serialize a trained model to the cdf-model/1 JSON document."""
+    """Serialize a trained model to the cdf-model/2 JSON document."""
     cfg = model.config
     doc = {
         "format": MODEL_FORMAT,
@@ -423,7 +408,6 @@ def model_to_json(model: CdfModel) -> str:
             "selection_mode": cfg.selection_mode,
             "feature_mode": cfg.feature_mode,
             "smoothing_eps": cfg.smoothing_eps,
-            "kl_log_base": cfg.kl_log_base,
             "pair_overrides": [
                 [x, y, b, bp] for (x, y), (b, bp) in sorted(cfg.pair_overrides.items())
             ],
@@ -449,7 +433,6 @@ def model_to_json(model: CdfModel) -> str:
             {
                 "class_x": ctx.class_x,
                 "class_y": ctx.class_y,
-                "ratios": ctx.ratios,
                 "mu_xy": ctx.mu_xy,
                 "mu_yx": ctx.mu_yx,
                 "tau": ctx.tau,
@@ -479,9 +462,9 @@ def model_to_json(model: CdfModel) -> str:
 
 
 def model_from_json(text: str) -> CdfModel:
-    """Parse a cdf-model/1 JSON document back into a CdfModel."""
+    """Parse a cdf-model/2 (or /1) JSON document back into a CdfModel."""
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
+    if doc.get("format") not in READABLE_FORMATS:
         raise ValueError(f"unsupported model format {doc.get('format')!r}")
     cdoc = doc["config"]
     cfg = CdfConfig(
@@ -490,7 +473,6 @@ def model_from_json(text: str) -> CdfModel:
         selection_mode=cdoc["selection_mode"],
         feature_mode=cdoc["feature_mode"],
         smoothing_eps=cdoc["smoothing_eps"],
-        kl_log_base=cdoc["kl_log_base"],
         pair_overrides={
             (int(x), int(y)): (float(b), float(bp))
             for x, y, b, bp in cdoc.get("pair_overrides", [])
@@ -510,7 +492,6 @@ def model_from_json(text: str) -> CdfModel:
         ctx = PairContext(
             class_x=e["class_x"],
             class_y=e["class_y"],
-            ratios=np.asarray(e["ratios"], dtype=float),
             mu_xy=e["mu_xy"],
             mu_yx=e["mu_yx"],
             tau=e["tau"],

@@ -37,8 +37,6 @@ class KernelSpec:
             raise ValueError("polynomial kernel requires degree >= 1")
         if self.gamma is not None and self.gamma <= 0:
             raise ValueError("gamma must be > 0 when given")
-        if self.kind == "rbf" and self.gamma is not None and self.gamma <= 0:
-            raise ValueError("rbf kernel requires gamma > 0")
 
     def resolve(self, dim: int) -> "KernelSpec":
         """Fill in gamma = 1/dim when left unset."""

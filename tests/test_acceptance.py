@@ -55,21 +55,22 @@ def test_criterion_1_kl_oracle_equivalence():
     mpmath.mp.dps = 30
     rng = np.random.default_rng(2024)
     eps = 1e-9
-    t0 = time.perf_counter()
     worst = 0.0
+    elapsed = 0.0  # only the kl_divergence calls count toward the time bound
     for _ in range(100):
         n = int(rng.integers(2, 513))
         p = rng.random(n) + 1e-3
         q = rng.random(n) + 1e-3
         p /= p.sum()
         q /= q.sum()
+        t0 = time.perf_counter()
         got = core.kl_divergence(p, q, eps=eps)
+        elapsed += time.perf_counter() - t0
         oracle = mpmath.fsum(
             mpmath.mpf(pi) * mpmath.log(mpmath.mpf(pi) / (mpmath.mpf(qi) + mpmath.mpf(eps)))
             for pi, qi in zip(p, q)
         )
         worst = max(worst, abs(got - float(max(oracle, 0))))
-    elapsed = time.perf_counter() - t0
     criterion(
         1, "KL oracle equivalence",
         worst < 1e-9 and elapsed < 1.0,
@@ -138,11 +139,12 @@ def test_criterion_4_mnist_pairwise_desk_scale():
     train_images = load_idx_images(files["train_images"].read_bytes())
     train_labels = load_idx_labels(files["train_labels"].read_bytes())
     train_full = idx_dataset(train_images, train_labels, keep_classes=[0, 1])
-    keep = [i for c in (0, 1) for i in train_full.class_index[c][:500]]
-    keep.sort()
-    x = np.stack([train_full.samples[i] for i in keep])
-    y = [train_full.labels[i] for i in keep]
-    train_ds = Dataset.from_arrays(x, y, label_names=train_full.label_names)
+    keep = np.sort(np.concatenate(
+        [np.flatnonzero(train_full.labels == c)[:500] for c in (0, 1)]
+    ))
+    train_ds = Dataset.from_arrays(
+        train_full.samples[keep], train_full.labels[keep], label_names=train_full.label_names
+    )
 
     test_images = load_idx_images(files["test_images"].read_bytes())
     test_labels = load_idx_labels(files["test_labels"].read_bytes())
@@ -183,7 +185,7 @@ def test_criterion_5_mnist_full_reproduction():
     y_all = np.asarray(train_ds.labels)
     sub_folds = stratified_folds(y_all, 12, seed=0)
     sub = sub_folds[0]
-    x_sub = np.stack([train_ds.samples[i] for i in sub])
+    x_sub = train_ds.samples[sub]
     y_sub = y_all[sub]
     grid = [
         GridCell(c=c, kernel=POLY2, b=b, b_prime=bp)

@@ -91,6 +91,21 @@ class TestTrain:
         assert "cv_cell_0=" in report and "cv_cell_1=" in report
         assert "cv_best=" in report
 
+    def test_max_per_class_keeps_first_rows_of_each_class(self, fixture_files, tmp_path):
+        model_path = tmp_path / "capped.json"
+        report_path = tmp_path / "capped.report"
+        rc = main(train_args(fixture_files, model_path, report_path,
+                             extra=["--max-per-class", "5"]))
+        assert rc == 0
+        assert "samples=15" in report_path.read_text()
+        train_ds, _ = gaussian_split(n_train=25, n_test=15)
+        model = model_from_json(model_path.read_text())
+        for p in model.profiles:
+            assert p.cardinality == 5
+            np.testing.assert_allclose(
+                p.sum_vec, train_ds.class_matrix(p.class_id)[:5].sum(axis=0), rtol=1e-12
+            )
+
 
 class TestEval:
     def test_training_set_is_perfect(self, fixture_files, trained, tmp_path):

@@ -309,7 +309,7 @@ class TestVectorizeBow:
         )
         ds = result.dataset
         assert ds.num_classes == 2
-        assert ds.class_index == ((0,), (1,))
+        np.testing.assert_array_equal(ds.labels, [0, 1])
 
     def test_multi_topic_doc_excluded_and_counted(self):
         vocab = self._vocab()

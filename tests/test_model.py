@@ -1,7 +1,10 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cdfeat.core import CdfConfig
+from cdfeat.core import CdfConfig, pair_ratios
 from cdfeat.model import (
     ClassProfile,
     Dataset,
@@ -25,59 +28,28 @@ class TestValidateDataset:
     def test_valid_dataset_reports_nothing(self):
         assert validate_dataset(small_dataset()) == []
 
-    def test_short_sample_named(self):
-        ds = small_dataset()
-        samples = list(ds.samples)
-        samples[2] = np.asarray([1.0])
-        bad = Dataset(
-            samples=tuple(samples),
-            labels=ds.labels,
-            num_classes=ds.num_classes,
-            dim=ds.dim,
-            class_index=ds.class_index,
-            label_names=ds.label_names,
-        )
-        violations = validate_dataset(bad)
-        assert len(violations) == 1
-        assert "sample 2" in violations[0]
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ValueError):
+            Dataset.from_arrays([[0.0, 2.0], [2.0, 2.0], [1.0], [3.0, 1.0]], [0, 0, 1, 1])
+
+    def test_shape_mismatch_reported(self):
+        bad = replace(small_dataset(), dim=3)
+        assert any("shape" in v for v in validate_dataset(bad))
 
     def test_out_of_range_class_named(self):
-        ds = small_dataset()
-        bad = Dataset(
-            samples=ds.samples,
-            labels=(0, 0, 1, 5),
-            num_classes=ds.num_classes,
-            dim=ds.dim,
-            class_index=ds.class_index,
-            label_names=ds.label_names,
-        )
+        bad = replace(small_dataset(), labels=[0, 0, 1, 5])
         violations = validate_dataset(bad)
         assert any("class id 5" in v for v in violations)
 
     def test_negative_component(self):
         ds = small_dataset()
-        samples = list(ds.samples)
-        samples[0] = np.asarray([-1.0, 2.0])
-        bad = Dataset(
-            samples=tuple(samples),
-            labels=ds.labels,
-            num_classes=ds.num_classes,
-            dim=ds.dim,
-            class_index=ds.class_index,
-            label_names=ds.label_names,
-        )
+        samples = ds.samples.copy()
+        samples[0] = [-1.0, 2.0]
+        bad = replace(ds, samples=samples)
         assert any("finite and >= 0" in v for v in validate_dataset(bad))
 
     def test_empty_class_reported(self):
-        ds = small_dataset()
-        bad = Dataset(
-            samples=ds.samples,
-            labels=(0, 0, 0, 0),
-            num_classes=2,
-            dim=ds.dim,
-            class_index=((0, 1, 2, 3), ()),
-            label_names=ds.label_names,
-        )
+        bad = replace(small_dataset(), labels=[0, 0, 0, 0])
         assert any("class 1 has no samples" in v for v in validate_dataset(bad))
 
     def test_randomized_single_field_corruption(self):
@@ -87,29 +59,18 @@ class TestValidateDataset:
             x = rng.uniform(0.0, 5.0, size=(8, 4))
             ds = Dataset.from_arrays(x, [0, 0, 1, 1, 2, 2, 0, 1])
             kind = case % 4
-            samples = list(ds.samples)
-            labels = list(ds.labels)
+            samples = ds.samples.copy()
+            labels = ds.labels.copy()
             i = int(rng.integers(0, len(samples)))
             if kind == 0:
-                samples[i] = samples[i][:-1]
+                labels[i] = -1
             elif kind == 1:
-                v = samples[i].copy()
-                v[int(rng.integers(0, 4))] = -0.5
-                samples[i] = v
+                samples[i, int(rng.integers(0, 4))] = -0.5
             elif kind == 2:
-                v = samples[i].copy()
-                v[int(rng.integers(0, 4))] = np.nan
-                samples[i] = v
+                samples[i, int(rng.integers(0, 4))] = np.nan
             else:
                 labels[i] = ds.num_classes + 1
-            bad = Dataset(
-                samples=tuple(samples),
-                labels=tuple(labels),
-                num_classes=ds.num_classes,
-                dim=ds.dim,
-                class_index=ds.class_index,
-                label_names=ds.label_names,
-            )
+            bad = replace(ds, samples=samples, labels=labels)
             assert validate_dataset(bad), f"case {case}: corruption went undetected"
 
 
@@ -183,9 +144,23 @@ class TestSerializationRoundTrip:
 
     def test_format_field_checked(self):
         model = self._tiny_model(1)
-        text = model_to_json(model).replace("cdf-model/1", "cdf-model/9", 1)
+        text = model_to_json(model).replace("cdf-model/2", "cdf-model/9", 1)
         with pytest.raises(ValueError, match="format"):
             model_from_json(text)
+
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_format_1_document_loads(self, seed):
+        # A cdf-model/1 document is a /2 one plus each pair's ratio vector and
+        # the config's log base; both are ignored on load.
+        model = self._tiny_model(seed)
+        doc = json.loads(model_to_json(model))
+        assert doc["format"] == "cdf-model/2"
+        doc["format"] = "cdf-model/1"
+        doc["config"]["kl_log_base"] = "natural"
+        for e in doc["pairs"]:
+            x, y = (model.profiles[e[k]].mean_vec for k in ("class_x", "class_y"))
+            e["ratios"] = list(pair_ratios(x, y, model.config.smoothing_eps))
+        assert model_from_json(json.dumps(doc)) == model
 
     def test_round_trip_many_seeds(self):
         # Serialization stability across a spread of random models.
@@ -205,3 +180,14 @@ class TestDatasetHelpers:
         ds = small_dataset()
         with pytest.raises(ValueError):
             ds.samples[0][0] = 9.0
+        with pytest.raises(ValueError):
+            ds.labels[0] = 1
+
+    def test_matrix_is_the_sample_matrix(self):
+        ds = small_dataset()
+        assert ds.matrix() is ds.samples
+        assert ds.samples.shape == (4, 2) and ds.labels.dtype == np.int64
+
+    def test_equality_compares_contents(self):
+        assert small_dataset() == small_dataset()
+        assert small_dataset() != replace(small_dataset(), labels=[0, 1, 1, 1])

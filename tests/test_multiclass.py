@@ -47,10 +47,9 @@ class TestTrain:
         ds = two_class_dataset()
         bad = Dataset(
             samples=ds.samples,
-            labels=tuple([9] + list(ds.labels[1:])),
+            labels=np.concatenate([[9], ds.labels[1:]]),
             num_classes=ds.num_classes,
             dim=ds.dim,
-            class_index=ds.class_index,
             label_names=ds.label_names,
         )
         with pytest.raises(ValueError, match="invalid dataset"):
@@ -191,6 +190,14 @@ class TestPredictBatch:
         model = train(ds, CdfConfig(), kernel=POLY2)
         sample = ds.samples[0]
         assert predict_batch(model, [sample]) == [predict(model, sample)]
+        # Every row of a 10-class, 784-dim batch: winners and vote records,
+        # margins included, must match one-sample predict exactly.
+        x, y = gaussian_blobs(10, seed=11, dims=784, classes=10, shift=2.0)
+        model = train(Dataset.from_arrays(x, y), CdfConfig(), kernel=POLY2)
+        batch = predict_batch(model, x)
+        assert len(batch) == x.shape[0]
+        for i, row in enumerate(x):
+            assert batch[i] == predict(model, row), f"row {i}"
 
     def test_permutation_permutes_output(self):
         ds = two_class_dataset(seed=12)
