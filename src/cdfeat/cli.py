@@ -354,7 +354,7 @@ def cmd_eval(cfg: dict) -> int:
     _check_dims(model, dataset)
 
     t0 = time.perf_counter()
-    preds = [multiclass.predict(model, s)[0] for s in dataset.samples]
+    preds = [winner for winner, _ in multiclass.predict_batch(model, dataset.samples)]
     t_eval = time.perf_counter() - t0
 
     truth = _align_truth(model, dataset)
@@ -374,8 +374,7 @@ def cmd_predict(cfg: dict) -> int:
     _check_dims(model, dataset)
 
     lines = []
-    for i, sample in enumerate(dataset.samples):
-        winner, record = multiclass.predict(model, sample)
+    for i, (winner, record) in enumerate(multiclass.predict_batch(model, dataset.samples)):
         lines.append(
             f"{i} {model.label_names[winner]} {record.votes[winner]} "
             f"{fmt_float(record.margin_sums[winner])}"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import CdfConfig, ClassProfile, PairContext, PairFeatureSet
+from .model import FEATURE_MODES, CdfConfig, ClassProfile, PairContext, PairFeatureSet
 
 
 def class_sum(samples) -> np.ndarray:
@@ -123,25 +123,43 @@ def kl_divergence(p, q, eps: float = 1e-9) -> float:
     return max(0.0, float(np.sum(p[pos] * np.log(p[pos] / (q[pos] + eps)))))
 
 
-def _kl_terms(p: np.ndarray, ref: np.ndarray, eps: float) -> np.ndarray:
-    terms = np.zeros_like(p)
-    pos = p > 0
-    terms[pos] = p[pos] * np.log(p[pos] / (ref[pos] + eps))
-    return terms
+def kl_features(samples, mask, ref_x, ref_y, feature_mode: str, eps: float) -> np.ndarray:
+    """KL feature rows for a sample matrix under one pair's mask and references.
+
+    Row i depends on row i of `samples` alone and has the same bits whatever
+    the number of rows. A row whose masked total is zero becomes the uniform
+    distribution over the mask. The masked KL terms use 0 * ln 0 = 0, and
+    whole divergences are clamped at 0 as in `kl_divergence`. Rows are not
+    validated: callers pass finite, non-negative samples.
+    """
+    if feature_mode not in FEATURE_MODES:
+        raise ValueError(f"unknown feature_mode {feature_mode!r}")
+    part = np.asarray(samples, dtype=float).take(mask, axis=1)
+    totals = part.sum(axis=1)
+    empty = totals <= 0
+    part[empty] = 1.0 / part.shape[1]
+    totals[empty] = 1.0
+    p = part / totals[:, None]
+    refs = (ref_x, ref_y) if feature_mode == "dual_kl" else (ref_x,)
+    terms = [
+        p * np.log(p / (ref + eps), out=np.zeros_like(p), where=p > 0) for ref in refs
+    ]
+    if feature_mode == "elementwise_kl":
+        return terms[0]
+    return np.stack([np.maximum(t.sum(axis=1), 0.0) for t in terms], axis=1)
 
 
 def sample_feature(sample, mask, ref_x, ref_y, feature_mode: str, eps: float) -> np.ndarray:
     """Feature vector for one raw sample under a pair's mask and references."""
-    p, _ = restrict_normalize(sample, mask)
-    if feature_mode == "dual_kl":
-        return np.asarray(
-            [kl_divergence(p, ref_x, eps), kl_divergence(p, ref_y, eps)]
-        )
-    if feature_mode == "scalar_kl":
-        return np.asarray([kl_divergence(p, ref_x, eps)])
-    if feature_mode == "elementwise_kl":
-        return _kl_terms(p, ref_x, eps)
-    raise ValueError(f"unknown feature_mode {feature_mode!r}")
+    sample = np.asarray(sample, dtype=float)
+    if sample.ndim != 1 or not np.all(np.isfinite(sample)) or np.any(sample < 0):
+        raise ValueError("sample must be a vector of finite components >= 0")
+    mask = np.asarray(mask, dtype=np.int64)
+    if mask.size == 0:
+        raise ValueError("mask must be non-empty")
+    if np.any(mask < 0) or np.any(mask >= sample.shape[0]):
+        raise ValueError("mask index out of range")
+    return kl_features(sample[None], mask, ref_x, ref_y, feature_mode, eps)[0]
 
 
 def build_pair_context(
@@ -189,25 +207,20 @@ def extract_pair_features(
     profile_y: ClassProfile,
     cfg: CdfConfig,
 ) -> PairFeatureSet:
-    """KL features and +/-1 labels for the two classes of a pair."""
+    """KL features and +/-1 labels for the two classes of a pair.
+
+    The profiles and config must be the ones `ctx` was built from; the masked
+    references come from `ctx`.
+    """
     if (profile_x.class_id, profile_y.class_id) != (ctx.class_x, ctx.class_y):
         raise ValueError("profiles do not match the pair context")
-    ref_x, _ = restrict_normalize(profile_x.mean_vec, ctx.mask)
-    ref_y, _ = restrict_normalize(profile_y.mean_vec, ctx.mask)
-    eps = cfg.smoothing_eps
-    rows = [
-        sample_feature(s, ctx.mask, ref_x, ref_y, cfg.feature_mode, eps)
-        for s in samples_x
-    ]
-    rows += [
-        sample_feature(s, ctx.mask, ref_x, ref_y, cfg.feature_mode, eps)
-        for s in samples_y
-    ]
+    samples = np.concatenate(
+        [np.asarray(samples_x, dtype=float), np.asarray(samples_y, dtype=float)]
+    )
+    features = kl_features(
+        samples, ctx.mask, ctx.ref_x, ctx.ref_y, cfg.feature_mode, cfg.smoothing_eps
+    )
     labels = np.concatenate(
         [np.ones(len(samples_x), dtype=np.int64), -np.ones(len(samples_y), dtype=np.int64)]
     )
-    return PairFeatureSet(
-        features=np.asarray(rows, dtype=float),
-        labels=labels,
-        feature_mode=cfg.feature_mode,
-    )
+    return PairFeatureSet(features=features, labels=labels, feature_mode=cfg.feature_mode)

@@ -76,7 +76,8 @@ class CdfConfig:
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
-    out = np.asarray(a, dtype=dtype)
+    # A view, so that the caller's own array stays writable.
+    out = np.asarray(a, dtype=dtype).view()
     out.setflags(write=False)
     return out
 
@@ -241,8 +242,19 @@ class PairContext:
             raise ValueError("mask must be non-empty")
         if np.any(np.diff(self.mask) <= 0):
             raise ValueError("mask must be strictly increasing")
+        if self.mask[0] < 0:
+            raise ValueError("mask indices must be >= 0")
         if self.smoothing_eps <= 0:
             raise ValueError("smoothing_eps must be > 0")
+        for name, ref in (("ref_x", self.ref_x), ("ref_y", self.ref_y)):
+            if ref.shape != self.mask.shape:
+                raise ValueError(f"{name} must have one entry per mask index")
+            # NaN and -inf fail the sign test; +inf fails the sum test.
+            total = float(ref.sum())
+            if not (ref.min() >= 0 and abs(total - 1.0) <= 1e-9):
+                raise ValueError(
+                    f"{name} must be finite, >= 0 and sum to 1 (sum {total!r})"
+                )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairContext):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import core
 from .model import CdfConfig, CdfModel, ClassProfile, Dataset, validate_dataset
-from .svm import GridCell, KernelSpec, decision, smo_train
+from .svm import GridCell, KernelSpec, decision_batch, smo_train
 
 
 @dataclass(frozen=True)
@@ -128,38 +128,46 @@ def train(
 
 def predict(model: CdfModel, sample) -> tuple[int, VoteRecord]:
     """Vote every pair SVM on one sample and return the winning class."""
-    sample = np.asarray(sample, dtype=float)
-    if sample.shape != (model.dim,):
-        raise ValueError(f"sample length {sample.size} does not match model dim {model.dim}")
-    m = model.num_classes
-    votes = [0] * m
-    margins = [0.0] * m
-    mode = model.config.feature_mode
-    eps = model.config.smoothing_eps
-    for ctx, svm in model.pairs:
-        feat = core.sample_feature(sample, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
-        d = decision(svm, feat)
-        voted = ctx.class_x if d > 0 else ctx.class_y
-        votes[voted] += 1
-        margins[voted] += abs(d)
-    record = VoteRecord(
-        votes=tuple(votes),
-        margin_sums=tuple(margins),
-        winner=resolve_winner(votes, margins),
-    )
-    return record.winner, record
+    return predict_batch(model, np.asarray(sample, dtype=float)[None])[0]
+
+
+def _sample_matrix(samples, dim: int) -> np.ndarray:
+    """The samples as an (n, dim) float matrix; ValueError names the first bad row."""
+    rows = [np.asarray(row, dtype=float) for row in samples]
+    for i, row in enumerate(rows):
+        if row.shape != (dim,):
+            raise ValueError(f"sample {i}: length {row.size} does not match model dim {dim}")
+    x = np.stack(rows) if rows else np.empty((0, dim))
+    bad = np.flatnonzero(~np.all(np.isfinite(x) & (x >= 0), axis=1))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]}: components must be finite and >= 0")
+    return x
 
 
 def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
-    """Element-wise predict over a sample sequence, order preserved."""
+    """Predict every row of a sample matrix (or sequence), order preserved.
+
+    Each pair's features and decisions are computed once over all rows; votes
+    and margin sums accumulate in pair order, so a row's result is the same
+    whatever the number of rows.
+    """
+    x = _sample_matrix(samples, model.dim)
+    n, m = x.shape[0], model.num_classes
+    votes = np.zeros((n, m), dtype=np.int64)
+    margins = np.zeros((n, m))
+    rows = np.arange(n)
+    mode = model.config.feature_mode
+    eps = model.config.smoothing_eps
+    for ctx, svm in model.pairs:
+        feats = core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
+        d = decision_batch(svm, feats)
+        voted = np.where(d > 0, ctx.class_x, ctx.class_y)
+        votes[rows, voted] += 1
+        margins[rows, voted] += np.abs(d)
     out = []
-    for i, sample in enumerate(samples):
-        vec = np.asarray(sample, dtype=float)
-        if vec.shape != (model.dim,):
-            raise ValueError(
-                f"sample {i}: length {vec.size} does not match model dim {model.dim}"
-            )
-        out.append(predict(model, vec))
+    for v, s in zip(votes.tolist(), margins.tolist()):
+        record = VoteRecord(votes=tuple(v), margin_sums=tuple(s), winner=resolve_winner(v, s))
+        out.append((record.winner, record))
     return out
 
 
@@ -185,7 +193,7 @@ def pipeline_trainer(
         )
 
         def predict_labels(x_eval):
-            return np.asarray([predict(model, row)[0] for row in x_eval])
+            return np.asarray([winner for winner, _ in predict_batch(model, x_eval)])
 
         return predict_labels
 

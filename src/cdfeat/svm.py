@@ -66,15 +66,20 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"kernel arguments differ in length: {a.shape[1]} vs {b.shape[1]}")
+    return _kernel_of_dots(spec, a @ b.T, a, b)
+
+
+def _kernel_of_dots(spec: KernelSpec, dots, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel values from `dots`, the dot products of the rows of `a` and `b`."""
     if spec.kind == "linear":
-        return a @ b.T
+        return dots
     if spec.gamma is None:
         raise ValueError("gamma unresolved; call KernelSpec.resolve(dim) first")
     if spec.kind == "polynomial":
-        return (spec.gamma * (a @ b.T) + spec.coef0) ** spec.degree
+        return (spec.gamma * dots + spec.coef0) ** spec.degree
     sq = (
         np.sum(a * a, axis=1)[:, None]
-        - 2.0 * (a @ b.T)
+        - 2.0 * dots
         + np.sum(b * b, axis=1)[None, :]
     )
     return np.exp(-spec.gamma * np.maximum(sq, 0.0))
@@ -273,15 +278,20 @@ def decision(model: SvmModel, x) -> float:
 
 
 def decision_batch(model: SvmModel, x) -> np.ndarray:
-    """Decision values for a sample matrix, one per row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[1] != model.support_vectors.shape[1]:
+    """Decision values for a sample matrix, one per row.
+
+    Every reduction runs along one C-contiguous row (einsum, not BLAS, whose
+    blocking depends on the matrix shape), so a row's value has the same bits
+    whatever the number of rows in the call.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    sv = model.support_vectors
+    if x.ndim != 2 or x.shape[1] != sv.shape[1]:
         raise ValueError(
-            f"sample length {x.shape[1]} does not match support vectors "
-            f"({model.support_vectors.shape[1]})"
+            f"sample length {x.shape[-1]} does not match support vectors ({sv.shape[1]})"
         )
-    k = kernel_matrix(model.kernel, x, model.support_vectors)
-    return k @ model.coef + model.bias
+    k = _kernel_of_dots(model.kernel, np.einsum("ij,kj->ik", x, sv), x, sv)
+    return (k * model.coef).sum(axis=1) + model.bias
 
 
 # --- cross-validation -------------------------------------------------------

@@ -1,0 +1,52 @@
+"""The per-row scalar predict path, kept as a reference for the batch core.
+
+Each sample is restricted and normalized on its own, its KL features come
+from the validated `kl_divergence` (sums over the positive components only),
+each pair SVM is evaluated with the one-sample `decision`, and votes and
+margins accumulate in Python in pair order.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from cdfeat import core
+from cdfeat.multiclass import VoteRecord, resolve_winner
+from cdfeat.svm import decision
+
+
+def sample_feature(sample, mask, ref_x, ref_y, feature_mode: str, eps: float) -> np.ndarray:
+    """Feature vector for one raw sample, one `kl_divergence` call per reference."""
+    p, _ = core.restrict_normalize(sample, mask)
+    if feature_mode == "dual_kl":
+        return np.asarray([core.kl_divergence(p, ref_x, eps), core.kl_divergence(p, ref_y, eps)])
+    if feature_mode == "scalar_kl":
+        return np.asarray([core.kl_divergence(p, ref_x, eps)])
+    if feature_mode == "elementwise_kl":
+        terms = np.zeros_like(p)
+        pos = p > 0
+        terms[pos] = p[pos] * np.log(p[pos] / (ref_x[pos] + eps))
+        return terms
+    raise ValueError(f"unknown feature_mode {feature_mode!r}")
+
+
+def predict(model, sample) -> tuple[int, VoteRecord]:
+    """Vote every pair SVM on one sample, one pair at a time."""
+    sample = np.asarray(sample, dtype=float)
+    m = model.num_classes
+    votes = [0] * m
+    margins = [0.0] * m
+    mode = model.config.feature_mode
+    eps = model.config.smoothing_eps
+    for ctx, svm in model.pairs:
+        feat = sample_feature(sample, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
+        d = decision(svm, feat)
+        voted = ctx.class_x if d > 0 else ctx.class_y
+        votes[voted] += 1
+        margins[voted] += abs(d)
+    record = VoteRecord(
+        votes=tuple(votes),
+        margin_sums=tuple(margins),
+        winner=resolve_winner(votes, margins),
+    )
+    return record.winner, record

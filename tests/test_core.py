@@ -17,6 +17,7 @@ from cdfeat.core import (
 )
 from cdfeat.model import CdfConfig, ClassProfile
 
+import scalar_oracle
 from conftest import mnist_files, needs_mnist
 
 
@@ -358,3 +359,36 @@ class TestSampleFeatureConsistency:
             sample, ctx.mask, ctx.ref_x, ctx.ref_y, cfg.feature_mode, cfg.smoothing_eps
         )
         np.testing.assert_array_equal(fs.features[0], direct)
+
+
+class TestKlFeaturesAgainstScalarOracle:
+    @pytest.mark.parametrize("mode", ["dual_kl", "scalar_kl", "elementwise_kl"])
+    def test_batch_matches_per_row_oracle(self, mode):
+        rng = np.random.default_rng(71)
+        p_x = profile_from(rng.uniform(0, 5, size=40), class_id=0)
+        p_y = profile_from(rng.uniform(0, 5, size=40), class_id=1)
+        ctx = build_pair_context(p_x, p_y, CdfConfig())
+        x = rng.uniform(0, 5, size=(30, 40))
+        x[x < 1.0] = 0.0  # zero components inside the mask
+        x[3, ctx.mask] = 0.0  # masked total zero: the uniform distribution
+        x[7] = 0.0
+        got = core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, 1e-9)
+        want = np.asarray([
+            scalar_oracle.sample_feature(row, ctx.mask, ctx.ref_x, ctx.ref_y, mode, 1e-9)
+            for row in x
+        ])
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for i, row in enumerate(x):
+            np.testing.assert_array_equal(
+                core.sample_feature(row, ctx.mask, ctx.ref_x, ctx.ref_y, mode, 1e-9), got[i]
+            )
+
+    def test_sample_feature_rejects_invalid_rows(self):
+        mask = np.asarray([0, 1])
+        ref = np.asarray([0.5, 0.5])
+        for bad in ([1.0, -1.0, 2.0], [1.0, np.nan, 2.0], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(ValueError, match="finite components"):
+                core.sample_feature(bad, mask, ref, ref, "dual_kl", 1e-9)
+        with pytest.raises(ValueError, match="out of range"):
+            core.sample_feature([1.0, 2.0], [0, 2], ref, ref, "dual_kl", 1e-9)

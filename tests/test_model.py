@@ -162,6 +162,18 @@ class TestSerializationRoundTrip:
             e["ratios"] = list(pair_ratios(x, y, model.config.smoothing_eps))
         assert model_from_json(json.dumps(doc)) == model
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda ref: ref[:-1],
+        lambda ref: [-v for v in ref],
+        lambda ref: [2.0 * v for v in ref],
+        lambda ref: [None] + ref[1:],
+    ])
+    def test_corrupt_reference_fails_at_load(self, corrupt):
+        doc = json.loads(model_to_json(self._tiny_model(3)))
+        doc["pairs"][0]["ref_y"] = corrupt(doc["pairs"][0]["ref_y"])
+        with pytest.raises(ValueError, match="ref_y"):
+            model_from_json(json.dumps(doc))
+
     def test_round_trip_many_seeds(self):
         # Serialization stability across a spread of random models.
         for seed in range(100, 150):
@@ -182,6 +194,14 @@ class TestDatasetHelpers:
             ds.samples[0][0] = 9.0
         with pytest.raises(ValueError):
             ds.labels[0] = 1
+
+    def test_callers_arrays_stay_writable(self):
+        x = np.ones((2, 2))
+        ds = Dataset.from_arrays(x, [0, 1])
+        assert x.flags.writeable and not ds.samples.flags.writeable
+        mean = np.ones(2)
+        ClassProfile(class_id=0, sum_vec=2 * mean, mean_vec=mean, cardinality=2)
+        assert mean.flags.writeable
 
     def test_matrix_is_the_sample_matrix(self):
         ds = small_dataset()

@@ -12,6 +12,7 @@ from cdfeat.multiclass import (
 )
 from cdfeat.svm import KernelSpec, decision
 
+import scalar_oracle
 from conftest import gaussian_blobs
 
 POLY2 = KernelSpec(kind="polynomial", degree=2)
@@ -208,9 +209,44 @@ class TestPredictBatch:
         permuted = predict_batch(model, [batch[i] for i in perm])
         assert permuted == [out[i] for i in perm]
 
+    def test_invalid_component_reports_sample_index(self):
+        # Every component is checked, not only the ones inside a pair's mask.
+        ds = two_class_dataset(seed=13)
+        model = train(ds, CdfConfig(), kernel=POLY2)
+        for bad in (-1.0, np.nan, np.inf):
+            batch = ds.samples[:4].copy()
+            batch[2, 0] = bad
+            with pytest.raises(ValueError, match="sample 2: components must be finite"):
+                predict_batch(model, batch)
+            with pytest.raises(ValueError, match="sample 0: components must be finite"):
+                predict(model, batch[2])
+
     def test_mismatch_reports_sample_index(self):
         ds = two_class_dataset(seed=13)
         model = train(ds, CdfConfig(), kernel=POLY2)
         batch = [ds.samples[0], np.ones(2)]
         with pytest.raises(ValueError, match="sample 1"):
             predict_batch(model, batch)
+
+
+class TestBatchAgainstScalarOracle:
+    @pytest.fixture(scope="class")
+    def blobs(self):
+        x, y = gaussian_blobs(10, seed=11, dims=784, classes=10, shift=2.0)
+        return x, train(Dataset.from_arrays(x, y), CdfConfig(), kernel=POLY2)
+
+    def test_winners_match_per_row_oracle(self, blobs):
+        x, model = blobs
+        probes = np.vstack([x, np.random.default_rng(3).uniform(0, 4, size=(20, 784))])
+        batch = predict_batch(model, probes)
+        for i, row in enumerate(probes):
+            winner, record = scalar_oracle.predict(model, row)
+            assert batch[i][0] == winner, f"row {i}"
+            assert batch[i][1].votes == record.votes, f"row {i}"
+            np.testing.assert_allclose(batch[i][1].margin_sums, record.margin_sums, rtol=1e-9)
+
+    def test_prefix_of_batch_is_unchanged(self, blobs):
+        x, model = blobs
+        full = predict_batch(model, x)
+        for k in (1, 2, 3, 17, 64):
+            assert predict_batch(model, x[:k]) == full[:k], f"k={k}"

@@ -287,6 +287,25 @@ class TestCrossValidate:
             cross_validate(x, y, [], folds=4, seed=0, trainer=binary_svm_trainer())
 
 
+class TestDecisionBatch:
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
+    @pytest.mark.parametrize("dim", [2, 300])
+    def test_row_value_independent_of_batch_size(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        coef = rng.uniform(-1.0, 1.0, size=57)
+        coef -= coef.mean()
+        spec = KernelSpec(kind=kind).resolve(dim)
+        model = SvmModel(
+            support_vectors=rng.normal(size=(57, dim)), coef=coef, bias=0.25,
+            kernel=spec, c=2.0, iterations=1, kkt_violation_max=0.0,
+        )
+        x = rng.normal(size=(40, dim))
+        full = decision_batch(model, x)
+        for i in range(len(x)):
+            assert decision_batch(model, x[i : i + 1])[0] == full[i], f"row {i}"
+            assert abs(decision(model, x[i]) - full[i]) <= 1e-9 * max(1.0, abs(full[i]))
+
+
 class TestSvmModelInvariants:
     def test_equality_constraint_checked(self):
         with pytest.raises(ValueError, match="equality"):
