@@ -24,7 +24,7 @@ class TfIdfModel:
     doc_count: int
 
     def __post_init__(self):
-        idf = np.asarray(self.idf, dtype=float)
+        idf = np.asarray(self.idf, dtype=float).view()  # the caller's array stays writable
         idf.setflags(write=False)
         object.__setattr__(self, "idf", idf)
         if idf.shape != (self.vocab_size,):

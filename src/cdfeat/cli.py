@@ -401,6 +401,8 @@ def cmd_inspect(cfg: dict) -> int:
         report.append(f"{key}_b_prime={fmt_float(ctx.b_prime)}")
         report.append(f"{key}_fallback={int(ctx.fallback)}")
         report.append(f"{key}_support_vectors={svm.support_vectors.shape[0]}")
+        report.append(f"{key}_iterations={svm.iterations}")
+        report.append(f"{key}_kkt_violation_max={fmt_float(svm.kkt_violation_max)}")
         if cfg.get("dump_masks"):
             report.append(f"{key}_mask={','.join(str(int(i)) for i in ctx.mask)}")
     _write_report(cfg, report)

@@ -2,10 +2,13 @@
 
 All types are immutable after construction (frozen dataclasses over read-only
 numpy arrays) and safe to share across threads. Model serialization is a
-versioned JSON document ("cdf-model/2") whose reals carry 17 significant
-digits so that save/load round-trips are exact. Documents in the older
-"cdf-model/1" format still load; the per-pair ratio vectors and the log-base
-config field that /1 also stored are ignored, since predict never reads them.
+versioned JSON document ("cdf-model/3") whose reals carry 17 significant
+digits so that save/load round-trips are exact. It stores only what cannot be
+derived: the config and SVM settings, each class's sum vector and cardinality,
+and each pair's SVM. Loading rebuilds the mean profiles, every pair context
+(mask, masked references, ratio means, thresholds) and each SVM's resolved
+kernel and C exactly as training computed them. Documents in the older
+"cdf-model/1" and "cdf-model/2" formats are refused; retrain to get a /3 file.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import numpy as np
 from .report import fmt_float
 from .svm import KernelSpec, SvmModel
 
-MODEL_FORMAT = "cdf-model/2"
-READABLE_FORMATS = (MODEL_FORMAT, "cdf-model/1")
+MODEL_FORMAT = "cdf-model/3"
+RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2")
 
 SELECTION_MODES = ("ratio", "literal")
 FEATURE_MODES = ("dual_kl", "scalar_kl", "elementwise_kl")
@@ -246,15 +249,6 @@ class PairContext:
             raise ValueError("mask indices must be >= 0")
         if self.smoothing_eps <= 0:
             raise ValueError("smoothing_eps must be > 0")
-        for name, ref in (("ref_x", self.ref_x), ("ref_y", self.ref_y)):
-            if ref.shape != self.mask.shape:
-                raise ValueError(f"{name} must have one entry per mask index")
-            # NaN and -inf fail the sign test; +inf fails the sum test.
-            total = float(ref.sum())
-            if not (ref.min() >= 0 and abs(total - 1.0) <= 1e-9):
-                raise ValueError(
-                    f"{name} must be finite, >= 0 and sum to 1 (sum {total!r})"
-                )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairContext):
@@ -333,13 +327,6 @@ class CdfModel:
                     f"pair ({ctx.class_x},{ctx.class_y}) mask exceeds dim {self.dim}"
                 )
 
-    def pair(self, class_x: int, class_y: int):
-        """Look up the (context, svm) entry for an unordered class pair."""
-        for ctx, svm in self.pairs:
-            if (ctx.class_x, ctx.class_y) == (class_x, class_y):
-                return ctx, svm
-        raise KeyError(f"no pair ({class_x}, {class_y})")
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CdfModel):
             return NotImplemented
@@ -382,6 +369,10 @@ def _emit(value, out: list) -> None:
             out.append(":")
             _emit(item, out)
         out.append("}")
+    elif isinstance(value, np.ndarray) and value.ndim and value.dtype.kind in "fiu":
+        if value.dtype.kind == "f" and not np.all(np.isfinite(value)):
+            raise ValueError("non-finite real cannot be formatted")
+        out.append(_array_text(value.tolist(), value.ndim, value.dtype.kind == "f"))
     elif isinstance(value, (list, tuple, np.ndarray)):
         out.append("[")
         for k, item in enumerate(value):
@@ -391,6 +382,15 @@ def _emit(value, out: list) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _array_text(items: list, ndim: int, real: bool) -> str:
+    # The bytes `_emit` writes element by element, from a numpy array's tolist().
+    if ndim > 1:
+        return "[" + ",".join([_array_text(row, ndim - 1, real) for row in items]) + "]"
+    if real:
+        return "[" + ",".join([format(v, ".17g") for v in items]) + "]"
+    return "[" + ",".join(map(str, items)) + "]"
 
 
 def _dumps(value) -> str:
@@ -410,7 +410,7 @@ def _kernel_from(doc: dict) -> KernelSpec:
 
 
 def model_to_json(model: CdfModel) -> str:
-    """Serialize a trained model to the cdf-model/2 JSON document."""
+    """Serialize a trained model to the cdf-model/3 JSON document."""
     cfg = model.config
     doc = {
         "format": MODEL_FORMAT,
@@ -433,36 +433,17 @@ def model_to_json(model: CdfModel) -> str:
         "dim": model.dim,
         "label_names": list(model.label_names),
         "profiles": [
-            {
-                "class_id": p.class_id,
-                "cardinality": p.cardinality,
-                "sum_vec": p.sum_vec,
-                "mean_vec": p.mean_vec,
-            }
+            {"class_id": p.class_id, "cardinality": p.cardinality, "sum_vec": p.sum_vec}
             for p in model.profiles
         ],
         "pairs": [
             {
                 "class_x": ctx.class_x,
                 "class_y": ctx.class_y,
-                "mu_xy": ctx.mu_xy,
-                "mu_yx": ctx.mu_yx,
-                "tau": ctx.tau,
-                "tau_prime": ctx.tau_prime,
-                "mask": ctx.mask,
-                "selection_mode": ctx.selection_mode,
-                "smoothing_eps": ctx.smoothing_eps,
-                "b": ctx.b,
-                "b_prime": ctx.b_prime,
-                "fallback": ctx.fallback,
-                "ref_x": ctx.ref_x,
-                "ref_y": ctx.ref_y,
                 "svm": {
                     "support_vectors": svm.support_vectors,
                     "coef": svm.coef,
                     "bias": svm.bias,
-                    "kernel": _kernel_doc(svm.kernel),
-                    "c": svm.c,
                     "iterations": svm.iterations,
                     "kkt_violation_max": svm.kkt_violation_max,
                 },
@@ -474,10 +455,22 @@ def model_to_json(model: CdfModel) -> str:
 
 
 def model_from_json(text: str) -> CdfModel:
-    """Parse a cdf-model/2 (or /1) JSON document back into a CdfModel."""
+    """Parse a cdf-model/3 JSON document and rebuild what training derived.
+
+    Mean profiles, pair contexts and each SVM's kernel and C are recomputed
+    the way `multiclass.train` computes them, so a loaded model equals the
+    trained one. Older formats raise ValueError.
+    """
+    from . import core  # core imports this module
+
     doc = json.loads(text)
-    if doc.get("format") not in READABLE_FORMATS:
-        raise ValueError(f"unsupported model format {doc.get('format')!r}")
+    fmt = doc.get("format")
+    if fmt in RETIRED_FORMATS:
+        raise ValueError(
+            f"model format {fmt!r} is no longer read; retrain to write {MODEL_FORMAT!r}"
+        )
+    if fmt != MODEL_FORMAT:
+        raise ValueError(f"unsupported model format {fmt!r}")
     cdoc = doc["config"]
     cfg = CdfConfig(
         b=cdoc["b"],
@@ -487,57 +480,58 @@ def model_from_json(text: str) -> CdfModel:
         smoothing_eps=cdoc["smoothing_eps"],
         pair_overrides={
             (int(x), int(y)): (float(b), float(bp))
-            for x, y, b, bp in cdoc.get("pair_overrides", [])
+            for x, y, b, bp in cdoc["pair_overrides"]
         },
     )
-    profiles = tuple(
-        ClassProfile(
-            class_id=p["class_id"],
-            sum_vec=np.asarray(p["sum_vec"], dtype=float),
-            mean_vec=np.asarray(p["mean_vec"], dtype=float),
-            cardinality=p["cardinality"],
+    kernel = _kernel_from(doc["kernel"])
+    m, dim = doc["num_classes"], doc["dim"]
+    if len(doc["profiles"]) != m:
+        raise ValueError(f"expected {m} class profiles, got {len(doc['profiles'])}")
+    profiles = []
+    for cid, p in enumerate(doc["profiles"]):
+        sum_vec = np.asarray(p["sum_vec"], dtype=float)
+        if p["class_id"] != cid or sum_vec.shape != (dim,):
+            raise ValueError(f"profile {cid}: expected class {cid} with {dim} sums")
+        profiles.append(
+            ClassProfile(
+                class_id=cid,
+                sum_vec=sum_vec,
+                mean_vec=core.class_mean(sum_vec, p["cardinality"]),
+                cardinality=p["cardinality"],
+            )
         )
-        for p in doc["profiles"]
-    )
+    pair_ids = [(x, y) for x in range(m) for y in range(x + 1, m)]
+    if [(e["class_x"], e["class_y"]) for e in doc["pairs"]] != pair_ids:
+        raise ValueError("pairs must list every class pair (x, y), x < y, in order")
     pairs = []
-    for e in doc["pairs"]:
-        ctx = PairContext(
-            class_x=e["class_x"],
-            class_y=e["class_y"],
-            mu_xy=e["mu_xy"],
-            mu_yx=e["mu_yx"],
-            tau=e["tau"],
-            tau_prime=e["tau_prime"],
-            mask=np.asarray(e["mask"], dtype=np.int64),
-            selection_mode=e["selection_mode"],
-            smoothing_eps=e["smoothing_eps"],
-            b=e["b"],
-            b_prime=e["b_prime"],
-            fallback=e["fallback"],
-            ref_x=np.asarray(e["ref_x"], dtype=float),
-            ref_y=np.asarray(e["ref_y"], dtype=float),
-        )
+    for (x, y), e in zip(pair_ids, doc["pairs"]):
+        ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
+        # The feature width the pair's SVM was trained on.
+        width = {"dual_kl": 2, "scalar_kl": 1}.get(cfg.feature_mode, ctx.mask.size)
         s = e["svm"]
+        sv = np.asarray(s["support_vectors"], dtype=float)
+        if sv.ndim != 2 or sv.shape[1] != width:
+            raise ValueError(f"pair ({x},{y}): support vectors must be rows of {width} features")
         svm = SvmModel(
-            support_vectors=np.asarray(s["support_vectors"], dtype=float),
+            support_vectors=sv,
             coef=np.asarray(s["coef"], dtype=float),
             bias=s["bias"],
-            kernel=_kernel_from(s["kernel"]),
-            c=s["c"],
+            kernel=kernel.resolve(width),
+            c=doc["c"],
             iterations=s["iterations"],
             kkt_violation_max=s["kkt_violation_max"],
         )
         pairs.append((ctx, svm))
     return CdfModel(
         config=cfg,
-        kernel=_kernel_from(doc["kernel"]),
+        kernel=kernel,
         c=doc["c"],
         tol=doc["tol"],
         max_passes=doc["max_passes"],
         seed=doc["seed"],
-        num_classes=doc["num_classes"],
-        dim=doc["dim"],
+        num_classes=m,
+        dim=dim,
         label_names=tuple(doc["label_names"]),
-        profiles=profiles,
+        profiles=tuple(profiles),
         pairs=tuple(pairs),
     )

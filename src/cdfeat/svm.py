@@ -127,8 +127,9 @@ class SvmModel:
     kkt_violation_max: float
 
     def __post_init__(self):
-        sv = np.asarray(self.support_vectors, dtype=float)
-        co = np.asarray(self.coef, dtype=float)
+        # Read-only views, so that the caller's own arrays stay writable.
+        sv = np.asarray(self.support_vectors, dtype=float).view()
+        co = np.asarray(self.coef, dtype=float).view()
         sv.setflags(write=False)
         co.setflags(write=False)
         object.__setattr__(self, "support_vectors", sv)

@@ -48,6 +48,11 @@ class TestFitIdf:
             sorted_idf = model.idf[order]
             assert np.all(np.diff(sorted_idf) <= 1e-12)
 
+    def test_callers_array_stays_writable(self):
+        idf = np.ones(3)
+        model = TfIdfModel(idf, 3, 1)
+        assert idf.flags.writeable and not model.idf.flags.writeable
+
 
 class TestTransform:
     def test_zero_vector_stays_zero(self):

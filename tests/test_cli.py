@@ -288,6 +288,16 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "pair_0_1_mask=" in out
 
+    def test_solver_health_per_pair(self, trained, capsys):
+        rc = main(["inspect", "--model", str(trained["model"])])
+        assert rc == 0
+        lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        model = model_from_json(trained["model"].read_text())
+        for ctx, svm in model.pairs:
+            key = f"pair_{ctx.class_x}_{ctx.class_y}"
+            assert int(lines[f"{key}_iterations"]) == svm.iterations
+            assert float(lines[f"{key}_kkt_violation_max"]) == svm.kkt_violation_max
+
     def test_unreadable_model(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

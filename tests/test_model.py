@@ -4,16 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdfeat.core import CdfConfig, pair_ratios
+from cdfeat.core import CdfConfig
 from cdfeat.model import (
     ClassProfile,
     Dataset,
     PairFeatureSet,
+    _dumps,
     model_from_json,
     model_to_json,
     validate_dataset,
 )
 from cdfeat.multiclass import train
+from cdfeat.report import fmt_float
 from cdfeat.svm import KernelSpec
 
 from conftest import gaussian_blobs
@@ -121,8 +123,8 @@ class TestPairFeatureSet:
 
 
 class TestSerializationRoundTrip:
-    def _tiny_model(self, seed, feature_mode="dual_kl", selection_mode="ratio"):
-        x, y = gaussian_blobs(6, seed=seed, dims=8, classes=2)
+    def _tiny_model(self, seed, feature_mode="dual_kl", selection_mode="ratio", classes=2):
+        x, y = gaussian_blobs(6, seed=seed, dims=8, classes=classes)
         ds = Dataset.from_arrays(x, y)
         cfg = CdfConfig(
             b=0.5 + (seed % 3) * 0.5,
@@ -144,35 +146,80 @@ class TestSerializationRoundTrip:
 
     def test_format_field_checked(self):
         model = self._tiny_model(1)
-        text = model_to_json(model).replace("cdf-model/2", "cdf-model/9", 1)
+        text = model_to_json(model).replace("cdf-model/3", "cdf-model/9", 1)
         with pytest.raises(ValueError, match="format"):
             model_from_json(text)
 
-    @pytest.mark.parametrize("seed", [0, 5, 7])
-    def test_format_1_document_loads(self, seed):
-        # A cdf-model/1 document is a /2 one plus each pair's ratio vector and
-        # the config's log base; both are ignored on load.
-        model = self._tiny_model(seed)
-        doc = json.loads(model_to_json(model))
-        assert doc["format"] == "cdf-model/2"
-        doc["format"] = "cdf-model/1"
-        doc["config"]["kl_log_base"] = "natural"
+    @pytest.mark.parametrize("old", ["cdf-model/1", "cdf-model/2"])
+    def test_older_formats_refused(self, old):
+        doc = json.loads(model_to_json(self._tiny_model(0)))
+        doc["format"] = old
+        with pytest.raises(ValueError, match=f"{old}.*retrain"):
+            model_from_json(json.dumps(doc))
+
+    def test_pairs_store_no_derivable_fields(self):
+        doc = json.loads(model_to_json(self._tiny_model(2, feature_mode="elementwise_kl")))
+        derived = {"mask", "ref_x", "ref_y", "mu_xy", "tau", "fallback"}
         for e in doc["pairs"]:
-            x, y = (model.profiles[e[k]].mean_vec for k in ("class_x", "class_y"))
-            e["ratios"] = list(pair_ratios(x, y, model.config.smoothing_eps))
-        assert model_from_json(json.dumps(doc)) == model
+            assert not derived & (set(e) | set(e["svm"]))
+        for p in doc["profiles"]:
+            assert set(p) == {"class_id", "cardinality", "sum_vec"}
+
+    @staticmethod
+    def _set_sum_vec(fn):
+        def corrupt(doc):
+            doc["profiles"][1]["sum_vec"] = fn(doc["profiles"][1]["sum_vec"])
+        return corrupt
+
+    @staticmethod
+    def _widen_support_vectors(doc):
+        sv = doc["pairs"][0]["svm"]["support_vectors"]
+        doc["pairs"][0]["svm"]["support_vectors"] = [row + [0.0] for row in sv]
 
     @pytest.mark.parametrize("corrupt", [
-        lambda ref: ref[:-1],
-        lambda ref: [-v for v in ref],
-        lambda ref: [2.0 * v for v in ref],
-        lambda ref: [None] + ref[1:],
-    ])
-    def test_corrupt_reference_fails_at_load(self, corrupt):
-        doc = json.loads(model_to_json(self._tiny_model(3)))
-        doc["pairs"][0]["ref_y"] = corrupt(doc["pairs"][0]["ref_y"])
-        with pytest.raises(ValueError, match="ref_y"):
+        _set_sum_vec(lambda v: v[:-1]),
+        _set_sum_vec(lambda v: [-1.0] + v[1:]),
+        _set_sum_vec(lambda v: [None] + v[1:]),
+        _set_sum_vec(lambda v: ["NaN"] + v[1:]),
+        lambda doc: doc["profiles"][0].update(cardinality=0),
+        _widen_support_vectors,
+        lambda doc: doc["pairs"].pop(1),
+    ], ids=["truncated", "negative", "null", "nan-string", "cardinality-0",
+            "sv-width", "missing-pair"])
+    def test_corrupt_document_fails_at_load(self, corrupt):
+        doc = json.loads(
+            model_to_json(self._tiny_model(3, feature_mode="scalar_kl", classes=3))
+        )
+        corrupt(doc)
+        with pytest.raises(ValueError):
             model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_fast_path_matches_per_element_emitter(self, seed):
+        def per_element(a):
+            if a.ndim > 1:
+                return "[" + ",".join(per_element(row) for row in a) + "]"
+            fmt = fmt_float if a.dtype.kind == "f" else (lambda v: str(int(v)))
+            return "[" + ",".join(fmt(v) for v in a) + "]"
+
+        rng = np.random.default_rng(seed)
+        special = np.asarray([0.0, -0.0, 5e-324, 1e-300, 1e300, 3.0, 0.1, 1 / 3])
+        arrays = [
+            rng.normal(0.0, 10.0 ** rng.integers(-20, 20), size=50),
+            np.concatenate([special, rng.uniform(size=5)]),
+            rng.integers(0, 1000, size=(7, 3)).astype(float),
+            rng.normal(size=(4, 5)),
+            rng.normal(size=(2, 3, 2)),
+            rng.integers(-2**40, 2**40, size=20),
+            rng.integers(0, 255, size=(3, 4)).astype(np.uint8),
+            rng.normal(size=6).astype(np.float32),
+            np.empty(0),
+            np.empty((0, 3)),
+        ]
+        for a in arrays:
+            assert _dumps(a) == per_element(a), a.dtype
+        with pytest.raises(ValueError, match="non-finite"):
+            _dumps(np.asarray([1.0, np.nan]))
 
     def test_round_trip_many_seeds(self):
         # Serialization stability across a spread of random models.

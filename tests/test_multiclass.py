@@ -90,8 +90,8 @@ class TestTrain:
         ds = Dataset.from_arrays(x, y)
         cfg = CdfConfig(b=1.0, b_prime=1.0, pair_overrides={(0, 2): (1.5, 0.5)})
         model = train(ds, cfg, kernel=POLY2)
-        ctx_01, _ = model.pair(0, 1)
-        ctx_02, _ = model.pair(0, 2)
+        contexts = {(ctx.class_x, ctx.class_y): ctx for ctx, _ in model.pairs}
+        ctx_01, ctx_02 = contexts[0, 1], contexts[0, 2]
         assert (ctx_01.b, ctx_01.b_prime) == (1.0, 1.0)
         assert (ctx_02.b, ctx_02.b_prime) == (1.5, 0.5)
 

@@ -330,3 +330,11 @@ class TestSvmModelInvariants:
                 iterations=1,
                 kkt_violation_max=0.0,
             )
+
+    def test_callers_arrays_stay_writable(self):
+        sv = np.zeros((2, 1))
+        co = np.asarray([1.0, -1.0])
+        model = SvmModel(sv, co, 0.0, LINEAR, 1.0, 0, 0.0)
+        assert sv.flags.writeable and co.flags.writeable
+        assert not model.support_vectors.flags.writeable
+        assert not model.coef.flags.writeable
