@@ -86,7 +86,10 @@ def train_ovo(
     max_passes: int = 10,
     seed: int = 0,
 ) -> OvoSvmModel:
-    """Fit one SVM per class pair on the raw feature rows."""
+    """Fit one SVM per class pair on the raw feature rows.
+
+    The solves use no randomness; `seed` is accepted and unused.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     pairs = []
@@ -96,7 +99,7 @@ def train_ovo(
             labels = np.where(y[rows] == cx, 1.0, -1.0)
             svm = smo_train(
                 x[rows], labels, c, kernel.resolve(x.shape[1]),
-                tol=tol, max_passes=max_passes, seed=seed,
+                tol=tol, max_passes=max_passes,
             )
             pairs.append((cx, cy, svm))
     return OvoSvmModel(pairs=tuple(pairs), num_classes=num_classes, dim=x.shape[1])

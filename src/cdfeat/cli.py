@@ -257,7 +257,7 @@ def _load_model(cfg: dict) -> CdfModel:
     _require_paths(cfg, ["model"])
     try:
         return model_from_json(Path(cfg["model"]).read_text())
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"unreadable model {cfg['model']}: {exc}")
 
 
@@ -403,6 +403,9 @@ def cmd_inspect(cfg: dict) -> int:
         report.append(f"{key}_support_vectors={svm.support_vectors.shape[0]}")
         report.append(f"{key}_iterations={svm.iterations}")
         report.append(f"{key}_kkt_violation_max={fmt_float(svm.kkt_violation_max)}")
+        # SMO stops exactly when the gap reaches tol, so a larger gap means
+        # the solve hit its max_passes * n iteration cap.
+        report.append(f"{key}_converged={int(svm.kkt_violation_max <= model.tol)}")
         if cfg.get("dump_masks"):
             report.append(f"{key}_mask={','.join(str(int(i)) for i in ctx.mask)}")
     _write_report(cfg, report)

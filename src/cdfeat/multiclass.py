@@ -45,7 +45,7 @@ def resolve_winner(votes, margin_sums) -> int:
     return best
 
 
-def _train_pair(profiles, class_matrices, x, y, cfg, kernel, c, tol, max_passes, seed):
+def _train_pair(profiles, class_matrices, x, y, cfg, kernel, c, tol, max_passes):
     ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
     feats = core.extract_pair_features(
         class_matrices[x], class_matrices[y], ctx, profiles[x], profiles[y], cfg
@@ -57,7 +57,6 @@ def _train_pair(profiles, class_matrices, x, y, cfg, kernel, c, tol, max_passes,
         kernel.resolve(feats.features.shape[1]),
         tol=tol,
         max_passes=max_passes,
-        seed=seed,
     )
     return ctx, svm
 
@@ -100,7 +99,7 @@ def train(
         x, y = pair
         try:
             return _train_pair(
-                profiles, class_matrices, x, y, cfg, kernel, c, tol, max_passes, seed
+                profiles, class_matrices, x, y, cfg, kernel, c, tol, max_passes
             )
         except Exception as exc:
             raise RuntimeError(f"training failed for pair ({x},{y}): {exc}") from exc

@@ -3,8 +3,11 @@
 The solver optimizes the standard dual
     min 1/2 a'Qa - sum(a)   s.t.  0 <= a_i <= C,  sum(a_i y_i) = 0
 with maximal-violating-pair working-set selection, so the stopping measure is
-the largest KKT violation. Everything is deterministic: argmax ties resolve
-to the lowest index and no randomness enters the solve.
+the largest KKT violation. The solver's state is s = -y*grad with the index
+sets I_up/I_low: a step changes two multipliers, so it rewrites their two
+entries of I_up/I_low and subtracts their two scaled kernel rows from s.
+Everything is deterministic: argmax ties resolve to the lowest index and no
+randomness enters the solve.
 """
 
 from __future__ import annotations
@@ -162,16 +165,15 @@ def smo_train(
     spec: KernelSpec,
     tol: float = 1e-3,
     max_passes: int = 10,
-    seed: int = 0,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
 ) -> SvmModel:
     """Train a binary SVM by SMO.
 
     `y` holds +/-1 labels; `max_passes` bounds the work at max_passes * n
-    pair updates. The solve is deterministic for any seed (the parameter is
-    kept for interface stability).
+    pair updates. Each step solves its two-variable subproblem in Python
+    floats (the same float64 arithmetic) and updates s and I_up/I_low in
+    place; the result has the bits of a full-gradient update every step.
     """
-    del seed
     x = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[0] != yv.shape[0]:
@@ -190,32 +192,32 @@ def smo_train(
     kern = _KernelRows(spec, x, cache_bytes)
 
     alpha = np.zeros(n)
-    grad = np.full(n, -1.0)  # gradient of the dual objective at alpha = 0
+    s = yv.copy()  # -y*grad, with grad = -1 at alpha = 0
+    up = yv > 0  # I_up and I_low at alpha = 0
+    low = ~up
     max_iter = max(1, max_passes * n)
     iterations = 0
     neg_inf = -np.inf
 
     while iterations < max_iter:
-        up = ((yv > 0) & (alpha < c)) | ((yv < 0) & (alpha > 0))
-        low = ((yv > 0) & (alpha > 0)) | ((yv < 0) & (alpha < c))
-        s = -yv * grad
         m_up = np.where(up, s, neg_inf)
         m_low = np.where(low, s, -neg_inf)
         i = int(np.argmax(m_up))
         j = int(np.argmin(m_low))
-        gap = m_up[i] - m_low[j]
-        if gap <= tol:
+        if m_up.item(i) - m_low.item(j) <= tol:
             break
 
         ki = kern.row(i)
         kj = kern.row(j)
-        quad = ki[i] + kj[j] - 2.0 * ki[j]
+        quad = ki.item(i) + kj.item(j) - 2.0 * ki.item(j)
         if quad <= 0:
             quad = 1e-12
 
-        old_i, old_j = alpha[i], alpha[j]
-        if yv[i] != yv[j]:
-            delta = (-grad[i] - grad[j]) / quad
+        y_i, y_j = yv.item(i), yv.item(j)
+        grad_i, grad_j = -y_i * s.item(i), -y_j * s.item(j)
+        old_i, old_j = alpha.item(i), alpha.item(j)
+        if y_i != y_j:
+            delta = (-grad_i - grad_j) / quad
             diff = old_i - old_j
             ai, aj = old_i + delta, old_j + delta
             if diff > 0 and aj < 0:
@@ -227,7 +229,7 @@ def smo_train(
             elif diff <= 0 and aj > c:
                 ai, aj = c + diff, c
         else:
-            delta = (grad[i] - grad[j]) / quad
+            delta = (grad_i - grad_j) / quad
             total = old_i + old_j
             ai, aj = old_i - delta, old_j + delta
             if total > c and ai > c:
@@ -240,14 +242,19 @@ def smo_train(
                 ai, aj = 0.0, total
 
         alpha[i], alpha[j] = ai, aj
-        d_i, d_j = ai - old_i, aj - old_j
-        grad += (yv * yv[i] * d_i) * ki + (yv * yv[j] * d_j) * kj
+        for k, y_k, a_k in ((i, y_i, ai), (j, y_j, aj)):
+            up[k] = a_k < c if y_k > 0 else a_k > 0
+            low[k] = a_k > 0 if y_k > 0 else a_k < c
+        # Multiplying by y = +/-1 is exact and rounding is symmetric in sign,
+        # so this equals grad += y*y_i*d_i*K_i + y*y_j*d_j*K_j; s = -y*grad.
+        s -= (y_i * (ai - old_i)) * ki + (y_j * (aj - old_j)) * kj
         iterations += 1
 
-    # Final KKT gap and bias from the converged multipliers.
-    up = ((yv > 0) & (alpha < c)) | ((yv < 0) & (alpha > 0))
-    low = ((yv > 0) & (alpha > 0)) | ((yv < 0) & (alpha < c))
-    s = -yv * grad
+    # Final KKT gap and bias from the converged multipliers. s goes through
+    # grad = -y*s + 0.0, because the gradient update gives an exactly
+    # cancelled entry +0.0 in grad, not in s; so the bias and gap keep the
+    # bits of -y*grad down to the sign of a zero.
+    s = -yv * (-yv * s + 0.0)
     m = float(np.max(np.where(up, s, neg_inf)))
     mm = float(np.min(np.where(low, s, -neg_inf)))
     kkt_gap = max(m - mm, 0.0)
@@ -372,7 +379,7 @@ def cross_validate(x, y, grid, folds: int, seed: int, trainer) -> CvResult:
     return CvResult(best=best_cell, table=tuple(table))
 
 
-def binary_svm_trainer(tol: float = 1e-3, max_passes: int = 10, seed: int = 0):
+def binary_svm_trainer(tol: float = 1e-3, max_passes: int = 10):
     """Plain two-class SVM trainer for cross_validate; ignores b/b_prime."""
 
     def trainer(x_train, y_train, cell: GridCell):
@@ -381,7 +388,7 @@ def binary_svm_trainer(tol: float = 1e-3, max_passes: int = 10, seed: int = 0):
             raise ValueError("binary_svm_trainer needs exactly two classes")
         pm = np.where(y_train == classes[1], 1.0, -1.0)
         model = smo_train(x_train, pm, cell.c, cell.kernel, tol=tol,
-                          max_passes=max_passes, seed=seed)
+                          max_passes=max_passes)
 
         def predict(x_eval):
             d = decision_batch(model, x_eval)

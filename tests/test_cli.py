@@ -8,7 +8,7 @@ from cdfeat.cli import main
 from cdfeat.ingest import dump_sparse
 from cdfeat.model import Dataset, model_from_json
 
-from conftest import gaussian_split
+from conftest import gaussian_blobs, gaussian_split
 
 
 @pytest.fixture(scope="module")
@@ -297,13 +297,39 @@ class TestInspect:
             key = f"pair_{ctx.class_x}_{ctx.class_y}"
             assert int(lines[f"{key}_iterations"]) == svm.iterations
             assert float(lines[f"{key}_kkt_violation_max"]) == svm.kkt_violation_max
+            assert lines[f"{key}_converged"] == "1"
 
-    def test_unreadable_model(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        rc = main(["inspect", "--model", str(bad)])
-        assert rc != 0
-        assert "unreadable model" in capsys.readouterr().err
+    def test_capped_solve_not_converged(self, tmp_path, capsys):
+        # One 40-row pair of overlapping classes: with C=1000 and
+        # max_passes=1 SMO stops at its 40-iteration cap far from tol.
+        x, y = gaussian_blobs(20, classes=2, shift=1.5)
+        data = tmp_path / "pair.sparse"
+        data.write_text(dump_sparse(Dataset.from_arrays(x, y)))
+        model_path = tmp_path / "m.json"
+        for c, iterations, converged in (("1000", "40", "0"), ("10", "24", "1")):
+            rc = main([
+                "train", "--format", "sparse", "--data", str(data), "--dim", "20",
+                "--model", str(model_path), "--out", str(tmp_path / "r"),
+                "--kernel", "linear", "--c", c, "--max-passes", "1",
+            ])
+            assert rc == 0
+            capsys.readouterr()
+            assert main(["inspect", "--model", str(model_path)]) == 0
+            lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+            assert lines["pair_0_1_iterations"] == iterations
+            assert (float(lines["pair_0_1_kkt_violation_max"]) > 1e-3) == (converged == "0")
+            assert lines["pair_0_1_converged"] == converged
+
+    def test_unreadable_model(self, trained, tmp_path, capsys):
+        # A mistyped field (cardinality "3") must not escape as a TypeError.
+        doc = json.loads(trained["model"].read_text())
+        doc["profiles"][0]["cardinality"] = str(doc["profiles"][0]["cardinality"])
+        for text in ("{}", json.dumps(doc)):
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            rc = main(["inspect", "--model", str(bad)])
+            assert rc != 0
+            assert "unreadable model" in capsys.readouterr().err
 
 
 class TestIdxEndToEnd:

@@ -15,6 +15,7 @@ from cdfeat.svm import (
     stratified_folds,
 )
 
+import smo_oracle
 from qp_oracle import solve_svm_exact
 
 LINEAR = KernelSpec(kind="linear")
@@ -217,6 +218,66 @@ class TestSmoProperties:
         again = smo_train(x, y, c=1.0, spec=LINEAR, tol=1e-6, max_passes=100,
                           cache_bytes=40 * 8 * 4)
         assert again == cached
+
+
+class TestSmoAgainstOracle:
+    """smo_train must return the oracle's model bit for bit, capped solves too."""
+
+    KERNELS = {
+        "linear": LINEAR,
+        "polynomial": KernelSpec(kind="polynomial", degree=2),
+        "rbf": KernelSpec(kind="rbf", gamma=0.5),
+    }
+
+    @staticmethod
+    def _bits(v):
+        return np.float64(v).tobytes()
+
+    @pytest.mark.parametrize("gram", ["full", "lru"])
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
+    def test_same_model_bits(self, kind, gram, monkeypatch):
+        import cdfeat.svm as svm_mod
+
+        kwargs = {}
+        if gram == "lru":
+            monkeypatch.setattr(svm_mod, "FULL_GRAM_LIMIT", 4)
+            kwargs["cache_bytes"] = 8 * 64 * 3  # a few rows: evictions every step
+        rng = np.random.default_rng(list(self.KERNELS).index(kind))
+        capped = 0
+        for c in (0.01, 1.0, 10.0, 1000.0):
+            for max_passes in (1, 2, 10):
+                for k in range(5):
+                    n = int(rng.integers(4, 50))
+                    dim = int(rng.integers(1, 6))
+                    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+                    y[:2] = (1.0, -1.0)
+                    x = rng.normal(size=(n, dim)) + rng.uniform(0.0, 3.0) * (y > 0)[:, None]
+                    if k == 0:
+                        # Small integer values make exact zeros in the gradient.
+                        x = np.round(x)
+                    got = smo_train(x, y, c, self.KERNELS[kind],
+                                    max_passes=max_passes, **kwargs)
+                    want = smo_oracle.smo_train(x, y, c, self.KERNELS[kind],
+                                                max_passes=max_passes, **kwargs)
+                    label = (c, max_passes, k)
+                    assert got == want, label
+                    assert self._bits(got.bias) == self._bits(want.bias), label
+                    assert (self._bits(got.kkt_violation_max)
+                            == self._bits(want.kkt_violation_max)), label
+                    capped += got.iterations == max_passes * n
+        assert capped >= 10
+
+    def test_signed_zero_bias_and_gap(self):
+        # Exact cancellations: the oracle's bias and its gap are -0.0 here.
+        for x, y, c, max_passes in (
+            ([[-1.0], [-0.5], [-1.0]], [1.0, -1.0, 1.0], 2.0, 2),
+            ([[0.5], [-0.5], [0.5], [-0.5]], [1.0, -1.0, 1.0, -1.0], 2.0, 10),
+        ):
+            got = smo_train(x, y, c, LINEAR, max_passes=max_passes)
+            want = smo_oracle.smo_train(x, y, c, LINEAR, max_passes=max_passes)
+            assert got == want
+            assert self._bits(got.bias) == self._bits(want.bias)
+            assert self._bits(got.kkt_violation_max) == self._bits(want.kkt_violation_max)
 
 
 class TestStratifiedFolds:
