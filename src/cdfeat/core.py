@@ -4,6 +4,12 @@ The pipeline for one class pair (x, y): per-class mean profiles, the
 component-wise profile ratio and its mean, two scaled thresholds, the
 selected-index mask, masked probability normalization, and finally KL
 divergences of each masked sample against the masked class profiles.
+
+`kl_features` computes one pair's features over a sample matrix; training,
+`sample_feature` and elementwise_kl prediction use it. dual_kl and scalar_kl
+prediction use `whole_kl_features`, which computes every pair's whole
+divergences at once from a model's `pair_kl_weights` and agrees with
+`kl_features` to rounding.
 """
 
 from __future__ import annotations
@@ -147,6 +153,58 @@ def kl_features(samples, mask, ref_x, ref_y, feature_mode: str, eps: float) -> n
     if feature_mode == "elementwise_kl":
         return terms[0]
     return np.stack([np.maximum(t.sum(axis=1), 0.0) for t in terms], axis=1)
+
+
+def pair_kl_weights(pairs, dim: int, feature_mode: str, eps: float) -> tuple:
+    """The weights `whole_kl_features` takes for a model's pair contexts.
+
+    Returns (w, empty). `w` is a ((1 + r) * P, dim) matrix for P pairs with
+    r = 2 references each in dual_kl (ref_x, ref_y) and r = 1 in scalar_kl
+    (ref_x): rows 0..P-1 hold each pair's mask indicator, and row
+    P + j * r + t holds ln(ref_t + eps) of pair j on its mask and 0 elsewhere.
+    `empty` is the (P, r) features of a row whose masked total is zero, the
+    divergence of the uniform distribution over the mask:
+    -ln k - mean(ln(ref + eps)).
+    """
+    r = 2 if feature_mode == "dual_kl" else 1
+    w = np.zeros((len(pairs) * (1 + r), dim))
+    logs = w[len(pairs):].reshape(len(pairs), r, dim)
+    for j, (ctx, _) in enumerate(pairs):
+        w[j, ctx.mask] = 1.0
+        for t, ref in enumerate((ctx.ref_x, ctx.ref_y)[:r]):
+            logs[j, t, ctx.mask] = np.log(ref + eps)
+    k = w[: len(pairs)].sum(axis=1)[:, None]
+    empty = np.maximum(-np.log(k) - logs.sum(axis=2) / k, 0.0)
+    return w, empty
+
+
+def whole_kl_features(samples, weights) -> np.ndarray:
+    """dual_kl or scalar_kl features of every row under every pair at once.
+
+    `weights` is `pair_kl_weights(...)`; the result is (n, P, r) and equals
+    `kl_features` per pair to rounding. With T the masked total of a row,
+    KL(p||q) = (sum x ln x - sum x ln(q + eps)) / T - ln T, so each component
+    needs one log shared by all pairs and references, and the masked sums of
+    every pair come from two products with `w`. They are einsum, not BLAS,
+    so a row's bits do not depend on the number of rows. KL does not depend
+    on a row's scale, so each row is first scaled by a power of two (exactly)
+    to a maximum in [0.5, 1), which keeps x ln x finite for any finite x.
+    Rows are not validated: callers pass finite, non-negative samples.
+    """
+    w, empty = weights
+    npairs, r = empty.shape
+    x = np.asarray(samples, dtype=float)
+    _, e = np.frexp(x.max(axis=1, initial=0.0))
+    x = np.ldexp(x, -e[:, None])
+    xlogx = np.log(x, out=np.zeros_like(x), where=x > 0)
+    xlogx *= x
+    sums = np.einsum("ij,kj->ik", x, w)
+    totals = sums[:, :npairs, None]
+    xlogx_sums = np.einsum("ij,kj->ik", xlogx, w[:npairs])[:, :, None]
+    filled = totals > 0
+    t = np.where(filled, totals, 1.0)
+    kl = (xlogx_sums - sums[:, npairs:].reshape(-1, npairs, r)) / t - np.log(t)
+    return np.where(filled, np.maximum(kl, 0.0), empty)
 
 
 def sample_feature(sample, mask, ref_x, ref_y, feature_mode: str, eps: float) -> np.ndarray:

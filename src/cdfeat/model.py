@@ -9,12 +9,17 @@ and each pair's SVM. Loading rebuilds the mean profiles, every pair context
 (mask, masked references, ratio means, thresholds) and each SVM's resolved
 kernel and C exactly as training computed them. Documents in the older
 "cdf-model/1" and "cdf-model/2" formats are refused; retrain to get a /3 file.
+
+`CdfModel.kl_weights`, the one cache, is built lazily on a model's first
+predict from frozen fields only, so threads that race to build it at worst
+build it twice, with equal results.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -327,6 +332,18 @@ class CdfModel:
                     f"pair ({ctx.class_x},{ctx.class_y}) mask exceeds dim {self.dim}"
                 )
 
+    @cached_property
+    def kl_weights(self) -> tuple:
+        """`core.pair_kl_weights` of this model, built on first use.
+
+        Derived from frozen fields, so it is not part of `==` and not
+        serialized. Used by dual_kl and scalar_kl prediction only.
+        """
+        from . import core  # core imports this module
+
+        cfg = self.config
+        return core.pair_kl_weights(self.pairs, self.dim, cfg.feature_mode, cfg.smoothing_eps)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CdfModel):
             return NotImplemented
@@ -370,9 +387,11 @@ def _emit(value, out: list) -> None:
             _emit(item, out)
         out.append("}")
     elif isinstance(value, np.ndarray) and value.ndim and value.dtype.kind in "fiu":
-        if value.dtype.kind == "f" and not np.all(np.isfinite(value)):
+        real = value.dtype.kind == "f"
+        if real and not np.all(np.isfinite(value)):
             raise ValueError("non-finite real cannot be formatted")
-        out.append(_array_text(value.tolist(), value.ndim, value.dtype.kind == "f"))
+        # + 0.0 writes -0.0 as 0, as fmt_float does.
+        out.append(_array_text((value + 0.0 if real else value).tolist(), value.ndim, real))
     elif isinstance(value, (list, tuple, np.ndarray)):
         out.append("[")
         for k, item in enumerate(value):

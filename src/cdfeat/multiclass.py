@@ -1,7 +1,10 @@
 """One-vs-one orchestration: train a model per class pair, predict by voting.
 
-Ties in the vote count break on accumulated |decision| margin, then on the
-lower class id, so prediction is fully deterministic.
+Prediction handles every pair in one pass over the sample matrix: the
+features of all pairs, then an (n, pairs) decision matrix, then one vote and
+margin accumulation in pair order. Ties in the vote count break on
+accumulated |decision| margin, then on the lower class id, so prediction is
+fully deterministic.
 """
 
 from __future__ import annotations
@@ -146,23 +149,33 @@ def _sample_matrix(samples, dim: int) -> np.ndarray:
 def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
     """Predict every row of a sample matrix (or sequence), order preserved.
 
-    Each pair's features and decisions are computed once over all rows; votes
-    and margin sums accumulate in pair order, so a row's result is the same
-    whatever the number of rows.
+    dual_kl and scalar_kl features of every pair come from one
+    `core.whole_kl_features` call with the model's cached `kl_weights`;
+    elementwise_kl features from one `core.kl_features` call per pair. Each
+    pair's decisions are computed once over all rows, then votes and margin
+    sums accumulate in pair order, so a row's result is the same whatever the
+    number of rows.
     """
     x = _sample_matrix(samples, model.dim)
     n, m = x.shape[0], model.num_classes
-    votes = np.zeros((n, m), dtype=np.int64)
-    margins = np.zeros((n, m))
-    rows = np.arange(n)
     mode = model.config.feature_mode
-    eps = model.config.smoothing_eps
-    for ctx, svm in model.pairs:
-        feats = core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
-        d = decision_batch(svm, feats)
-        voted = np.where(d > 0, ctx.class_x, ctx.class_y)
-        votes[rows, voted] += 1
-        margins[rows, voted] += np.abs(d)
+    if mode == "elementwise_kl":
+        eps = model.config.smoothing_eps
+        feats = [
+            core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
+            for ctx, _ in model.pairs
+        ]
+    else:
+        feats = core.whole_kl_features(x, model.kl_weights).swapaxes(0, 1)
+    d = np.stack([decision_batch(svm, f) for (_, svm), f in zip(model.pairs, feats)], axis=1)
+    classes = np.asarray([(ctx.class_x, ctx.class_y) for ctx, _ in model.pairs])
+    voted = np.where(d > 0, classes[:, 0], classes[:, 1])
+    rows = np.arange(n)[:, None]
+    # np.add.at adds in index order, row by row and within a row in pair order.
+    votes = np.zeros((n, m), dtype=np.int64)
+    np.add.at(votes, (rows, voted), 1)
+    margins = np.zeros((n, m))
+    np.add.at(margins, (rows, voted), np.abs(d))
     out = []
     for v, s in zip(votes.tolist(), margins.tolist()):
         record = VoteRecord(votes=tuple(v), margin_sums=tuple(s), winner=resolve_winner(v, s))

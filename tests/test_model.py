@@ -144,6 +144,18 @@ class TestSerializationRoundTrip:
         assert back == model
         assert model_to_json(back) == text
 
+    def test_negative_zero_round_trips(self):
+        # SMO can return a bias or KKT gap of -0.0; "-0" would read back as 0.
+        model = self._tiny_model(0)
+        ctx, svm = model.pairs[0]
+        signed = replace(svm, bias=-0.0, kkt_violation_max=-0.0)
+        model = replace(model, pairs=((ctx, signed),))
+        text = model_to_json(model)
+        assert '"bias":0,' in text and '"kkt_violation_max":0}' in text
+        back = model_from_json(text)
+        assert back == model
+        assert model_to_json(back) == text
+
     def test_format_field_checked(self):
         model = self._tiny_model(1)
         text = model_to_json(model).replace("cdf-model/3", "cdf-model/9", 1)

@@ -1,8 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from cdfeat import core
-from cdfeat.model import CdfConfig, Dataset
+from cdfeat.model import FEATURE_MODES, CdfConfig, Dataset, model_from_json, model_to_json
 from cdfeat.multiclass import (
     VoteRecord,
     predict,
@@ -12,10 +15,16 @@ from cdfeat.multiclass import (
 )
 from cdfeat.svm import KernelSpec, decision
 
+import pair_loop_oracle
 import scalar_oracle
 from conftest import gaussian_blobs
 
 POLY2 = KernelSpec(kind="polynomial", degree=2)
+KERNELS = {
+    "linear": KernelSpec(kind="linear"),
+    "polynomial": POLY2,
+    "rbf": KernelSpec(kind="rbf"),
+}
 
 
 def two_class_dataset(seed=0):
@@ -194,11 +203,13 @@ class TestPredictBatch:
         # Every row of a 10-class, 784-dim batch: winners and vote records,
         # margins included, must match one-sample predict exactly.
         x, y = gaussian_blobs(10, seed=11, dims=784, classes=10, shift=2.0)
-        model = train(Dataset.from_arrays(x, y), CdfConfig(), kernel=POLY2)
-        batch = predict_batch(model, x)
-        assert len(batch) == x.shape[0]
-        for i, row in enumerate(x):
-            assert batch[i] == predict(model, row), f"row {i}"
+        for mode in FEATURE_MODES:
+            cfg = CdfConfig(feature_mode=mode)
+            model = train(Dataset.from_arrays(x, y), cfg, kernel=POLY2)
+            batch = predict_batch(model, x)
+            assert len(batch) == x.shape[0]
+            for i, row in enumerate(x):
+                assert batch[i] == predict(model, row), f"{mode} row {i}"
 
     def test_permutation_permutes_output(self):
         ds = two_class_dataset(seed=12)
@@ -227,26 +238,126 @@ class TestPredictBatch:
         batch = [ds.samples[0], np.ones(2)]
         with pytest.raises(ValueError, match="sample 1"):
             predict_batch(model, batch)
+        with pytest.raises(ValueError, match="sample 0: length 2 does not match"):
+            predict_batch(model, np.ones((3, 2)))
 
 
 class TestBatchAgainstScalarOracle:
     @pytest.fixture(scope="class")
     def blobs(self):
         x, y = gaussian_blobs(10, seed=11, dims=784, classes=10, shift=2.0)
-        return x, train(Dataset.from_arrays(x, y), CdfConfig(), kernel=POLY2)
+        ds = Dataset.from_arrays(x, y)
+        models = {m: train(ds, CdfConfig(feature_mode=m), kernel=POLY2) for m in FEATURE_MODES}
+        return x, models
 
     def test_winners_match_per_row_oracle(self, blobs):
-        x, model = blobs
+        x, models = blobs
         probes = np.vstack([x, np.random.default_rng(3).uniform(0, 4, size=(20, 784))])
-        batch = predict_batch(model, probes)
-        for i, row in enumerate(probes):
-            winner, record = scalar_oracle.predict(model, row)
-            assert batch[i][0] == winner, f"row {i}"
-            assert batch[i][1].votes == record.votes, f"row {i}"
-            np.testing.assert_allclose(batch[i][1].margin_sums, record.margin_sums, rtol=1e-9)
+        # Not elementwise_kl: the oracle normalizes each row with a 1-D sum, and
+        # these small margins (1e-5) magnify that last-bit difference past 1e-9.
+        for mode in ("dual_kl", "scalar_kl"):
+            model = models[mode]
+            batch = predict_batch(model, probes)
+            for i, row in enumerate(probes):
+                winner, record = scalar_oracle.predict(model, row)
+                assert batch[i][0] == winner, f"{mode} row {i}"
+                assert batch[i][1].votes == record.votes, f"{mode} row {i}"
+                np.testing.assert_allclose(
+                    batch[i][1].margin_sums, record.margin_sums, rtol=1e-9
+                )
 
     def test_prefix_of_batch_is_unchanged(self, blobs):
-        x, model = blobs
-        full = predict_batch(model, x)
-        for k in (1, 2, 3, 17, 64):
-            assert predict_batch(model, x[:k]) == full[:k], f"k={k}"
+        x, models = blobs
+        for mode, model in models.items():
+            full = predict_batch(model, x)
+            for k in (1, 2, 3, 17, 64):
+                assert predict_batch(model, x[:k]) == full[:k], f"{mode} k={k}"
+
+    def test_reloaded_model_votes_bit_identical(self, blobs):
+        x, models = blobs
+        for mode, model in models.items():
+            loaded = model_from_json(model_to_json(model))
+            assert predict_batch(loaded, x) == predict_batch(model, x), mode
+
+
+def oracle_dataset(classes, seed):
+    """Non-negative rows with about 30% exact zeros; the last class repeats
+    the rows of the one before it, so their pair falls back to one index."""
+    rng = np.random.default_rng(seed)
+    x, y = gaussian_blobs(12, seed=seed, dims=40, classes=classes, shift=6.0)
+    x = x * (rng.uniform(size=x.shape) > 0.3)
+    if classes > 2:
+        y = np.asarray(y)
+        x[y == classes - 1] = x[y == classes - 2]
+    return Dataset.from_arrays(x, y)
+
+
+def oracle_probes(model, ds, seed):
+    """Training rows plus rows that stress the whole-divergence features:
+    zero rows, rows zero on one pair's mask, tiny rows, and components up
+    to 1e306."""
+    rng = np.random.default_rng(seed)
+    dim = model.dim
+    rows = rng.uniform(0, 8, size=(12, dim)) * (rng.uniform(size=(12, dim)) > 0.3)
+    masked_out = []
+    for ctx, _ in model.pairs:
+        row = rng.uniform(0, 8, size=dim)
+        row[ctx.mask] = 0.0
+        masked_out.append(row)
+    huge = rng.uniform(0, 8, size=(6, dim))
+    huge[np.arange(6), rng.integers(0, dim, size=6)] = 1e306
+    return np.vstack(
+        [ds.samples, rows, np.zeros((2, dim)), masked_out, huge,
+         rows[:4] * 1e305 / 8, rows[4:8] * 1e-300]
+    )
+
+
+class TestPredictAgainstPairLoopOracle:
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    @pytest.mark.parametrize("classes", (2, 4))
+    def test_same_votes_and_features(self, classes, mode, kernel):
+        ds = oracle_dataset(classes, seed=31 + classes)
+        model = train(ds, CdfConfig(feature_mode=mode), kernel=KERNELS[kernel])
+        if classes > 2:
+            assert model.pairs[-1][0].fallback and model.pairs[-1][0].mask.size == 1
+        probes = oracle_probes(model, ds, seed=7)
+        assert np.any(probes == 0) and probes.max() == 1e306
+        got = predict_batch(model, probes)
+        want = pair_loop_oracle.predict_batch(model, probes)
+        for i, ((gw, gr), (ww, wr)) in enumerate(zip(got, want)):
+            assert gw == ww and gr.votes == wr.votes, f"row {i}"
+            np.testing.assert_allclose(gr.margin_sums, wr.margin_sums, rtol=1e-9, atol=0)
+        if mode != "elementwise_kl":
+            feats = core.whole_kl_features(probes, model.kl_weights)
+            want_feats = np.stack(pair_loop_oracle.pair_features(model, probes), axis=1)
+            assert np.all(np.isfinite(want_feats))
+            assert np.all(np.abs(feats - want_feats) <= 1e-12 * (1 + np.abs(want_feats)))
+
+
+class TestCachedWeights:
+    def test_cache_is_not_part_of_equality_or_the_file(self):
+        x, y = gaussian_blobs(8, seed=17, dims=30, classes=3)
+        model = train(Dataset.from_arrays(x, y), CdfConfig(), kernel=POLY2)
+        text = model_to_json(model)
+        fresh = model_from_json(text)
+        assert "kl_weights" not in vars(model)
+        predict_batch(model, x)
+        assert "kl_weights" in vars(model) and "kl_weights" not in vars(fresh)
+        assert model == fresh and fresh == model
+        assert model_to_json(model) == text
+
+    def test_threads_racing_on_the_first_predict_agree(self):
+        x, y = gaussian_blobs(8, seed=18, dims=30, classes=4)
+        text = model_to_json(train(Dataset.from_arrays(x, y), CdfConfig(), kernel=POLY2))
+        want = predict_batch(model_from_json(text), x)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                model = model_from_json(text)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(predict_batch, model, x) for _ in range(16)]
+                    assert all(f.result(timeout=60) == want for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
