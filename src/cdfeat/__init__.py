@@ -32,7 +32,6 @@ from .svm import (
     SvmModel,
     cross_validate,
     decision,
-    kernel_eval,
     smo_train,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "error_rate",
     "extract_pair_features",
     "fit_idf",
-    "kernel_eval",
     "kl_divergence",
     "macro_micro_f",
     "model_from_json",

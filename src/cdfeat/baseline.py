@@ -11,35 +11,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import class_pairs
 from .multiclass import resolve_winner
+from .record import Record
 from .svm import KernelSpec, decision, smo_train
 
 
-@dataclass(frozen=True)
-class TfIdfModel:
+@dataclass(frozen=True, eq=False)
+class TfIdfModel(Record):
     """Per-term inverse document frequencies fit on a training corpus."""
 
     idf: np.ndarray
     vocab_size: int
     doc_count: int
 
-    def __post_init__(self):
-        idf = np.asarray(self.idf, dtype=float).view()  # the caller's array stays writable
-        idf.setflags(write=False)
-        object.__setattr__(self, "idf", idf)
-        if idf.shape != (self.vocab_size,):
-            raise ValueError("idf length must equal vocab_size")
-        if np.any(idf < 0):
-            raise ValueError("idf values must be >= 0")
+    ARRAYS = {"idf": float}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TfIdfModel):
-            return NotImplemented
-        return (
-            self.vocab_size == other.vocab_size
-            and self.doc_count == other.doc_count
-            and np.array_equal(self.idf, other.idf)
-        )
+    def __post_init__(self):
+        super().__post_init__()
+        if self.idf.shape != (self.vocab_size,):
+            raise ValueError("idf length must equal vocab_size")
+        if np.any(self.idf < 0):
+            raise ValueError("idf values must be >= 0")
 
 
 def fit_idf(train_vectors) -> TfIdfModel:
@@ -93,15 +86,14 @@ def train_ovo(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     pairs = []
-    for cx in range(num_classes):
-        for cy in range(cx + 1, num_classes):
-            rows = np.flatnonzero((y == cx) | (y == cy))
-            labels = np.where(y[rows] == cx, 1.0, -1.0)
-            svm = smo_train(
-                x[rows], labels, c, kernel.resolve(x.shape[1]),
-                tol=tol, max_passes=max_passes,
-            )
-            pairs.append((cx, cy, svm))
+    for cx, cy in class_pairs(num_classes):
+        rows = np.flatnonzero((y == cx) | (y == cy))
+        labels = np.where(y[rows] == cx, 1.0, -1.0)
+        svm = smo_train(
+            x[rows], labels, c, kernel.resolve(x.shape[1]),
+            tol=tol, max_passes=max_passes,
+        )
+        pairs.append((cx, cy, svm))
     return OvoSvmModel(pairs=tuple(pairs), num_classes=num_classes, dim=x.shape[1])
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset
+from .record import Record
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -32,18 +33,15 @@ class SgmlFormatError(ValueError):
     """Malformed corpus SGML."""
 
 
-@dataclass(frozen=True)
-class IdxImages:
+@dataclass(frozen=True, eq=False)
+class IdxImages(Record):
     """Parsed image file: one row-major pixel vector per image."""
 
     pixels: np.ndarray  # (count, rows*cols), values 0..255
     rows: int
     cols: int
 
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=float)
-        px.setflags(write=False)
-        object.__setattr__(self, "pixels", px)
+    ARRAYS = {"pixels": float}
 
 
 def _maybe_gunzip(data: bytes) -> bytes:

@@ -11,18 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .record import Record
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+
+@dataclass(frozen=True, eq=False)
+class ConfusionMatrix(Record):
     """m x m counts indexed (true class, predicted class)."""
 
     counts: np.ndarray
     total: int
 
+    ARRAYS = {"counts": np.int64}
+
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        super().__post_init__()
+        counts = self.counts
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError("confusion matrix must be square")
         if np.any(counts < 0):
@@ -33,11 +36,6 @@ class ConfusionMatrix:
     @property
     def num_classes(self) -> int:
         return self.counts.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConfusionMatrix):
-            return NotImplemented
-        return self.total == other.total and np.array_equal(self.counts, other.counts)
 
 
 def error_rate(preds, truth) -> float:

@@ -1,7 +1,11 @@
 """Shared domain types: datasets, class profiles, pair contexts, trained models.
 
-All types are immutable after construction (frozen dataclasses over read-only
-numpy arrays) and safe to share across threads. Model serialization is a
+All types are frozen dataclasses that nothing in cdfeat writes to after
+construction, so they are safe to share across threads. The ones holding
+numpy arrays are records (`record.Record`): each names its array fields once,
+keeps read-only views of them (the caller's arrays stay writable), compares
+field by field with arrays by shape and content, and is unhashable.
+`CdfConfig` is a plain frozen dataclass. Model serialization is a
 versioned JSON document ("cdf-model/3") whose reals carry 17 significant
 digits so that save/load round-trips are exact. It stores only what cannot be
 derived: the config and SVM settings, each class's sum vector and cardinality,
@@ -20,9 +24,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
+from .record import Record
 from .report import fmt_float
 from .svm import KernelSpec, SvmModel
 
@@ -47,7 +53,8 @@ class CdfConfig:
     selection_mode: str = "ratio"
     feature_mode: str = "dual_kl"
     smoothing_eps: float = 1e-9
-    pair_overrides: dict = field(default_factory=dict)
+    # Unhashable, so it takes part in == but not in hash().
+    pair_overrides: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         if self.b <= 0 or self.b_prime <= 0:
@@ -68,34 +75,15 @@ class CdfConfig:
         """The (b, b_prime) in effect for a pair, honoring overrides."""
         return self.pair_overrides.get((class_x, class_y), (self.b, self.b_prime))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CdfConfig):
-            return NotImplemented
-        return (
-            (self.b, self.b_prime) == (other.b, other.b_prime)
-            and self.selection_mode == other.selection_mode
-            and self.feature_mode == other.feature_mode
-            and self.smoothing_eps == other.smoothing_eps
-            and self.pair_overrides == other.pair_overrides
-        )
 
-    def __hash__(self):
-        return hash((self.b, self.b_prime, self.selection_mode, self.feature_mode))
+def class_pairs(num_classes: int) -> list[tuple[int, int]]:
+    """Every class pair (x, y), x < y, in lexicographic order: the order of
+    `CdfModel.pairs`, of a model file's pairs and of the one-vs-one votes."""
+    return list(combinations(range(num_classes), 2))
 
 
-def _readonly(a, dtype=float) -> np.ndarray:
-    # A view, so that the caller's own array stays writable.
-    out = np.asarray(a, dtype=dtype).view()
-    out.setflags(write=False)
-    return out
-
-
-def _array_eq(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and np.array_equal(a, b)
-
-
-@dataclass(frozen=True)
-class Dataset:
+@dataclass(frozen=True, eq=False)
+class Dataset(Record):
     """A labeled sample collection with dense integer class ids.
 
     `samples` is a read-only (n, dim) float matrix whose row i is a vector of
@@ -111,12 +99,13 @@ class Dataset:
     dim: int
     label_names: tuple
 
+    ARRAYS = {"samples": float, "labels": np.int64}
+
     def __post_init__(self):
-        object.__setattr__(self, "samples", _readonly(self.samples))
-        # Labels are small, so they are copied and the caller's array stays writable.
-        labels = np.array(self.labels, dtype=np.int64)
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        # Labels are small, so they are copied: a later write to the caller's
+        # array does not reach the dataset.
+        object.__setattr__(self, "labels", np.array(self.labels, dtype=np.int64))
+        super().__post_init__()
 
     @classmethod
     def from_arrays(cls, x, y, label_names=None) -> "Dataset":
@@ -149,17 +138,6 @@ class Dataset:
         """All samples as one 2-D array in storage order (not a copy)."""
         return self.samples
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return (
-            self.num_classes == other.num_classes
-            and self.dim == other.dim
-            and self.label_names == other.label_names
-            and _array_eq(self.labels, other.labels)
-            and _array_eq(self.samples, other.samples)
-        )
-
 
 def validate_dataset(dataset: Dataset) -> list[str]:
     """Report every violated Dataset invariant; empty list means valid."""
@@ -179,8 +157,8 @@ def validate_dataset(dataset: Dataset) -> list[str]:
     return violations
 
 
-@dataclass(frozen=True)
-class ClassProfile:
+@dataclass(frozen=True, eq=False)
+class ClassProfile(Record):
     """Per-class sum and mean vectors over the class's samples."""
 
     class_id: int
@@ -188,9 +166,10 @@ class ClassProfile:
     mean_vec: np.ndarray
     cardinality: int
 
+    ARRAYS = {"sum_vec": float, "mean_vec": float}
+
     def __post_init__(self):
-        object.__setattr__(self, "sum_vec", _readonly(self.sum_vec))
-        object.__setattr__(self, "mean_vec", _readonly(self.mean_vec))
+        super().__post_init__()
         if self.cardinality < 1:
             raise ValueError("cardinality must be >= 1")
         for name, v in (("sum_vec", self.sum_vec), ("mean_vec", self.mean_vec)):
@@ -201,19 +180,9 @@ class ClassProfile:
         if np.any(np.abs(recon - self.sum_vec) > 1e-9 * scale):
             raise ValueError("mean_vec * cardinality does not reproduce sum_vec")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClassProfile):
-            return NotImplemented
-        return (
-            self.class_id == other.class_id
-            and self.cardinality == other.cardinality
-            and _array_eq(self.sum_vec, other.sum_vec)
-            and _array_eq(self.mean_vec, other.mean_vec)
-        )
 
-
-@dataclass(frozen=True)
-class PairContext:
+@dataclass(frozen=True, eq=False)
+class PairContext(Record):
     """Ratio means, thresholds and selected-index mask for one class pair.
 
     `ref_x` / `ref_y` are the two class mean profiles restricted to the mask
@@ -238,10 +207,10 @@ class PairContext:
     ref_x: np.ndarray
     ref_y: np.ndarray
 
+    ARRAYS = {"mask": np.int64, "ref_x": float, "ref_y": float}
+
     def __post_init__(self):
-        object.__setattr__(self, "mask", _readonly(self.mask, dtype=np.int64))
-        object.__setattr__(self, "ref_x", _readonly(self.ref_x))
-        object.__setattr__(self, "ref_y", _readonly(self.ref_y))
+        super().__post_init__()
         if not self.class_x < self.class_y:
             raise ValueError("pair must be in canonical order class_x < class_y")
         if self.tau != self.b * self.mu_xy or self.tau_prime != self.b_prime * self.mu_yx:
@@ -255,34 +224,19 @@ class PairContext:
         if self.smoothing_eps <= 0:
             raise ValueError("smoothing_eps must be > 0")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairContext):
-            return NotImplemented
-        return (
-            (self.class_x, self.class_y) == (other.class_x, other.class_y)
-            and (self.mu_xy, self.mu_yx) == (other.mu_xy, other.mu_yx)
-            and (self.tau, self.tau_prime) == (other.tau, other.tau_prime)
-            and (self.b, self.b_prime) == (other.b, other.b_prime)
-            and self.selection_mode == other.selection_mode
-            and self.smoothing_eps == other.smoothing_eps
-            and self.fallback == other.fallback
-            and _array_eq(self.mask, other.mask)
-            and _array_eq(self.ref_x, other.ref_x)
-            and _array_eq(self.ref_y, other.ref_y)
-        )
 
-
-@dataclass(frozen=True)
-class PairFeatureSet:
+@dataclass(frozen=True, eq=False)
+class PairFeatureSet(Record):
     """Extracted feature vectors and +/-1 labels for one class pair."""
 
     features: np.ndarray
     labels: np.ndarray
     feature_mode: str
 
+    ARRAYS = {"features": float, "labels": np.int64}
+
     def __post_init__(self):
-        object.__setattr__(self, "features", _readonly(self.features))
-        object.__setattr__(self, "labels", _readonly(self.labels, dtype=np.int64))
+        super().__post_init__()
         if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
         if self.features.shape[0] != self.labels.shape[0]:
@@ -295,18 +249,9 @@ class PairFeatureSet:
         if self.feature_mode in ("dual_kl", "scalar_kl") and np.any(self.features < 0):
             raise ValueError("KL feature components must be >= 0")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PairFeatureSet):
-            return NotImplemented
-        return (
-            self.feature_mode == other.feature_mode
-            and _array_eq(self.features, other.features)
-            and _array_eq(self.labels, other.labels)
-        )
 
-
-@dataclass(frozen=True)
-class CdfModel:
+@dataclass(frozen=True, eq=False)
+class CdfModel(Record):
     """The serializable artifact of training: per-pair contexts plus SVMs."""
 
     config: CdfConfig
@@ -322,6 +267,7 @@ class CdfModel:
     pairs: tuple  # ((PairContext, SvmModel), ...) in (x, y) lexicographic order
 
     def __post_init__(self):
+        super().__post_init__()
         m = self.num_classes
         expected = m * (m - 1) // 2
         if len(self.pairs) != expected:
@@ -343,24 +289,6 @@ class CdfModel:
 
         cfg = self.config
         return core.pair_kl_weights(self.pairs, self.dim, cfg.feature_mode, cfg.smoothing_eps)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CdfModel):
-            return NotImplemented
-        return (
-            self.config == other.config
-            and self.kernel == other.kernel
-            and (self.c, self.tol, self.max_passes, self.seed)
-            == (other.c, other.tol, other.max_passes, other.seed)
-            and (self.num_classes, self.dim) == (other.num_classes, other.dim)
-            and self.label_names == other.label_names
-            and self.profiles == other.profiles
-            and len(self.pairs) == len(other.pairs)
-            and all(
-                ca == cb and sa == sb
-                for (ca, sa), (cb, sb) in zip(self.pairs, other.pairs)
-            )
-        )
 
 
 # --- serialization ---------------------------------------------------------
@@ -519,7 +447,7 @@ def model_from_json(text: str) -> CdfModel:
                 cardinality=p["cardinality"],
             )
         )
-    pair_ids = [(x, y) for x in range(m) for y in range(x + 1, m)]
+    pair_ids = class_pairs(m)
     if [(e["class_x"], e["class_y"]) for e in doc["pairs"]] != pair_ids:
         raise ValueError("pairs must list every class pair (x, y), x < y, in order")
     pairs = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
-from .model import CdfConfig, CdfModel, ClassProfile, Dataset, validate_dataset
+from .model import CdfConfig, CdfModel, ClassProfile, Dataset, class_pairs, validate_dataset
 from .svm import GridCell, KernelSpec, decision_batch, smo_train
 
 
@@ -96,7 +96,7 @@ def train(
             )
         )
 
-    pair_ids = [(x, y) for x in range(m) for y in range(x + 1, m)]
+    pair_ids = class_pairs(m)
 
     def run(pair):
         x, y = pair

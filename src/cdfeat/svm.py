@@ -12,10 +12,13 @@ randomness enters the solve.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .record import Record
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
 
@@ -46,21 +49,6 @@ class KernelSpec:
         if self.kind == "linear" or self.gamma is not None:
             return self
         return replace(self, gamma=1.0 / dim)
-
-
-def kernel_eval(spec: KernelSpec, u, v) -> float:
-    """Evaluate the kernel on a single vector pair."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"kernel arguments differ in length: {u.shape} vs {v.shape}")
-    if spec.kind == "linear":
-        return float(u @ v)
-    if spec.gamma is None:
-        raise ValueError("gamma unresolved; call KernelSpec.resolve(dim) first")
-    if spec.kind == "polynomial":
-        return float((spec.gamma * (u @ v) + spec.coef0) ** spec.degree)
-    return float(np.exp(-spec.gamma * np.sum((u - v) ** 2)))
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -117,8 +105,8 @@ class _KernelRows:
         return r
 
 
-@dataclass(frozen=True)
-class SvmModel:
+@dataclass(frozen=True, eq=False)
+class SvmModel(Record):
     """Trained binary SVM: support vectors, alpha_i*y_i coefficients, bias."""
 
     support_vectors: np.ndarray
@@ -129,33 +117,20 @@ class SvmModel:
     iterations: int
     kkt_violation_max: float
 
-    def __post_init__(self):
-        # Read-only views, so that the caller's own arrays stay writable.
-        sv = np.asarray(self.support_vectors, dtype=float).view()
-        co = np.asarray(self.coef, dtype=float).view()
-        sv.setflags(write=False)
-        co.setflags(write=False)
-        object.__setattr__(self, "support_vectors", sv)
-        object.__setattr__(self, "coef", co)
-        if sv.shape[0] != co.shape[0]:
-            raise ValueError("one coefficient per support vector required")
-        if np.any(np.abs(co) > self.c * (1 + 1e-9) + 1e-12):
-            raise ValueError("coefficients violate the box constraint |alpha| <= C")
-        if abs(float(np.sum(co))) > 1e-6:
-            raise ValueError("dual equality constraint sum(alpha_i y_i) = 0 violated")
+    ARRAYS = {"support_vectors": float, "coef": float}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SvmModel):
-            return NotImplemented
-        return (
-            self.kernel == other.kernel
-            and (self.bias, self.c) == (other.bias, other.c)
-            and (self.iterations, self.kkt_violation_max)
-            == (other.iterations, other.kkt_violation_max)
-            and self.support_vectors.shape == other.support_vectors.shape
-            and np.array_equal(self.support_vectors, other.support_vectors)
-            and np.array_equal(self.coef, other.coef)
-        )
+    def __post_init__(self):
+        super().__post_init__()
+        co = self.coef
+        if not (math.isfinite(self.bias) and math.isfinite(self.kkt_violation_max)):
+            raise ValueError("bias and kkt_violation_max must be finite")
+        if self.support_vectors.shape[0] != co.shape[0]:
+            raise ValueError("one coefficient per support vector required")
+        # Written as "not <=" so that a NaN or infinite coefficient fails too.
+        if not np.all(np.abs(co) <= self.c * (1 + 1e-9) + 1e-12):
+            raise ValueError("coefficients must be finite and within the box |alpha| <= C")
+        if not abs(float(np.sum(co))) <= 1e-6:
+            raise ValueError("dual equality constraint sum(alpha_i y_i) = 0 violated")
 
 
 def smo_train(

@@ -324,7 +324,9 @@ class TestInspect:
         # A mistyped field (cardinality "3") must not escape as a TypeError.
         doc = json.loads(trained["model"].read_text())
         doc["profiles"][0]["cardinality"] = str(doc["profiles"][0]["cardinality"])
-        for text in ("{}", json.dumps(doc)):
+        nan_bias = json.loads(trained["model"].read_text())
+        nan_bias["pairs"][0]["svm"]["bias"] = float("nan")
+        for text in ("{}", json.dumps(doc), json.dumps(nan_bias)):
             bad = tmp_path / "bad.json"
             bad.write_text(text)
             rc = main(["inspect", "--model", str(bad)])

@@ -1,10 +1,14 @@
+import copy
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cdfeat.baseline import TfIdfModel
 from cdfeat.core import CdfConfig
+from cdfeat.ingest import IdxImages
+from cdfeat.metrics import ConfusionMatrix
 from cdfeat.model import (
     ClassProfile,
     Dataset,
@@ -24,6 +28,23 @@ from conftest import gaussian_blobs
 def small_dataset():
     x = np.asarray([[0.0, 2.0], [2.0, 2.0], [1.0, 0.0], [3.0, 1.0]])
     return Dataset.from_arrays(x, [0, 0, 1, 1])
+
+
+def one_of_each_record() -> list:
+    """One instance of every record type (the frozen types holding arrays)."""
+    model = train(small_dataset())
+    ctx, svm = model.pairs[0]
+    return [
+        small_dataset(),
+        model.profiles[0],
+        ctx,
+        PairFeatureSet(features=[[0.5, 1.0]], labels=[1], feature_mode="dual_kl"),
+        model,
+        svm,
+        TfIdfModel(np.ones(3), 3, 1),
+        ConfusionMatrix(np.eye(2, dtype=np.int64), 2),
+        IdxImages(np.ones((1, 4)), 2, 2),
+    ]
 
 
 class TestValidateDataset:
@@ -196,8 +217,12 @@ class TestSerializationRoundTrip:
         lambda doc: doc["profiles"][0].update(cardinality=0),
         _widen_support_vectors,
         lambda doc: doc["pairs"].pop(1),
+        # json.dumps writes bare NaN and Infinity, and json.loads reads them.
+        lambda doc: doc["pairs"][0]["svm"].update(bias=float("nan")),
+        lambda doc: doc["pairs"][0]["svm"].update(kkt_violation_max=float("inf")),
+        lambda doc: doc["pairs"][0]["svm"]["coef"].__setitem__(0, float("nan")),
     ], ids=["truncated", "negative", "null", "nan-string", "cardinality-0",
-            "sv-width", "missing-pair"])
+            "sv-width", "missing-pair", "bias-nan", "kkt-inf", "coef-nan"])
     def test_corrupt_document_fails_at_load(self, corrupt):
         doc = json.loads(
             model_to_json(self._tiny_model(3, feature_mode="scalar_kl", classes=3))
@@ -261,6 +286,10 @@ class TestDatasetHelpers:
         mean = np.ones(2)
         ClassProfile(class_id=0, sum_vec=2 * mean, mean_vec=mean, cardinality=2)
         assert mean.flags.writeable
+        px, counts = np.ones((1, 4)), np.eye(2, dtype=np.int64)
+        images, cm = IdxImages(px, 2, 2), ConfusionMatrix(counts, 2)
+        assert px.flags.writeable and counts.flags.writeable
+        assert not images.pixels.flags.writeable and not cm.counts.flags.writeable
 
     def test_matrix_is_the_sample_matrix(self):
         ds = small_dataset()
@@ -270,3 +299,26 @@ class TestDatasetHelpers:
     def test_equality_compares_contents(self):
         assert small_dataset() == small_dataset()
         assert small_dataset() != replace(small_dataset(), labels=[0, 1, 1, 1])
+        records = one_of_each_record()
+        for record in records:
+            assert copy.copy(record) == record
+            assert record != "record" and not record == 1
+            assert all(other != record for other in records if other is not record)
+            with pytest.raises(TypeError):
+                hash(record)
+            for name in type(record).ARRAYS:
+                changed = copy.copy(record)
+                array = getattr(record, name).copy()
+                array.flat[-1] += 1
+                object.__setattr__(changed, name, array)
+                assert changed != record and not changed == record, name
+        model, svm = records[4], records[5]
+        other_svm = replace(svm, bias=svm.bias + 1.0)
+        assert replace(model, pairs=((model.pairs[0][0], other_svm),)) != model
+        px = np.ones((1, 4))
+        assert (IdxImages(px, 2, 2) == IdxImages(px.copy(), 2, 2)) is True
+        assert (IdxImages(px, 2, 2) == IdxImages(2 * px, 2, 2)) is False
+        cfg = CdfConfig(b=0.5, pair_overrides={(0, 1): (1.0, 2.0)})
+        same = CdfConfig(b=0.5, pair_overrides={(0, 1): (1.0, 2.0)})
+        assert cfg == same and hash(cfg) == hash(same)
+        assert cfg != replace(cfg, pair_overrides={}) and cfg != "cfg"

@@ -9,13 +9,13 @@ from cdfeat.svm import (
     cross_validate,
     decision,
     decision_batch,
-    kernel_eval,
     kernel_matrix,
     smo_train,
     stratified_folds,
 )
 
 import smo_oracle
+from kernel_oracle import kernel_eval
 from qp_oracle import solve_svm_exact
 
 LINEAR = KernelSpec(kind="linear")
@@ -38,21 +38,29 @@ def ten_point_problem():
     return x, y
 
 
+def kernel_value(spec, u, v) -> float:
+    """`kernel_matrix` on one vector pair; it must agree with the oracle."""
+    value = kernel_matrix(spec, [u], [v])[0, 0]
+    assert value == kernel_eval(spec, u, v)
+    return value
+
+
 class TestKernels:
     def test_polynomial_hand_value(self):
         spec = KernelSpec(kind="polynomial", degree=2, gamma=1.0, coef0=1.0)
-        assert kernel_eval(spec, [1.0, 0.0], [1.0, 0.0]) == 4.0
+        assert kernel_value(spec, [1.0, 0.0], [1.0, 0.0]) == 4.0
 
     def test_rbf_zero_distance(self):
         spec = KernelSpec(kind="rbf", gamma=0.7)
-        assert kernel_eval(spec, [1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert kernel_value(spec, [1.0, 2.0], [1.0, 2.0]) == 1.0
 
     def test_linear_orthogonal(self):
-        assert kernel_eval(LINEAR, [1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert kernel_value(LINEAR, [1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            kernel_eval(LINEAR, [1.0], [1.0, 2.0])
+        for kernel in (kernel_matrix, kernel_eval):
+            with pytest.raises(ValueError, match="length"):
+                kernel(LINEAR, [[1.0]], [[1.0, 2.0]])
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -104,6 +112,11 @@ class TestSmoTwoPoint:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             smo_train([[np.nan], [1.0]], [1.0, -1.0], c=1.0, spec=LINEAR)
+        # Finite inputs whose kernel overflows give a NaN bias: no model.
+        spec = KernelSpec("polynomial", degree=2, gamma=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                smo_train([[1e200], [-1e200], [3e199]], [1, -1, 1], 1.0, spec)
 
 
 class TestSmoTenPoint:
