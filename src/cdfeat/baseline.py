@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import class_pairs
-from .multiclass import resolve_winner
+from .multiclass import DEFAULT_C, resolve_winner
 from .record import Record
-from .svm import KernelSpec, decision, smo_train
+from .svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, KernelSpec, decision, smo_train
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +74,9 @@ def train_ovo(
     y,
     num_classes: int,
     kernel: KernelSpec,
-    c: float = 10.0,
-    tol: float = 1e-3,
-    max_passes: int = 10,
+    c: float = DEFAULT_C,
+    tol: float = DEFAULT_TOL,
+    max_passes: int = DEFAULT_MAX_PASSES,
     seed: int = 0,
 ) -> OvoSvmModel:
     """Fit one SVM per class pair on the raw feature rows.

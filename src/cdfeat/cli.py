@@ -18,64 +18,32 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, metrics, multiclass
-from .model import CdfConfig, CdfModel, Dataset, model_from_json, model_to_json
+from .model import (
+    FEATURE_MODES, SELECTION_MODES, CdfConfig, CdfModel, Dataset, model_from_json, model_to_json,
+)
 from .report import fmt_float
-from .svm import GridCell, KernelSpec, cross_validate
+from .svm import (
+    DEFAULT_MAX_PASSES, DEFAULT_TOL, KERNEL_KINDS, GridCell, KernelSpec, cross_validate,
+)
 
-DEFAULTS = {
-    "format": None,
-    "images": None,
-    "labels": None,
-    "data": None,
-    "sgml_dir": None,
-    "split": None,
-    "classes": None,
-    "max_per_class": None,
-    "dim": None,
-    "min_df": 3,
-    "topics": 10,
-    "b": 1.0,
-    "b_prime": 1.0,
-    "selection_mode": "ratio",
-    "feature_mode": "dual_kl",
-    "smoothing_eps": 1e-9,
-    "kernel": "polynomial",
-    "degree": 2,
-    "gamma": None,
-    "coef0": 1.0,
-    "c": 10.0,
-    "tol": 1e-3,
-    "max_passes": 10,
-    "folds": 0,
-    "grid_c": "0.1,1,10,100",
-    "grid_b": "0.5,1.0,1.5,2.0",
-    "grid_b_prime": "0.5,1.0,1.5,2.0",
-    "seed": 0,
-    "jobs": 1,
-    "model": None,
-    "out": None,
-    "dump_masks": False,
-    "verbose": 0,
-}
-
-CONFIG_ECHO_KEYS = [
-    "format", "split", "classes", "max_per_class", "dim", "min_df", "topics",
-    "b", "b_prime", "selection_mode", "feature_mode", "smoothing_eps",
-    "kernel", "degree", "gamma", "coef0", "c", "tol", "max_passes",
-    "folds", "grid_c", "grid_b", "grid_b_prime", "seed", "jobs",
-]
+# Options that name input files or shape the output. Every other option is a
+# setting, echoed into the report in parser order.
+IO_OPTIONS = {"config", "images", "labels", "data", "sgml_dir", "model", "out",
+              "dump_masks", "verbose"}
 
 
 class CliError(Exception):
     """User-facing command error; message printed to stderr, exit nonzero."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name; defaults are the library's."""
     parser = argparse.ArgumentParser(
         prog="cdfeat",
         description="Class-dependent feature pipeline: train, evaluate, predict, inspect.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    kernel = multiclass.DEFAULT_KERNEL
     for name, help_text in (
         ("train", "fit a model on a training dataset"),
         ("eval", "evaluate a model on a labeled dataset"),
@@ -95,40 +63,50 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-per-class", dest="max_per_class", type=int,
                        help="cap samples per class after loading")
         p.add_argument("--dim", type=int, help="vector length for sparse data")
-        p.add_argument("--min-df", dest="min_df", type=int,
+        p.add_argument("--min-df", dest="min_df", type=int, default=3,
                        help="vocabulary document-frequency threshold")
-        p.add_argument("--topics", type=int, help="number of top topics kept as classes")
-        p.add_argument("--b", type=float)
-        p.add_argument("--b-prime", dest="b_prime", type=float)
-        p.add_argument("--selection-mode", dest="selection_mode",
-                       choices=["ratio", "literal"])
-        p.add_argument("--feature-mode", dest="feature_mode",
-                       choices=["dual_kl", "scalar_kl", "elementwise_kl"])
-        p.add_argument("--smoothing-eps", dest="smoothing_eps", type=float)
-        p.add_argument("--kernel", choices=["linear", "polynomial", "rbf"])
-        p.add_argument("--degree", type=int)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--coef0", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--max-passes", dest="max_passes", type=int)
-        p.add_argument("--folds", type=int, help="cross-validation folds; 0 skips CV")
-        p.add_argument("--grid-c", dest="grid_c", help="comma-separated C grid for CV")
-        p.add_argument("--grid-b", dest="grid_b", help="comma-separated b grid for CV")
-        p.add_argument("--grid-b-prime", dest="grid_b_prime",
+        p.add_argument("--topics", type=int, default=10,
+                       help="number of top topics kept as classes")
+        p.add_argument("--b", type=float, default=CdfConfig.b)
+        p.add_argument("--b-prime", dest="b_prime", type=float, default=CdfConfig.b_prime)
+        p.add_argument("--selection-mode", dest="selection_mode", choices=SELECTION_MODES,
+                       default=CdfConfig.selection_mode)
+        p.add_argument("--feature-mode", dest="feature_mode", choices=FEATURE_MODES,
+                       default=CdfConfig.feature_mode)
+        p.add_argument("--smoothing-eps", dest="smoothing_eps", type=float,
+                       default=CdfConfig.smoothing_eps)
+        p.add_argument("--kernel", choices=KERNEL_KINDS, default=kernel.kind)
+        p.add_argument("--degree", type=int, default=kernel.degree)
+        p.add_argument("--gamma", type=float, default=kernel.gamma)
+        p.add_argument("--coef0", type=float, default=kernel.coef0)
+        p.add_argument("--c", type=float, default=multiclass.DEFAULT_C)
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--max-passes", dest="max_passes", type=int, default=DEFAULT_MAX_PASSES)
+        p.add_argument("--folds", type=int, default=0, help="cross-validation folds; 0 skips CV")
+        p.add_argument("--grid-c", dest="grid_c", default="0.1,1,10,100",
+                       help="comma-separated C grid for CV")
+        p.add_argument("--grid-b", dest="grid_b", default="0.5,1.0,1.5,2.0",
+                       help="comma-separated b grid for CV")
+        p.add_argument("--grid-b-prime", dest="grid_b_prime", default="0.5,1.0,1.5,2.0",
                        help="comma-separated b' grid for CV")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--model", help="model file path")
         p.add_argument("--out", help="report/output file path")
-        p.add_argument("--dump-masks", dest="dump_masks", action="store_const",
-                       const=True, help="include per-pair mask index lists (inspect)")
-        p.add_argument("-v", "--verbose", action="count")
-    return parser
+        p.add_argument("--dump-masks", dest="dump_masks", action="store_true",
+                       help="include per-pair mask index lists (inspect)")
+        p.add_argument("-v", "--verbose", action="count", default=0)
+    return parser, sub.choices
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    resolved = dict(DEFAULTS)
+def _parse_args(argv) -> dict:
+    """Every option from its flag, else the config file, else its default.
+
+    The config file's keys become the subcommand's defaults for a second parse,
+    so argparse converts a string value from the file as it converts a flag's.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     if args.config:
         path = Path(args.config)
         if not path.is_file():
@@ -137,16 +115,14 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise CliError(f"config file {path}: {exc}")
-        unknown = set(loaded) - set(DEFAULTS)
+        if not isinstance(loaded, dict):
+            raise CliError(f"config file {path}: expected a JSON object")
+        unknown = set(loaded) - (set(vars(args)) - {"command", "config"})
         if unknown:
             raise CliError(f"config file {path}: unknown keys {sorted(unknown)}")
-        resolved.update(loaded)
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
-    resolved["command"] = args.command
-    return resolved
+        commands[args.command].set_defaults(**loaded)
+        args = parser.parse_args(argv)
+    return vars(args)
 
 
 def _require_paths(cfg: dict, keys) -> None:
@@ -233,8 +209,9 @@ def _cap_per_class(dataset: Dataset, cap: int) -> Dataset:
 
 def _config_echo_lines(cfg: dict) -> list[str]:
     lines = [f"command={cfg['command']}"]
-    for key in CONFIG_ECHO_KEYS:
-        value = cfg.get(key)
+    for key, value in cfg.items():
+        if key == "command" or key in IO_OPTIONS:
+            continue
         if isinstance(value, float):
             text = fmt_float(value)
         elif value is None:
@@ -421,10 +398,9 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _resolve_config(args)
-        return COMMANDS[args.command](cfg)
+        cfg = _parse_args(argv)
+        return COMMANDS[cfg["command"]](cfg)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

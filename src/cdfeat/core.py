@@ -62,8 +62,8 @@ def select_indices(
     t_y,
     tau: float,
     tau_prime: float,
-    mode: str = "ratio",
-    eps: float = 1e-9,
+    mode: str = CdfConfig.selection_mode,
+    eps: float = CdfConfig.smoothing_eps,
 ) -> tuple[np.ndarray, bool]:
     """Indices retained for a class pair, plus a fallback flag.
 
@@ -109,7 +109,7 @@ def restrict_normalize(sample, mask) -> tuple[np.ndarray, bool]:
     return np.full(mask.size, 1.0 / mask.size), True
 
 
-def kl_divergence(p, q, eps: float = 1e-9) -> float:
+def kl_divergence(p, q, eps: float = CdfConfig.smoothing_eps) -> float:
     """KL divergence sum(p * ln(p / (q + eps))) with 0 * ln(0/.) = 0.
 
     The denominator smoothing alone would push the p == q case a hair below
@@ -247,8 +247,6 @@ def build_pair_context(
         tau=tau,
         tau_prime=tau_prime,
         mask=mask,
-        selection_mode=cfg.selection_mode,
-        smoothing_eps=cfg.smoothing_eps,
         b=b,
         b_prime=b_prime,
         fallback=fallback,

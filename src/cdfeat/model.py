@@ -199,8 +199,6 @@ class PairContext(Record):
     tau: float
     tau_prime: float
     mask: np.ndarray
-    selection_mode: str
-    smoothing_eps: float
     b: float
     b_prime: float
     fallback: bool
@@ -221,8 +219,6 @@ class PairContext(Record):
             raise ValueError("mask must be strictly increasing")
         if self.mask[0] < 0:
             raise ValueError("mask indices must be >= 0")
-        if self.smoothing_eps <= 0:
-            raise ValueError("smoothing_eps must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,6 +455,8 @@ def model_from_json(text: str) -> CdfModel:
         sv = np.asarray(s["support_vectors"], dtype=float)
         if sv.ndim != 2 or sv.shape[1] != width:
             raise ValueError(f"pair ({x},{y}): support vectors must be rows of {width} features")
+        if not np.all(np.isfinite(sv)):
+            raise ValueError(f"pair ({x},{y}): support vectors must be finite")
         svm = SvmModel(
             support_vectors=sv,
             coef=np.asarray(s["coef"], dtype=float),

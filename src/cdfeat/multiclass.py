@@ -16,7 +16,12 @@ import numpy as np
 
 from . import core
 from .model import CdfConfig, CdfModel, ClassProfile, Dataset, class_pairs, validate_dataset
-from .svm import GridCell, KernelSpec, decision_batch, smo_train
+from .svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, GridCell, KernelSpec, decision_batch, smo_train
+
+# The pair SVMs' kernel and C when the caller names none. The kernel takes
+# KernelSpec's degree 2, gamma 1/dim and coef0 1.
+DEFAULT_KERNEL = KernelSpec(kind="polynomial")
+DEFAULT_C = 10.0
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,10 @@ def _train_pair(profiles, class_matrices, x, y, cfg, kernel, c, tol, max_passes)
 def train(
     dataset: Dataset,
     cfg: CdfConfig = CdfConfig(),
-    kernel: KernelSpec = KernelSpec(kind="polynomial", degree=2),
-    c: float = 10.0,
-    tol: float = 1e-3,
-    max_passes: int = 10,
+    kernel: KernelSpec = DEFAULT_KERNEL,
+    c: float = DEFAULT_C,
+    tol: float = DEFAULT_TOL,
+    max_passes: int = DEFAULT_MAX_PASSES,
     seed: int = 0,
     jobs: int = 1,
 ) -> CdfModel:
@@ -185,8 +190,8 @@ def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
 
 def pipeline_trainer(
     cfg: CdfConfig,
-    tol: float = 1e-3,
-    max_passes: int = 10,
+    tol: float = DEFAULT_TOL,
+    max_passes: int = DEFAULT_MAX_PASSES,
     seed: int = 0,
     jobs: int = 1,
 ):

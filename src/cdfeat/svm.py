@@ -22,9 +22,15 @@ from .record import Record
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
 
-# Full Gram matrix below this sample count, LRU row cache above it.
+# Full Gram matrix below this sample count, LRU row cache of at most
+# DEFAULT_CACHE_BYTES above it. Both are read at call time.
 FULL_GRAM_LIMIT = 8192
 DEFAULT_CACHE_BYTES = 256 * 2**20
+
+# SMO stopping rule of every trainer: stop when the largest KKT violation is
+# at most DEFAULT_TOL, or after DEFAULT_MAX_PASSES * n pair updates.
+DEFAULT_TOL = 1e-3
+DEFAULT_MAX_PASSES = 10
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ def _kernel_of_dots(spec: KernelSpec, dots, a: np.ndarray, b: np.ndarray) -> np.
 class _KernelRows:
     """Row access to the training Gram matrix, dense or LRU-cached."""
 
-    def __init__(self, spec: KernelSpec, x: np.ndarray, cache_bytes: int):
+    def __init__(self, spec: KernelSpec, x: np.ndarray):
         self.spec = spec
         self.x = x
         n = x.shape[0]
@@ -89,7 +95,7 @@ class _KernelRows:
         else:
             self.full = None
             self.rows: OrderedDict[int, np.ndarray] = OrderedDict()
-            self.max_rows = max(2, cache_bytes // (8 * n))
+            self.max_rows = max(2, DEFAULT_CACHE_BYTES // (8 * n))
 
     def row(self, i: int) -> np.ndarray:
         if self.full is not None:
@@ -138,9 +144,8 @@ def smo_train(
     y,
     c: float,
     spec: KernelSpec,
-    tol: float = 1e-3,
-    max_passes: int = 10,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
+    tol: float = DEFAULT_TOL,
+    max_passes: int = DEFAULT_MAX_PASSES,
 ) -> SvmModel:
     """Train a binary SVM by SMO.
 
@@ -164,7 +169,7 @@ def smo_train(
 
     n = x.shape[0]
     spec = spec.resolve(x.shape[1])
-    kern = _KernelRows(spec, x, cache_bytes)
+    kern = _KernelRows(spec, x)
 
     alpha = np.zeros(n)
     s = yv.copy()  # -y*grad, with grad = -1 at alpha = 0
@@ -354,7 +359,7 @@ def cross_validate(x, y, grid, folds: int, seed: int, trainer) -> CvResult:
     return CvResult(best=best_cell, table=tuple(table))
 
 
-def binary_svm_trainer(tol: float = 1e-3, max_passes: int = 10):
+def binary_svm_trainer(tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES):
     """Plain two-class SVM trainer for cross_validate; ignores b/b_prime."""
 
     def trainer(x_train, y_train, cell: GridCell):

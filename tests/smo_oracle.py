@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cdfeat.svm import DEFAULT_CACHE_BYTES, KernelSpec, SvmModel, _KernelRows
+from cdfeat.svm import KernelSpec, SvmModel, _KernelRows
 
 
 def smo_train(
@@ -20,7 +20,6 @@ def smo_train(
     spec: KernelSpec,
     tol: float = 1e-3,
     max_passes: int = 10,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
 ) -> SvmModel:
     """Train a binary SVM by SMO, recomputing every per-sample array each step."""
     x = np.asarray(x, dtype=float)
@@ -38,7 +37,7 @@ def smo_train(
 
     n = x.shape[0]
     spec = spec.resolve(x.shape[1])
-    kern = _KernelRows(spec, x, cache_bytes)
+    kern = _KernelRows(spec, x)
 
     alpha = np.zeros(n)
     grad = np.full(n, -1.0)  # gradient of the dual objective at alpha = 0

@@ -4,9 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from cdfeat import multiclass
 from cdfeat.cli import main
-from cdfeat.ingest import dump_sparse
-from cdfeat.model import Dataset, model_from_json
+from cdfeat.ingest import dump_sparse, load_sparse
+from cdfeat.model import CdfConfig, Dataset, model_from_json, model_to_json
+from cdfeat.report import fmt_float
 
 from conftest import gaussian_blobs, gaussian_split
 
@@ -57,6 +59,51 @@ class TestTrain:
         assert "seed=42" in report
         assert "feature_mode=dual_kl" in report
         assert "pair_0_1_mask_size=" in report
+
+    def test_report_echo_block(self, trained):
+        # Every setting in parser order; input paths and output settings not.
+        lines = trained["report"].read_text().splitlines()
+        assert lines[:27] == [
+            "command=train",
+            "format=sparse",
+            "split=",
+            "classes=",
+            "max_per_class=",
+            "dim=20",
+            "min_df=3",
+            "topics=10",
+            "b=1",
+            "b_prime=1",
+            "selection_mode=ratio",
+            "feature_mode=dual_kl",
+            "smoothing_eps=1.0000000000000001e-09",
+            "kernel=polynomial",
+            "degree=2",
+            "gamma=",
+            "coef0=1",
+            "c=10",
+            "tol=0.001",
+            "max_passes=10",
+            "folds=0",
+            "grid_c=0.1,1,10,100",
+            "grid_b=0.5,1.0,1.5,2.0",
+            "grid_b_prime=0.5,1.0,1.5,2.0",
+            "seed=42",
+            "jobs=1",
+            "num_classes=3",
+        ]
+
+    def test_defaults_are_the_librarys(self, fixture_files, tmp_path):
+        # With no pipeline or SVM flags, train fits what multiclass.train
+        # fits with its own defaults, byte for byte.
+        model_path = tmp_path / "defaults.json"
+        rc = main([
+            "train", "--format", "sparse", "--data", str(fixture_files["train"]),
+            "--dim", "20", "--model", str(model_path), "--out", str(tmp_path / "r"),
+        ])
+        assert rc == 0
+        ds = load_sparse(fixture_files["train"].read_text(), dim=20)
+        assert model_path.read_text() == model_to_json(multiclass.train(ds))
 
     def test_missing_input_path_named(self, tmp_path, capsys):
         rc = main(
@@ -326,11 +373,16 @@ class TestInspect:
         doc["profiles"][0]["cardinality"] = str(doc["profiles"][0]["cardinality"])
         nan_bias = json.loads(trained["model"].read_text())
         nan_bias["pairs"][0]["svm"]["bias"] = float("nan")
-        for text in ("{}", json.dumps(doc), json.dumps(nan_bias)):
+        texts = ["{}", json.dumps(doc), json.dumps(nan_bias)]
+        for value in (float("nan"), float("inf")):
+            bad_sv = json.loads(trained["model"].read_text())
+            bad_sv["pairs"][0]["svm"]["support_vectors"][0][1] = value
+            texts.append(json.dumps(bad_sv))
+        for text in texts:
             bad = tmp_path / "bad.json"
             bad.write_text(text)
             rc = main(["inspect", "--model", str(bad)])
-            assert rc != 0
+            assert rc == 2
             assert "unreadable model" in capsys.readouterr().err
 
 
@@ -444,6 +496,33 @@ class TestConfigFile:
         report = out.read_text()
         assert "b=0.90000000000000002" in report  # flag wins over config file
         assert "seed=7" in report
+
+    @pytest.mark.parametrize("key, default, read", [
+        ("b", CdfConfig.b, lambda model: model.config.b),
+        ("c", multiclass.DEFAULT_C, lambda model: model.c),
+    ])
+    def test_flag_over_config_over_default(self, fixture_files, tmp_path, key, default, read):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: 0.5}))
+        for extra, want in (
+            ([], default),
+            (["--config", str(config)], 0.5),
+            (["--config", str(config), f"--{key}", "0.25"], 0.25),
+        ):
+            model_path = tmp_path / "m.json"
+            out = tmp_path / "r"
+            assert main(train_args(fixture_files, model_path, out, extra)) == 0
+            assert f"{key}={fmt_float(want)}" in out.read_text().splitlines()
+            assert read(model_from_json(model_path.read_text())) == want
+
+    def test_wrong_typed_value_rejected_like_a_flag(self, fixture_files, tmp_path, capsys):
+        config = tmp_path / "bad-type.json"
+        config.write_text(json.dumps({"b": "abc"}))
+        with pytest.raises(SystemExit) as exc:
+            main(train_args(fixture_files, tmp_path / "m.json", tmp_path / "r",
+                            ["--config", str(config)]))
+        assert exc.value.code == 2
+        assert "argument --b: invalid float value: 'abc'" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.json"

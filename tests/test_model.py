@@ -221,8 +221,10 @@ class TestSerializationRoundTrip:
         lambda doc: doc["pairs"][0]["svm"].update(bias=float("nan")),
         lambda doc: doc["pairs"][0]["svm"].update(kkt_violation_max=float("inf")),
         lambda doc: doc["pairs"][0]["svm"]["coef"].__setitem__(0, float("nan")),
+        lambda doc: doc["pairs"][0]["svm"]["support_vectors"][0].__setitem__(0, float("nan")),
+        lambda doc: doc["pairs"][1]["svm"]["support_vectors"][0].__setitem__(0, float("inf")),
     ], ids=["truncated", "negative", "null", "nan-string", "cardinality-0",
-            "sv-width", "missing-pair", "bias-nan", "kkt-inf", "coef-nan"])
+            "sv-width", "missing-pair", "bias-nan", "kkt-inf", "coef-nan", "sv-nan", "sv-inf"])
     def test_corrupt_document_fails_at_load(self, corrupt):
         doc = json.loads(
             model_to_json(self._tiny_model(3, feature_mode="scalar_kl", classes=3))

@@ -89,8 +89,7 @@ class TestTrain:
         x, y = gaussian_blobs(30, seed=14, dims=20, classes=3)
         ds = Dataset.from_arrays(x, y)
         model = train(ds, CdfConfig(selection_mode="literal"), kernel=POLY2)
-        for ctx, _ in model.pairs:
-            assert ctx.selection_mode == "literal"
+        assert model.config.selection_mode == "literal"
         preds = [predict(model, s)[0] for s in ds.samples]
         assert preds == list(ds.labels)
 

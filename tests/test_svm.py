@@ -221,15 +221,14 @@ class TestSmoProperties:
         full = smo_train(x, y, c=1.0, spec=LINEAR, tol=1e-6, max_passes=100)
         monkeypatch.setattr(svm_mod, "FULL_GRAM_LIMIT", 8)
         # Tiny byte budget forces LRU evictions on every row fetch.
-        cached = smo_train(x, y, c=1.0, spec=LINEAR, tol=1e-6, max_passes=100,
-                           cache_bytes=40 * 8 * 4)
+        monkeypatch.setattr(svm_mod, "DEFAULT_CACHE_BYTES", 40 * 8 * 4)
+        cached = smo_train(x, y, c=1.0, spec=LINEAR, tol=1e-6, max_passes=100)
         np.testing.assert_allclose(
             decision_batch(cached, probes), decision_batch(full, probes),
             rtol=0, atol=1e-3,
         )
         # Each cache mode on its own is run-to-run deterministic.
-        again = smo_train(x, y, c=1.0, spec=LINEAR, tol=1e-6, max_passes=100,
-                          cache_bytes=40 * 8 * 4)
+        again = smo_train(x, y, c=1.0, spec=LINEAR, tol=1e-6, max_passes=100)
         assert again == cached
 
 
@@ -251,10 +250,10 @@ class TestSmoAgainstOracle:
     def test_same_model_bits(self, kind, gram, monkeypatch):
         import cdfeat.svm as svm_mod
 
-        kwargs = {}
         if gram == "lru":
             monkeypatch.setattr(svm_mod, "FULL_GRAM_LIMIT", 4)
-            kwargs["cache_bytes"] = 8 * 64 * 3  # a few rows: evictions every step
+            # A few rows: evictions every step.
+            monkeypatch.setattr(svm_mod, "DEFAULT_CACHE_BYTES", 8 * 64 * 3)
         rng = np.random.default_rng(list(self.KERNELS).index(kind))
         capped = 0
         for c in (0.01, 1.0, 10.0, 1000.0):
@@ -268,10 +267,9 @@ class TestSmoAgainstOracle:
                     if k == 0:
                         # Small integer values make exact zeros in the gradient.
                         x = np.round(x)
-                    got = smo_train(x, y, c, self.KERNELS[kind],
-                                    max_passes=max_passes, **kwargs)
+                    got = smo_train(x, y, c, self.KERNELS[kind], max_passes=max_passes)
                     want = smo_oracle.smo_train(x, y, c, self.KERNELS[kind],
-                                                max_passes=max_passes, **kwargs)
+                                                max_passes=max_passes)
                     label = (c, max_passes, k)
                     assert got == want, label
                     assert self._bits(got.bias) == self._bits(want.bias), label
