@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import class_pairs
-from .multiclass import DEFAULT_C, resolve_winner
+from .multiclass import DEFAULT_C, fit_pairs, vote
 from .record import Record
-from .svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, KernelSpec, decision, smo_train
+from .svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, KernelSpec, decision
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,7 +65,6 @@ class OvoSvmModel:
 
     pairs: tuple  # ((class_x, class_y, SvmModel), ...)
     num_classes: int
-    dim: int
 
 
 def train_ovo(
@@ -85,25 +83,17 @@ def train_ovo(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
-    pairs = []
-    for cx, cy in class_pairs(num_classes):
+
+    def pair_data(cx, cy):
         rows = np.flatnonzero((y == cx) | (y == cy))
-        labels = np.where(y[rows] == cx, 1.0, -1.0)
-        svm = smo_train(
-            x[rows], labels, c, kernel.resolve(x.shape[1]),
-            tol=tol, max_passes=max_passes,
-        )
-        pairs.append((cx, cy, svm))
-    return OvoSvmModel(pairs=tuple(pairs), num_classes=num_classes, dim=x.shape[1])
+        return (cx, cy), x[rows], np.where(y[rows] == cx, 1.0, -1.0)
+
+    pairs = fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes)
+    return OvoSvmModel(pairs=tuple((*key, svm) for key, svm in pairs), num_classes=num_classes)
 
 
 def predict_ovo(model: OvoSvmModel, sample) -> int:
-    """Majority vote over the pair SVMs with the shared tie-break rule."""
-    votes = [0] * model.num_classes
-    margins = [0.0] * model.num_classes
-    for cx, cy, svm in model.pairs:
-        d = decision(svm, sample)
-        voted = cx if d > 0 else cy
-        votes[voted] += 1
-        margins[voted] += abs(d)
-    return resolve_winner(votes, margins)
+    """Vote the pair SVMs on one row; scalar `decision` is faster than a
+    one-row `decision_batch` here."""
+    d = np.asarray([[decision(svm, sample) for _, _, svm in model.pairs]])
+    return vote(d, [(cx, cy) for cx, cy, _ in model.pairs], model.num_classes)[0][0]

@@ -28,8 +28,7 @@ from .svm import (
 
 # Options that name input files or shape the output. Every other option is a
 # setting, echoed into the report in parser order.
-IO_OPTIONS = {"config", "images", "labels", "data", "sgml_dir", "model", "out",
-              "dump_masks", "verbose"}
+IO_OPTIONS = {"config", "images", "labels", "data", "sgml_dir", "model", "out", "dump_masks"}
 
 
 class CliError(Exception):
@@ -63,9 +62,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--max-per-class", dest="max_per_class", type=int,
                        help="cap samples per class after loading")
         p.add_argument("--dim", type=int, help="vector length for sparse data")
-        p.add_argument("--min-df", dest="min_df", type=int, default=3,
+        p.add_argument("--min-df", dest="min_df", type=int, default=ingest.DEFAULT_MIN_DF,
                        help="vocabulary document-frequency threshold")
-        p.add_argument("--topics", type=int, default=10,
+        p.add_argument("--topics", type=int, default=ingest.DEFAULT_TOPICS,
                        help="number of top topics kept as classes")
         p.add_argument("--b", type=float, default=CdfConfig.b)
         p.add_argument("--b-prime", dest="b_prime", type=float, default=CdfConfig.b_prime)
@@ -95,17 +94,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--out", help="report/output file path")
         p.add_argument("--dump-masks", dest="dump_masks", action="store_true",
                        help="include per-pair mask index lists (inspect)")
-        p.add_argument("-v", "--verbose", action="count", default=0)
     return parser, sub.choices
 
 
 def _parse_args(argv) -> dict:
     """Every option from its flag, else the config file, else its default.
 
-    The config file's keys become the subcommand's defaults for a second parse,
-    so argparse converts a string value from the file as it converts a flag's.
+    The second parse reads each config value as its flag, placed before the
+    command line's flags, so argparse converts and checks it as it does the
+    flag. A `null` leaves an option unset only where its default is unset.
     """
     parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config:
         path = Path(args.config)
@@ -120,8 +120,16 @@ def _parse_args(argv) -> dict:
         unknown = set(loaded) - (set(vars(args)) - {"command", "config"})
         if unknown:
             raise CliError(f"config file {path}: unknown keys {sorted(unknown)}")
-        commands[args.command].set_defaults(**loaded)
-        args = parser.parse_args(argv)
+        sub, flags = commands[args.command], []
+        for key, value in loaded.items():
+            flag, default = "--" + key.replace("_", "-"), sub.get_default(key)
+            if isinstance(default, bool) and isinstance(value, bool):  # a switch
+                if value:
+                    flags.append(flag)
+            elif value is not None or default is not None:
+                flags.append(f"{flag}={value}")
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     return vars(args)
 
 
@@ -137,25 +145,25 @@ def _require_paths(cfg: dict, keys) -> None:
 def _kernel_from_cfg(cfg: dict) -> KernelSpec:
     return KernelSpec(
         kind=cfg["kernel"],
-        degree=int(cfg["degree"]),
+        degree=cfg["degree"],
         gamma=cfg["gamma"],
-        coef0=float(cfg["coef0"]),
+        coef0=cfg["coef0"],
     )
 
 
 def _cdf_config(cfg: dict) -> CdfConfig:
     return CdfConfig(
-        b=float(cfg["b"]),
-        b_prime=float(cfg["b_prime"]),
+        b=cfg["b"],
+        b_prime=cfg["b_prime"],
         selection_mode=cfg["selection_mode"],
         feature_mode=cfg["feature_mode"],
-        smoothing_eps=float(cfg["smoothing_eps"]),
+        smoothing_eps=cfg["smoothing_eps"],
     )
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
     try:
-        values = [float(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise CliError(f"--{flag}: expected comma-separated numbers, got {text!r}")
     if not values:
@@ -171,7 +179,7 @@ def _load_dataset(cfg: dict, default_split: str) -> Dataset:
         labels = ingest.load_idx_labels(Path(cfg["labels"]).read_bytes())
         keep = None
         if cfg.get("classes"):
-            keep = [int(tok) for tok in str(cfg["classes"]).split(",") if tok.strip()]
+            keep = [int(tok) for tok in cfg["classes"].split(",") if tok.strip()]
         dataset = ingest.idx_dataset(images, labels, keep_classes=keep)
     elif fmt == "sparse":
         _require_paths(cfg, ["data"])
@@ -179,8 +187,8 @@ def _load_dataset(cfg: dict, default_split: str) -> Dataset:
     elif fmt == "reuters":
         _require_paths(cfg, ["sgml_dir"])
         docs = ingest.read_sgml_dir(cfg["sgml_dir"])
-        categories = ingest.top_topics(docs, k=int(cfg["topics"]))
-        vocab = ingest.build_vocabulary(docs, min_df=int(cfg["min_df"]))
+        categories = ingest.top_topics(docs, k=cfg["topics"])
+        vocab = ingest.build_vocabulary(docs, min_df=cfg["min_df"])
         split = cfg.get("split") or default_split
         split_docs = [d for d in docs if d.split_tag == split]
         result = ingest.vectorize_bow(split_docs, vocab, categories)
@@ -192,7 +200,7 @@ def _load_dataset(cfg: dict, default_split: str) -> Dataset:
 
     cap = cfg.get("max_per_class")
     if cap:
-        dataset = _cap_per_class(dataset, int(cap))
+        dataset = _cap_per_class(dataset, cap)
     return dataset
 
 
@@ -244,11 +252,8 @@ def cmd_train(cfg: dict) -> int:
         raise CliError("--model output path is required for train")
     base = _cdf_config(cfg)
     kernel = _kernel_from_cfg(cfg)
-    seed = int(cfg["seed"])
-    tol = float(cfg["tol"])
-    max_passes = int(cfg["max_passes"])
-    jobs = int(cfg["jobs"])
-    c = float(cfg["c"])
+    seed, tol, max_passes, jobs = cfg["seed"], cfg["tol"], cfg["max_passes"], cfg["jobs"]
+    c = cfg["c"]
     b, b_prime = base.b, base.b_prime
 
     report = _config_echo_lines(cfg)
@@ -257,7 +262,7 @@ def cmd_train(cfg: dict) -> int:
     report.append(f"samples={len(dataset)}")
 
     t0 = time.perf_counter()
-    folds = int(cfg["folds"])
+    folds = cfg["folds"]
     if folds >= 2:
         grid = [
             GridCell(c=gc, kernel=kernel, b=gb, b_prime=gbp)

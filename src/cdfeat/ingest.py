@@ -19,6 +19,9 @@ from .record import Record
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+# Reuters vocabulary document-frequency threshold and number of topic classes.
+DEFAULT_MIN_DF = 3
+DEFAULT_TOPICS = 10
 
 
 class IdxFormatError(ValueError):
@@ -319,7 +322,7 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text) if len(t) >= 2]
 
 
-def build_vocabulary(docs, min_df: int = 3) -> Vocabulary:
+def build_vocabulary(docs, min_df: int = DEFAULT_MIN_DF) -> Vocabulary:
     """Terms with train-split document frequency >= min_df, indexed in term order."""
     if not docs:
         raise ValueError("build_vocabulary needs at least one document")
@@ -349,7 +352,7 @@ def count_vector(doc: RawDocument, vocab: Vocabulary) -> np.ndarray:
     return vec
 
 
-def top_topics(docs, k: int = 10) -> list[str]:
+def top_topics(docs, k: int = DEFAULT_TOPICS) -> list[str]:
     """The k most frequent topics over train-split documents.
 
     Ties break lexicographically so the category list is deterministic.

@@ -1,4 +1,4 @@
-"""One-vs-one orchestration: train a model per class pair, predict by voting.
+"""One-vs-one engine (`fit_pairs`, `vote`), shared with the TF-IDF baseline.
 
 Prediction handles every pair in one pass over the sample matrix: the
 features of all pairs, then an (n, pairs) decision matrix, then one vote and
@@ -53,20 +53,24 @@ def resolve_winner(votes, margin_sums) -> int:
     return best
 
 
-def _train_pair(profiles, class_matrices, x, y, cfg, kernel, c, tol, max_passes):
-    ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
-    feats = core.extract_pair_features(
-        class_matrices[x], class_matrices[y], ctx, profiles[x], profiles[y], cfg
-    )
-    svm = smo_train(
-        feats.features,
-        feats.labels.astype(float),
-        c,
-        kernel.resolve(feats.features.shape[1]),
-        tol=tol,
-        max_passes=max_passes,
-    )
-    return ctx, svm
+def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes, jobs=1) -> tuple:
+    """(key, SvmModel) per class pair in order; pair_data(x, y) gives key, features, +/-1 labels."""
+
+    def fit(pair):
+        x, y = pair
+        try:
+            key, features, labels = pair_data(x, y)
+            return key, smo_train(
+                features, labels, c, kernel.resolve(features.shape[1]),
+                tol=tol, max_passes=max_passes,
+            )
+        except Exception as exc:
+            raise RuntimeError(f"training failed for pair ({x},{y}): {exc}") from exc
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return tuple(pool.map(fit, class_pairs(num_classes)))
+    return tuple(map(fit, class_pairs(num_classes)))
 
 
 def train(
@@ -101,22 +105,12 @@ def train(
             )
         )
 
-    pair_ids = class_pairs(m)
-
-    def run(pair):
-        x, y = pair
-        try:
-            return _train_pair(
-                profiles, class_matrices, x, y, cfg, kernel, c, tol, max_passes
-            )
-        except Exception as exc:
-            raise RuntimeError(f"training failed for pair ({x},{y}): {exc}") from exc
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            pairs = tuple(pool.map(run, pair_ids))
-    else:
-        pairs = tuple(run(p) for p in pair_ids)
+    def pair_data(x, y):
+        ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
+        feats = core.extract_pair_features(
+            class_matrices[x], class_matrices[y], ctx, profiles[x], profiles[y], cfg
+        )
+        return ctx, feats.features, feats.labels.astype(float)
 
     return CdfModel(
         config=cfg,
@@ -129,7 +123,7 @@ def train(
         dim=dataset.dim,
         label_names=dataset.label_names,
         profiles=tuple(profiles),
-        pairs=pairs,
+        pairs=fit_pairs(m, pair_data, kernel, c, tol, max_passes, jobs),
     )
 
 
@@ -162,7 +156,6 @@ def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
     number of rows.
     """
     x = _sample_matrix(samples, model.dim)
-    n, m = x.shape[0], model.num_classes
     mode = model.config.feature_mode
     if mode == "elementwise_kl":
         eps = model.config.smoothing_eps
@@ -173,14 +166,19 @@ def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
     else:
         feats = core.whole_kl_features(x, model.kl_weights).swapaxes(0, 1)
     d = np.stack([decision_batch(svm, f) for (_, svm), f in zip(model.pairs, feats)], axis=1)
-    classes = np.asarray([(ctx.class_x, ctx.class_y) for ctx, _ in model.pairs])
-    voted = np.where(d > 0, classes[:, 0], classes[:, 1])
-    rows = np.arange(n)[:, None]
+    return vote(d, [(ctx.class_x, ctx.class_y) for ctx, _ in model.pairs], model.num_classes)
+
+
+def vote(decisions, classes, num_classes: int) -> list[tuple[int, VoteRecord]]:
+    """(winner, VoteRecord) per decision row; pair k votes classes[k][0] if d > 0, else [1]."""
+    classes = np.asarray(classes)
+    voted = np.where(decisions > 0, classes[:, 0], classes[:, 1])
+    rows = np.arange(len(decisions))[:, None]
     # np.add.at adds in index order, row by row and within a row in pair order.
-    votes = np.zeros((n, m), dtype=np.int64)
+    votes = np.zeros((len(decisions), num_classes), dtype=np.int64)
     np.add.at(votes, (rows, voted), 1)
-    margins = np.zeros((n, m))
-    np.add.at(margins, (rows, voted), np.abs(d))
+    margins = np.zeros((len(decisions), num_classes))
+    np.add.at(margins, (rows, voted), np.abs(decisions))
     out = []
     for v, s in zip(votes.tolist(), margins.tolist()):
         record = VoteRecord(votes=tuple(v), margin_sums=tuple(s), winner=resolve_winner(v, s))

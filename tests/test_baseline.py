@@ -12,6 +12,7 @@ from cdfeat.baseline import (
 )
 from cdfeat.svm import KernelSpec
 
+import ovo_oracle
 from conftest import gaussian_blobs
 
 
@@ -107,3 +108,44 @@ class TestOvoBaselinePath:
         assert [(cx, cy) for cx, cy, _ in model.pairs] == [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
         ]
+
+
+def svm_bits(svm):
+    """Every field of a pair SVM, floats and arrays by their bits."""
+    return (
+        svm.support_vectors.shape, svm.support_vectors.tobytes(), svm.coef.tobytes(),
+        float(svm.bias).hex(), svm.kernel, svm.c, svm.iterations,
+        float(svm.kkt_violation_max).hex(),
+    )
+
+
+class TestSharedEngine:
+    """train_ovo/predict_ovo against the baseline's own pair and vote loops."""
+
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
+    @pytest.mark.parametrize("classes", [2, 4])
+    def test_models_and_winners_match_oracle(self, kind, classes):
+        x, y = gaussian_blobs(10, seed=71, dims=12, classes=classes, shift=4.0)
+        idf = fit_idf(x)
+        weighted = transform(idf, x)
+        kernel = KernelSpec(kind=kind)
+        model = train_ovo(weighted, y, classes, kernel, c=10.0)
+        want = ovo_oracle.train_ovo(weighted, y, classes, kernel, c=10.0)
+        assert [(cx, cy) for cx, cy, _ in model.pairs] == [(cx, cy) for cx, cy, _ in want]
+        assert [svm_bits(s) for _, _, s in model.pairs] == [svm_bits(s) for _, _, s in want]
+
+        probes = transform(idf, np.random.default_rng(5).random((40, 12)) * 5)
+        margin_ties = 0
+        for row in probes:
+            winner = predict_ovo(model, row)
+            assert type(winner) is int
+            assert winner == ovo_oracle.predict_ovo(want, classes, row)
+            votes, _ = ovo_oracle.votes_and_margins(want, classes, row)
+            margin_ties += votes.count(max(votes)) > 1 and winner != votes.index(max(votes))
+        if classes == 4:
+            assert margin_ties > 0  # some vote tie went to a higher class id on margin
+
+    def test_pair_with_one_class_names_the_pair(self):
+        x, y = gaussian_blobs(5, seed=72, dims=6, classes=2)
+        with pytest.raises(RuntimeError, match=r"training failed for pair \(0,2\)"):
+            train_ovo(x, y, 3, KernelSpec(kind="linear"))

@@ -530,3 +530,49 @@ class TestConfigFile:
         rc = main(["train", "--config", str(config), "--model", "m"])
         assert rc != 0
         assert "unknown keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("loaded, message", [
+        ({"b": [1]}, "argument --b: invalid float value: '[1]'"),
+        ({"b": None}, "argument --b: invalid float value: 'None'"),
+        ({"c": {}}, "argument --c: invalid float value: '{}'"),
+        ({"max_passes": 2.5}, "argument --max-passes: invalid int value: '2.5'"),
+        ({"seed": 1.7}, "argument --seed: invalid int value: '1.7'"),
+        ({"folds": True}, "argument --folds: invalid int value: 'True'"),
+        ({"kernel": "sigmoid"}, "argument --kernel: invalid choice: 'sigmoid'"),
+        ({"dump_masks": "yes"}, "argument --dump-masks: ignored explicit argument 'yes'"),
+    ])
+    def test_value_the_flag_refuses_exits_2(self, fixture_files, tmp_path, capsys,
+                                            loaded, message):
+        config = tmp_path / "bad-value.json"
+        config.write_text(json.dumps(loaded))
+        model_path = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            main(train_args(fixture_files, model_path, tmp_path / "r", ["--config", str(config)]))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not model_path.exists()
+
+    def test_null_keeps_an_unset_default_unset(self, fixture_files, tmp_path):
+        config = tmp_path / "null-gamma.json"
+        config.write_text(json.dumps({"gamma": None, "format": None, "b": 1.0}))
+        for extra, name in (([], "plain"), (["--config", str(config)], "null")):
+            assert main(train_args(fixture_files, tmp_path / f"{name}.json",
+                                   tmp_path / f"{name}.report", extra)) == 0
+        assert (tmp_path / "null.json").read_text() == (tmp_path / "plain.json").read_text()
+        assert (tmp_path / "null.report").read_text() == (tmp_path / "plain.report").read_text()
+
+    def test_switch_set_from_config(self, trained, tmp_path, capsys):
+        config = tmp_path / "masks.json"
+        config.write_text(json.dumps({"dump_masks": True}))
+        assert main(["inspect", "--model", str(trained["model"]), "--config", str(config)]) == 0
+        assert "pair_0_1_mask=" in capsys.readouterr().out
+
+    def test_verbose_is_not_an_option(self, fixture_files, tmp_path, capsys):
+        config = tmp_path / "verbose.json"
+        config.write_text(json.dumps({"verbose": 1}))
+        rc = main(["train", "--config", str(config), "--model", "m"])
+        assert rc == 2
+        assert "unknown keys ['verbose']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(train_args(fixture_files, tmp_path / "m.json", tmp_path / "r", ["-v"]))
+        assert exc.value.code == 2
