@@ -19,7 +19,6 @@ from .model import (
     ClassProfile,
     Dataset,
     PairContext,
-    PairFeatureSet,
     model_from_json,
     model_to_json,
     validate_dataset,
@@ -47,7 +46,6 @@ __all__ = [
     "GridCell",
     "KernelSpec",
     "PairContext",
-    "PairFeatureSet",
     "SvmModel",
     "TfIdfModel",
     "VoteRecord",

@@ -79,10 +79,14 @@ def train_ovo(
 ) -> OvoSvmModel:
     """Fit one SVM per class pair on the raw feature rows.
 
-    The solves use no randomness; `seed` is accepted and unused.
+    Labels must lie in [0, num_classes). The solves use no randomness; `seed`
+    is accepted and unused.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=np.int64)
+    bad = np.flatnonzero((y < 0) | (y >= num_classes))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]}: class id {y[bad[0]]} outside [0, {num_classes})")
 
     def pair_data(cx, cy):
         rows = np.flatnonzero((y == cx) | (y == cy))

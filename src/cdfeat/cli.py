@@ -1,9 +1,12 @@
 """Command-line front end: train, eval, predict, inspect.
 
-Configuration comes from an optional JSON config file plus flag overrides;
-every run echoes the fully resolved configuration into its report. All
-machine-readable output is deterministic given the same inputs and seed;
-wall-clock timings go to stderr only.
+Each command takes only the options it reads: train the data options and the
+model settings, eval and predict the data options (the settings come from the
+model file), inspect the model and output options. Configuration comes from
+an optional JSON config file, whose keys for another command's options are
+skipped, plus flag overrides; every run echoes its resolved options into its
+report. All machine-readable output is deterministic given the same inputs
+and seed; wall-clock timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -35,6 +38,12 @@ class CliError(Exception):
     """User-facing command error; message printed to stderr, exit nonzero."""
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name; defaults are the library's."""
     parser = argparse.ArgumentParser(
@@ -49,60 +58,67 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         ("predict", "print per-sample predictions"),
         ("inspect", "report per-pair feature selection details"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--format", choices=["idx", "sparse", "reuters"])
-        p.add_argument("--images", help="IDX image file (idx format)")
-        p.add_argument("--labels", help="IDX label file (idx format)")
-        p.add_argument("--data", help="sparse-vector text file (sparse format)")
-        p.add_argument("--sgml-dir", dest="sgml_dir", help="directory of reut2-*.sgm files")
-        p.add_argument("--split", choices=["train", "test"],
-                       help="corpus split to load (reuters format)")
-        p.add_argument("--classes", help="comma-separated raw labels to keep (idx format)")
-        p.add_argument("--max-per-class", dest="max_per_class", type=int,
-                       help="cap samples per class after loading")
-        p.add_argument("--dim", type=int, help="vector length for sparse data")
-        p.add_argument("--min-df", dest="min_df", type=int, default=ingest.DEFAULT_MIN_DF,
-                       help="vocabulary document-frequency threshold")
-        p.add_argument("--topics", type=int, default=ingest.DEFAULT_TOPICS,
-                       help="number of top topics kept as classes")
-        p.add_argument("--b", type=float, default=CdfConfig.b)
-        p.add_argument("--b-prime", dest="b_prime", type=float, default=CdfConfig.b_prime)
-        p.add_argument("--selection-mode", dest="selection_mode", choices=SELECTION_MODES,
-                       default=CdfConfig.selection_mode)
-        p.add_argument("--feature-mode", dest="feature_mode", choices=FEATURE_MODES,
-                       default=CdfConfig.feature_mode)
-        p.add_argument("--smoothing-eps", dest="smoothing_eps", type=float,
-                       default=CdfConfig.smoothing_eps)
-        p.add_argument("--kernel", choices=KERNEL_KINDS, default=kernel.kind)
-        p.add_argument("--degree", type=int, default=kernel.degree)
-        p.add_argument("--gamma", type=float, default=kernel.gamma)
-        p.add_argument("--coef0", type=float, default=kernel.coef0)
-        p.add_argument("--c", type=float, default=multiclass.DEFAULT_C)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-        p.add_argument("--max-passes", dest="max_passes", type=int, default=DEFAULT_MAX_PASSES)
-        p.add_argument("--folds", type=int, default=0, help="cross-validation folds; 0 skips CV")
-        p.add_argument("--grid-c", dest="grid_c", default="0.1,1,10,100",
-                       help="comma-separated C grid for CV")
-        p.add_argument("--grid-b", dest="grid_b", default="0.5,1.0,1.5,2.0",
-                       help="comma-separated b grid for CV")
-        p.add_argument("--grid-b-prime", dest="grid_b_prime", default="0.5,1.0,1.5,2.0",
-                       help="comma-separated b' grid for CV")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        if name != "inspect":
+            p.add_argument("--format", choices=["idx", "sparse", "reuters"])
+            p.add_argument("--images", help="IDX image file (idx format)")
+            p.add_argument("--labels", help="IDX label file (idx format)")
+            p.add_argument("--data", help="sparse-vector text file (sparse format)")
+            p.add_argument("--sgml-dir", dest="sgml_dir", help="directory of reut2-*.sgm files")
+            p.add_argument("--split", choices=["train", "test"],
+                           help="corpus split to load (reuters format)")
+            p.add_argument("--classes", help="comma-separated raw labels to keep (idx format)")
+            p.add_argument("--max-per-class", dest="max_per_class", type=_positive_int,
+                           help="cap samples per class after loading")
+            p.add_argument("--dim", type=int, help="vector length for sparse data")
+            p.add_argument("--min-df", dest="min_df", type=int, default=ingest.DEFAULT_MIN_DF,
+                           help="vocabulary document-frequency threshold")
+            p.add_argument("--topics", type=int, default=ingest.DEFAULT_TOPICS,
+                           help="number of top topics kept as classes")
+        if name == "train":
+            p.add_argument("--b", type=float, default=CdfConfig.b)
+            p.add_argument("--b-prime", dest="b_prime", type=float, default=CdfConfig.b_prime)
+            p.add_argument("--selection-mode", dest="selection_mode", choices=SELECTION_MODES,
+                           default=CdfConfig.selection_mode)
+            p.add_argument("--feature-mode", dest="feature_mode", choices=FEATURE_MODES,
+                           default=CdfConfig.feature_mode)
+            p.add_argument("--smoothing-eps", dest="smoothing_eps", type=float,
+                           default=CdfConfig.smoothing_eps)
+            p.add_argument("--kernel", choices=KERNEL_KINDS, default=kernel.kind)
+            p.add_argument("--degree", type=int, default=kernel.degree)
+            p.add_argument("--gamma", type=float, default=kernel.gamma)
+            p.add_argument("--coef0", type=float, default=kernel.coef0)
+            p.add_argument("--c", type=float, default=multiclass.DEFAULT_C)
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+            p.add_argument("--max-passes", dest="max_passes", type=int,
+                           default=DEFAULT_MAX_PASSES)
+            p.add_argument("--folds", type=int, default=0,
+                           help="cross-validation folds; 0 skips CV")
+            p.add_argument("--grid-c", dest="grid_c", default="0.1,1,10,100",
+                           help="comma-separated C grid for CV")
+            p.add_argument("--grid-b", dest="grid_b", default="0.5,1.0,1.5,2.0",
+                           help="comma-separated b grid for CV")
+            p.add_argument("--grid-b-prime", dest="grid_b_prime", default="0.5,1.0,1.5,2.0",
+                           help="comma-separated b' grid for CV")
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--model", help="model file path")
         p.add_argument("--out", help="report/output file path")
-        p.add_argument("--dump-masks", dest="dump_masks", action="store_true",
-                       help="include per-pair mask index lists (inspect)")
+        if name == "inspect":
+            p.add_argument("--dump-masks", dest="dump_masks", action="store_true",
+                           help="include per-pair mask index lists")
     return parser, sub.choices
 
 
 def _parse_args(argv) -> dict:
-    """Every option from its flag, else the config file, else its default.
+    """Every option of the command from its flag, else the config file, else its default.
 
     The second parse reads each config value as its flag, placed before the
     command line's flags, so argparse converts and checks it as it does the
-    flag. A `null` leaves an option unset only where its default is unset.
+    flag. A key naming another command's option is skipped, so one file can
+    drive train and eval. A `null` leaves an option unset only where its
+    default is unset.
     """
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -117,11 +133,14 @@ def _parse_args(argv) -> dict:
             raise CliError(f"config file {path}: {exc}")
         if not isinstance(loaded, dict):
             raise CliError(f"config file {path}: expected a JSON object")
-        unknown = set(loaded) - (set(vars(args)) - {"command", "config"})
+        known = set().union(*(vars(parser.parse_args([name])) for name in commands))
+        unknown = set(loaded) - (known - {"command", "config"})
         if unknown:
             raise CliError(f"config file {path}: unknown keys {sorted(unknown)}")
         sub, flags = commands[args.command], []
         for key, value in loaded.items():
+            if key not in vars(args):
+                continue
             flag, default = "--" + key.replace("_", "-"), sub.get_default(key)
             if isinstance(default, bool) and isinstance(value, bool):  # a switch
                 if value:
@@ -140,25 +159,6 @@ def _require_paths(cfg: dict, keys) -> None:
             raise CliError(f"--{key.replace('_', '-')} is required for this command")
         if not Path(value).exists():
             raise CliError(f"input path does not exist: {value}")
-
-
-def _kernel_from_cfg(cfg: dict) -> KernelSpec:
-    return KernelSpec(
-        kind=cfg["kernel"],
-        degree=cfg["degree"],
-        gamma=cfg["gamma"],
-        coef0=cfg["coef0"],
-    )
-
-
-def _cdf_config(cfg: dict) -> CdfConfig:
-    return CdfConfig(
-        b=cfg["b"],
-        b_prime=cfg["b_prime"],
-        selection_mode=cfg["selection_mode"],
-        feature_mode=cfg["feature_mode"],
-        smoothing_eps=cfg["smoothing_eps"],
-    )
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -198,9 +198,8 @@ def _load_dataset(cfg: dict, default_split: str) -> Dataset:
     else:
         raise CliError("--format must be one of idx, sparse, reuters")
 
-    cap = cfg.get("max_per_class")
-    if cap:
-        dataset = _cap_per_class(dataset, cap)
+    if cfg["max_per_class"] is not None:
+        dataset = _cap_per_class(dataset, cfg["max_per_class"])
     return dataset
 
 
@@ -250,8 +249,9 @@ def cmd_train(cfg: dict) -> int:
     dataset = _load_dataset(cfg, default_split="train")
     if not cfg.get("model"):
         raise CliError("--model output path is required for train")
-    base = _cdf_config(cfg)
-    kernel = _kernel_from_cfg(cfg)
+    base = CdfConfig(b=cfg["b"], b_prime=cfg["b_prime"], selection_mode=cfg["selection_mode"],
+                     feature_mode=cfg["feature_mode"], smoothing_eps=cfg["smoothing_eps"])
+    kernel = KernelSpec(cfg["kernel"], cfg["degree"], cfg["gamma"], cfg["coef0"])
     seed, tol, max_passes, jobs = cfg["seed"], cfg["tol"], cfg["max_passes"], cfg["jobs"]
     c = cfg["c"]
     b, b_prime = base.b, base.b_prime

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import FEATURE_MODES, CdfConfig, ClassProfile, PairContext, PairFeatureSet
+from .model import FEATURE_MODES, CdfConfig, ClassProfile, PairContext
 
 
 def class_sum(samples) -> np.ndarray:
@@ -262,8 +262,8 @@ def extract_pair_features(
     profile_x: ClassProfile,
     profile_y: ClassProfile,
     cfg: CdfConfig,
-) -> PairFeatureSet:
-    """KL features and +/-1 labels for the two classes of a pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """KL features and +/-1 float labels for the two classes of a pair.
 
     The profiles and config must be the ones `ctx` was built from; the masked
     references come from `ctx`.
@@ -276,7 +276,4 @@ def extract_pair_features(
     features = kl_features(
         samples, ctx.mask, ctx.ref_x, ctx.ref_y, cfg.feature_mode, cfg.smoothing_eps
     )
-    labels = np.concatenate(
-        [np.ones(len(samples_x), dtype=np.int64), -np.ones(len(samples_y), dtype=np.int64)]
-    )
-    return PairFeatureSet(features=features, labels=labels, feature_mode=cfg.feature_mode)
+    return features, np.concatenate([np.ones(len(samples_x)), -np.ones(len(samples_y))])

@@ -222,31 +222,6 @@ class PairContext(Record):
 
 
 @dataclass(frozen=True, eq=False)
-class PairFeatureSet(Record):
-    """Extracted feature vectors and +/-1 labels for one class pair."""
-
-    features: np.ndarray
-    labels: np.ndarray
-    feature_mode: str
-
-    ARRAYS = {"features": float, "labels": np.int64}
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.feature_mode not in FEATURE_MODES:
-            raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels must have equal length")
-        if not np.all(np.isin(self.labels, (-1, 1))):
-            raise ValueError("labels must be exactly +1 or -1")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("feature components must be finite")
-        # Whole-divergence features are non-negative; elementwise terms are signed.
-        if self.feature_mode in ("dual_kl", "scalar_kl") and np.any(self.features < 0):
-            raise ValueError("KL feature components must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
 class CdfModel(Record):
     """The serializable artifact of training: per-pair contexts plus SVMs."""
 

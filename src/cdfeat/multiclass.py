@@ -107,10 +107,9 @@ def train(
 
     def pair_data(x, y):
         ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
-        feats = core.extract_pair_features(
+        return ctx, *core.extract_pair_features(
             class_matrices[x], class_matrices[y], ctx, profiles[x], profiles[y], cfg
         )
-        return ctx, feats.features, feats.labels.astype(float)
 
     return CdfModel(
         config=cfg,

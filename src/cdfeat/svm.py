@@ -22,10 +22,11 @@ from .record import Record
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
 
-# Full Gram matrix below this sample count, LRU row cache of at most
+# Full Gram matrix up to the largest sample count whose n x n float64 Gram
+# fits in DEFAULT_CACHE_BYTES (5792 rows), LRU row cache of at most
 # DEFAULT_CACHE_BYTES above it. Both are read at call time.
-FULL_GRAM_LIMIT = 8192
 DEFAULT_CACHE_BYTES = 256 * 2**20
+FULL_GRAM_LIMIT = math.isqrt(DEFAULT_CACHE_BYTES // 8)
 
 # SMO stopping rule of every trainer: stop when the largest KKT violation is
 # at most DEFAULT_TOL, or after DEFAULT_MAX_PASSES * n pair updates.

@@ -149,3 +149,12 @@ class TestSharedEngine:
         x, y = gaussian_blobs(5, seed=72, dims=6, classes=2)
         with pytest.raises(RuntimeError, match=r"training failed for pair \(0,2\)"):
             train_ovo(x, y, 3, KernelSpec(kind="linear"))
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_outside_classes_rejected(self, bad):
+        # Pair selection by label equality would drop such rows silently.
+        x, y = gaussian_blobs(3, seed=73, dims=4, classes=2)
+        y = np.asarray(y)
+        y[4] = bad
+        with pytest.raises(ValueError, match=rf"sample 4: class id {bad} outside \[0, 2\)"):
+            train_ovo(x, y, 2, KernelSpec(kind="linear"))

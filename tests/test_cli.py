@@ -153,6 +153,44 @@ class TestTrain:
                 p.sum_vec, train_ds.class_matrix(p.class_id)[:5].sum(axis=0), rtol=1e-12
             )
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_max_per_class_below_one_exits_2(self, fixture_files, tmp_path, capsys, cap):
+        model_path = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            main(train_args(fixture_files, model_path, tmp_path / "r",
+                            extra=[f"--max-per-class={cap}"]))
+        assert exc.value.code == 2
+        assert f"argument --max-per-class: expected an integer >= 1, got '{cap}'" in (
+            capsys.readouterr().err
+        )
+        assert not model_path.exists()
+
+
+# The settings eval, predict and inspect read from the model file, and the
+# data options inspect never loads.
+SETTINGS = ["--b", "--b-prime", "--selection-mode", "--feature-mode", "--smoothing-eps",
+            "--kernel", "--degree", "--gamma", "--coef0", "--c", "--tol", "--max-passes",
+            "--folds", "--grid-c", "--grid-b", "--grid-b-prime", "--seed", "--jobs"]
+DATA_OPTIONS = ["--format", "--images", "--labels", "--data", "--sgml-dir", "--split",
+                "--classes", "--max-per-class", "--dim", "--min-df", "--topics"]
+REMOVED = (
+    [(cmd, flag) for cmd in ("eval", "predict", "inspect") for flag in SETTINGS]
+    + [("inspect", flag) for flag in DATA_OPTIONS]
+    + [(cmd, "--dump-masks") for cmd in ("train", "eval", "predict")]
+)
+
+
+@pytest.mark.parametrize("command, flag", REMOVED)
+def test_option_of_another_command_exits_2(trained, tmp_path, capsys, command, flag):
+    # Abbreviations are off, so no removed flag is read as a prefix of a kept one.
+    value = [] if flag == "--dump-masks" else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", str(trained["model"]), "--out", str(tmp_path / "r"),
+              flag, *value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
 
 class TestEval:
     def test_training_set_is_perfect(self, fixture_files, trained, tmp_path):
@@ -334,6 +372,14 @@ class TestInspect:
         assert rc == 0
         out = capsys.readouterr().out
         assert "pair_0_1_mask=" in out
+
+    def test_report_echo_block(self, trained, capsys):
+        # inspect takes no setting, so command is its only echo line.
+        rc = main(["inspect", "--model", str(trained["model"])])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:4] == ["command=inspect", "num_classes=3", "dim=20", "pairs=3"]
+        assert lines[4].startswith("pair_0_1_mask_size=")
 
     def test_solver_health_per_pair(self, trained, capsys):
         rc = main(["inspect", "--model", str(trained["model"])])
@@ -539,7 +585,6 @@ class TestConfigFile:
         ({"seed": 1.7}, "argument --seed: invalid int value: '1.7'"),
         ({"folds": True}, "argument --folds: invalid int value: 'True'"),
         ({"kernel": "sigmoid"}, "argument --kernel: invalid choice: 'sigmoid'"),
-        ({"dump_masks": "yes"}, "argument --dump-masks: ignored explicit argument 'yes'"),
     ])
     def test_value_the_flag_refuses_exits_2(self, fixture_files, tmp_path, capsys,
                                             loaded, message):
@@ -565,6 +610,41 @@ class TestConfigFile:
         config = tmp_path / "masks.json"
         config.write_text(json.dumps({"dump_masks": True}))
         assert main(["inspect", "--model", str(trained["model"]), "--config", str(config)]) == 0
+        assert "pair_0_1_mask=" in capsys.readouterr().out
+        config.write_text(json.dumps({"dump_masks": "yes"}))
+        with pytest.raises(SystemExit) as exc:
+            main(["inspect", "--model", str(trained["model"]), "--config", str(config)])
+        assert exc.value.code == 2
+        assert "argument --dump-masks: ignored explicit argument 'yes'" in capsys.readouterr().err
+
+    def test_one_config_drives_train_eval_and_inspect(self, fixture_files, tmp_path, capsys):
+        # Each command applies the keys of its own options and skips the others'.
+        config = tmp_path / "shared.json"
+        config.write_text(json.dumps({
+            "format": "sparse", "data": str(fixture_files["train"]), "dim": 20,
+            "b": 1.5, "c": 5, "seed": 7, "dump_masks": True,
+        }))
+        model_path = tmp_path / "shared-model.json"
+        common = ["--config", str(config), "--model", str(model_path)]
+        assert main(["train", *common, "--out", str(tmp_path / "train.report")]) == 0
+        model = model_from_json(model_path.read_text())
+        assert (model.config.b, model.c, model.seed) == (1.5, 5.0, 7)
+        capsys.readouterr()
+        assert main(["eval", *common, "--data", str(fixture_files["test"])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:9] == [
+            "command=eval",
+            "format=sparse",
+            "split=",
+            "classes=",
+            "max_per_class=",
+            "dim=20",
+            "min_df=3",
+            "topics=10",
+            "samples=45",
+        ]
+        assert not [line for line in lines if line.startswith(("b=", "c=", "seed="))]
+        assert main(["inspect", *common]) == 0
         assert "pair_0_1_mask=" in capsys.readouterr().out
 
     def test_verbose_is_not_an_option(self, fixture_files, tmp_path, capsys):

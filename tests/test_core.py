@@ -281,41 +281,42 @@ class TestExtractPairFeatures:
     def test_sample_equal_to_own_profile(self):
         samples_x = [self.profile_x.mean_vec]
         samples_y = [self.profile_y.mean_vec]
-        fs = extract_pair_features(
+        features, _ = extract_pair_features(
             samples_x, samples_y, self.ctx, self.profile_x, self.profile_y, self.cfg
         )
         ref_x, _ = restrict_normalize(self.profile_x.mean_vec, self.ctx.mask)
         ref_y, _ = restrict_normalize(self.profile_y.mean_vec, self.ctx.mask)
-        assert fs.features[0, 0] <= 1e-12
-        assert abs(fs.features[0, 1] - kl_divergence(ref_x, ref_y)) <= 1e-12
+        assert features[0, 0] <= 1e-12
+        assert abs(features[0, 1] - kl_divergence(ref_x, ref_y)) <= 1e-12
 
     def test_label_order(self):
         samples_x = [self.profile_x.mean_vec] * 3
         samples_y = [self.profile_y.mean_vec] * 2
-        fs = extract_pair_features(
+        features, labels = extract_pair_features(
             samples_x, samples_y, self.ctx, self.profile_x, self.profile_y, self.cfg
         )
-        assert list(fs.labels) == [1, 1, 1, -1, -1]
+        assert features.shape[0] == 5
+        assert labels.dtype == float and list(labels) == [1, 1, 1, -1, -1]
 
     def test_scalar_mode_is_first_dual_component(self):
         samples_x = [np.asarray([3.0, 1.0, 0.5, 2.0])]
         samples_y = [np.asarray([1.0, 0.5, 3.0, 2.0])]
-        dual = extract_pair_features(
+        dual, _ = extract_pair_features(
             samples_x, samples_y, self.ctx, self.profile_x, self.profile_y, self.cfg
         )
         from dataclasses import replace
 
         scalar_cfg = replace(self.cfg, feature_mode="scalar_kl")
-        scalar = extract_pair_features(
+        scalar, _ = extract_pair_features(
             samples_x, samples_y, self.ctx, self.profile_x, self.profile_y, scalar_cfg
         )
-        np.testing.assert_array_equal(scalar.features[:, 0], dual.features[:, 0])
+        np.testing.assert_array_equal(scalar[:, 0], dual[:, 0])
 
     def test_elementwise_mode_dimension(self):
         from dataclasses import replace
 
         cfg = replace(self.cfg, feature_mode="elementwise_kl")
-        fs = extract_pair_features(
+        features, _ = extract_pair_features(
             [np.asarray([3.0, 1.0, 0.5, 2.0])],
             [np.asarray([1.0, 0.5, 3.0, 2.0])],
             self.ctx,
@@ -323,7 +324,7 @@ class TestExtractPairFeatures:
             self.profile_y,
             cfg,
         )
-        assert fs.features.shape == (2, self.ctx.mask.size)
+        assert features.shape == (2, self.ctx.mask.size)
 
 
 class TestBuildPairContext:
@@ -354,11 +355,11 @@ class TestSampleFeatureConsistency:
         cfg = CdfConfig()
         ctx = build_pair_context(p_x, p_y, cfg)
         sample = rng.uniform(0, 5, size=10)
-        fs = extract_pair_features([sample], [sample], ctx, p_x, p_y, cfg)
+        features, _ = extract_pair_features([sample], [sample], ctx, p_x, p_y, cfg)
         direct = core.sample_feature(
             sample, ctx.mask, ctx.ref_x, ctx.ref_y, cfg.feature_mode, cfg.smoothing_eps
         )
-        np.testing.assert_array_equal(fs.features[0], direct)
+        np.testing.assert_array_equal(features[0], direct)
 
 
 class TestKlFeaturesAgainstScalarOracle:

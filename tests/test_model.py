@@ -12,7 +12,6 @@ from cdfeat.metrics import ConfusionMatrix
 from cdfeat.model import (
     ClassProfile,
     Dataset,
-    PairFeatureSet,
     _dumps,
     model_from_json,
     model_to_json,
@@ -38,7 +37,6 @@ def one_of_each_record() -> list:
         small_dataset(),
         model.profiles[0],
         ctx,
-        PairFeatureSet(features=[[0.5, 1.0]], labels=[1], feature_mode="dual_kl"),
         model,
         svm,
         TfIdfModel(np.ones(3), 3, 1),
@@ -115,32 +113,6 @@ class TestClassProfile:
                 mean_vec=np.asarray([-1.0]),
                 cardinality=2,
             )
-
-
-class TestPairFeatureSet:
-    def test_label_values_enforced(self):
-        with pytest.raises(ValueError, match=r"\+1 or -1"):
-            PairFeatureSet(
-                features=np.asarray([[0.1], [0.2]]),
-                labels=np.asarray([1, 0]),
-                feature_mode="scalar_kl",
-            )
-
-    def test_negative_kl_feature_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            PairFeatureSet(
-                features=np.asarray([[-0.1], [0.2]]),
-                labels=np.asarray([1, -1]),
-                feature_mode="dual_kl",
-            )
-
-    def test_elementwise_terms_may_be_signed(self):
-        fs = PairFeatureSet(
-            features=np.asarray([[-0.1, 0.3], [0.2, -0.05]]),
-            labels=np.asarray([1, -1]),
-            feature_mode="elementwise_kl",
-        )
-        assert fs.features.shape == (2, 2)
 
 
 class TestSerializationRoundTrip:
@@ -314,7 +286,7 @@ class TestDatasetHelpers:
                 array.flat[-1] += 1
                 object.__setattr__(changed, name, array)
                 assert changed != record and not changed == record, name
-        model, svm = records[4], records[5]
+        model, svm = records[3], records[4]
         other_svm = replace(svm, bias=svm.bias + 1.0)
         assert replace(model, pairs=((model.pairs[0][0], other_svm),)) != model
         px = np.ones((1, 4))

@@ -231,6 +231,13 @@ class TestSmoProperties:
         again = smo_train(x, y, c=1.0, spec=LINEAR, tol=1e-6, max_passes=100)
         assert again == cached
 
+    def test_full_gram_fits_the_cache_budget(self):
+        # The largest full Gram, n x n float64, is the largest within the budget.
+        import cdfeat.svm as svm_mod
+
+        limit, budget = svm_mod.FULL_GRAM_LIMIT, svm_mod.DEFAULT_CACHE_BYTES
+        assert limit**2 * 8 <= budget < (limit + 1) ** 2 * 8
+
 
 class TestSmoAgainstOracle:
     """smo_train must return the oracle's model bit for bit, capped solves too."""
