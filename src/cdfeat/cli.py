@@ -44,6 +44,16 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _folds(text: str) -> int:
+    try:
+        folds = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if folds == 1 or folds < 0:
+        raise argparse.ArgumentTypeError(f"expected 0 (no CV) or an integer >= 2, got {text!r}")
+    return folds
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name; defaults are the library's."""
     parser = argparse.ArgumentParser(
@@ -93,7 +103,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--tol", type=float, default=DEFAULT_TOL)
             p.add_argument("--max-passes", dest="max_passes", type=int,
                            default=DEFAULT_MAX_PASSES)
-            p.add_argument("--folds", type=int, default=0,
+            p.add_argument("--folds", type=_folds, default=0,
                            help="cross-validation folds; 0 skips CV")
             p.add_argument("--grid-c", dest="grid_c", default="0.1,1,10,100",
                            help="comma-separated C grid for CV")
@@ -102,7 +112,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--grid-b-prime", dest="grid_b_prime", default="0.5,1.0,1.5,2.0",
                            help="comma-separated b' grid for CV")
             p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--jobs", type=_positive_int, default=1)
         p.add_argument("--model", help="model file path")
         p.add_argument("--out", help="report/output file path")
         if name == "inspect":
@@ -245,6 +255,12 @@ def _load_model(cfg: dict) -> CdfModel:
         raise CliError(f"unreadable model {cfg['model']}: {exc}")
 
 
+def _converged(svm, tol: float) -> bool:
+    # SMO stops exactly when the gap reaches tol, so a larger gap means the
+    # solve hit its max_passes * n iteration cap.
+    return svm.kkt_violation_max <= tol
+
+
 def cmd_train(cfg: dict) -> int:
     dataset = _load_dataset(cfg, default_split="train")
     if not cfg.get("model"):
@@ -263,7 +279,7 @@ def cmd_train(cfg: dict) -> int:
 
     t0 = time.perf_counter()
     folds = cfg["folds"]
-    if folds >= 2:
+    if folds:
         grid = [
             GridCell(c=gc, kernel=kernel, b=gb, b_prime=gbp)
             for gc in _parse_grid(cfg["grid_c"], "grid-c")
@@ -301,6 +317,11 @@ def cmd_train(cfg: dict) -> int:
         report.append(f"{key}_mask_size={ctx.mask.size}")
         report.append(f"{key}_fallback={int(ctx.fallback)}")
     _write_report(cfg, report)
+    for ctx, svm in model.pairs:
+        if not _converged(svm, tol):
+            print(f"warning: pair ({ctx.class_x},{ctx.class_y}) stopped at the SMO "
+                  f"iteration cap: {svm.iterations} iterations, kkt_violation_max="
+                  f"{fmt_float(svm.kkt_violation_max)} > tol={fmt_float(tol)}", file=sys.stderr)
     print(f"model_file={cfg['model']}", file=sys.stderr)
     print(f"time_cv_s={t_cv:.3f}", file=sys.stderr)
     print(f"time_train_s={t_train:.3f}", file=sys.stderr)
@@ -385,9 +406,7 @@ def cmd_inspect(cfg: dict) -> int:
         report.append(f"{key}_support_vectors={svm.support_vectors.shape[0]}")
         report.append(f"{key}_iterations={svm.iterations}")
         report.append(f"{key}_kkt_violation_max={fmt_float(svm.kkt_violation_max)}")
-        # SMO stops exactly when the gap reaches tol, so a larger gap means
-        # the solve hit its max_passes * n iteration cap.
-        report.append(f"{key}_converged={int(svm.kkt_violation_max <= model.tol)}")
+        report.append(f"{key}_converged={int(_converged(svm, model.tol))}")
         if cfg.get("dump_masks"):
             report.append(f"{key}_mask={','.join(str(int(i)) for i in ctx.mask)}")
     _write_report(cfg, report)

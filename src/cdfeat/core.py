@@ -5,18 +5,21 @@ component-wise profile ratio and its mean, two scaled thresholds, the
 selected-index mask, masked probability normalization, and finally KL
 divergences of each masked sample against the masked class profiles.
 
-`kl_features` computes one pair's features over a sample matrix; training,
-`sample_feature` and elementwise_kl prediction use it. dual_kl and scalar_kl
-prediction use `whole_kl_features`, which computes every pair's whole
-divergences at once from a model's `pair_kl_weights` and agrees with
-`kl_features` to rounding.
+`kl_features` computes one pair's features over a sample matrix;
+`sample_feature` and elementwise_kl training and prediction use it. dual_kl
+and scalar_kl training and prediction use `whole_kl_features`, which computes
+the whole divergences of many pairs at once from `pair_kl_weights` and agrees
+with `kl_features` to rounding. Training makes one such pass per class, over
+the class's rows and the weights of the pairs that name it
+(`select_pair_weights`), so a training row's features are the same bits that
+prediction computes for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import FEATURE_MODES, CdfConfig, ClassProfile, PairContext
+from .model import FEATURE_MODES, CdfConfig, ClassProfile, PairContext, feature_width
 
 
 def class_sum(samples) -> np.ndarray:
@@ -155,8 +158,8 @@ def kl_features(samples, mask, ref_x, ref_y, feature_mode: str, eps: float) -> n
     return np.stack([np.maximum(t.sum(axis=1), 0.0) for t in terms], axis=1)
 
 
-def pair_kl_weights(pairs, dim: int, feature_mode: str, eps: float) -> tuple:
-    """The weights `whole_kl_features` takes for a model's pair contexts.
+def pair_kl_weights(contexts, dim: int, feature_mode: str, eps: float) -> tuple:
+    """The weights `whole_kl_features` takes for a sequence of pair contexts.
 
     Returns (w, empty). `w` is a ((1 + r) * P, dim) matrix for P pairs with
     r = 2 references each in dual_kl (ref_x, ref_y) and r = 1 in scalar_kl
@@ -166,22 +169,37 @@ def pair_kl_weights(pairs, dim: int, feature_mode: str, eps: float) -> tuple:
     divergence of the uniform distribution over the mask:
     -ln k - mean(ln(ref + eps)).
     """
+    npairs = len(contexts)
     r = 2 if feature_mode == "dual_kl" else 1
-    w = np.zeros((len(pairs) * (1 + r), dim))
-    logs = w[len(pairs):].reshape(len(pairs), r, dim)
-    for j, (ctx, _) in enumerate(pairs):
+    w = np.zeros((npairs * (1 + r), dim))
+    logs = w[npairs:].reshape(npairs, r, dim)
+    for j, ctx in enumerate(contexts):
         w[j, ctx.mask] = 1.0
         for t, ref in enumerate((ctx.ref_x, ctx.ref_y)[:r]):
             logs[j, t, ctx.mask] = np.log(ref + eps)
-    k = w[: len(pairs)].sum(axis=1)[:, None]
+    k = w[:npairs].sum(axis=1)[:, None]
     empty = np.maximum(-np.log(k) - logs.sum(axis=2) / k, 0.0)
     return w, empty
+
+
+def select_pair_weights(weights, js) -> tuple:
+    """The `pair_kl_weights` of the pairs numbered `js` alone, in that order.
+
+    `whole_kl_features` under them gives the same bits as pairs `js` of its
+    result under all of `weights`.
+    """
+    w, empty = weights
+    npairs, r = empty.shape
+    js = np.asarray(js, dtype=np.int64)
+    logs = w[npairs:].reshape(npairs, r, -1)[js].reshape(js.size * r, -1)
+    return np.concatenate([w[js], logs]), empty[js]
 
 
 def whole_kl_features(samples, weights) -> np.ndarray:
     """dual_kl or scalar_kl features of every row under every pair at once.
 
-    `weights` is `pair_kl_weights(...)`; the result is (n, P, r) and equals
+    `weights` is `pair_kl_weights(...)` or `select_pair_weights(...)` of P
+    pairs; the result is (n, P, r) and equals
     `kl_features` per pair to rounding. With T the masked total of a row,
     KL(p||q) = (sum x ln x - sum x ln(q + eps)) / T - ln T, so each component
     needs one log shared by all pairs and references, and the masked sums of
@@ -256,24 +274,27 @@ def build_pair_context(
 
 
 def extract_pair_features(
-    samples_x,
-    samples_y,
+    rows_x,
+    rows_y,
     ctx: PairContext,
     profile_x: ClassProfile,
     profile_y: ClassProfile,
     cfg: CdfConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """KL features and +/-1 float labels for the two classes of a pair.
+    """One pair's SVM training data from its two classes' feature rows.
 
-    The profiles and config must be the ones `ctx` was built from; the masked
-    references come from `ctx`.
+    Returns the rows of class x, then those of class y, and +1 / -1 float
+    labels. The rows are features under `ctx`, `feature_width` wide; the
+    profiles and config must be the ones `ctx` was built from (perfbench's
+    trace reads them to count distinct feature work).
     """
     if (profile_x.class_id, profile_y.class_id) != (ctx.class_x, ctx.class_y):
         raise ValueError("profiles do not match the pair context")
-    samples = np.concatenate(
-        [np.asarray(samples_x, dtype=float), np.asarray(samples_y, dtype=float)]
-    )
-    features = kl_features(
-        samples, ctx.mask, ctx.ref_x, ctx.ref_y, cfg.feature_mode, cfg.smoothing_eps
-    )
-    return features, np.concatenate([np.ones(len(samples_x)), -np.ones(len(samples_y))])
+    width = feature_width(cfg.feature_mode, ctx)
+    rows_x = np.asarray(rows_x, dtype=float)
+    rows_y = np.asarray(rows_y, dtype=float)
+    for rows in (rows_x, rows_y):
+        if rows.ndim != 2 or rows.shape[1] != width:
+            raise ValueError(f"feature rows must be {width} wide, got shape {rows.shape}")
+    labels = np.concatenate([np.ones(len(rows_x)), -np.ones(len(rows_y))])
+    return np.concatenate([rows_x, rows_y]), labels

@@ -14,9 +14,10 @@ and each pair's SVM. Loading rebuilds the mean profiles, every pair context
 kernel and C exactly as training computed them. Documents in the older
 "cdf-model/1" and "cdf-model/2" formats are refused; retrain to get a /3 file.
 
-`CdfModel.kl_weights`, the one cache, is built lazily on a model's first
-predict from frozen fields only, so threads that race to build it at worst
-build it twice, with equal results.
+`CdfModel.kl_weights`, the one cache, is seeded by `multiclass.train`, which
+builds the same weights to extract dual_kl and scalar_kl training features.
+A loaded model builds it lazily on its first predict, from frozen fields only,
+so threads that race to build it at worst build it twice, with equal results.
 """
 
 from __future__ import annotations
@@ -74,6 +75,12 @@ class CdfConfig:
     def multipliers(self, class_x: int, class_y: int) -> tuple[float, float]:
         """The (b, b_prime) in effect for a pair, honoring overrides."""
         return self.pair_overrides.get((class_x, class_y), (self.b, self.b_prime))
+
+
+def feature_width(feature_mode: str, ctx: "PairContext") -> int:
+    """The number of features a pair's SVM sees: 2 in dual_kl, 1 in
+    scalar_kl, and one per mask index in elementwise_kl."""
+    return {"dual_kl": 2, "scalar_kl": 1}.get(feature_mode, ctx.mask.size)
 
 
 def class_pairs(num_classes: int) -> list[tuple[int, int]]:
@@ -251,15 +258,18 @@ class CdfModel(Record):
 
     @cached_property
     def kl_weights(self) -> tuple:
-        """`core.pair_kl_weights` of this model, built on first use.
+        """`core.pair_kl_weights` of this model's pair contexts.
 
-        Derived from frozen fields, so it is not part of `==` and not
-        serialized. Used by dual_kl and scalar_kl prediction only.
+        Training seeds it with the weights it extracted its features with; a
+        loaded model builds it on first use. Derived from frozen fields, so it
+        is not part of `==` and not serialized. Used by dual_kl and scalar_kl
+        prediction only.
         """
         from . import core  # core imports this module
 
         cfg = self.config
-        return core.pair_kl_weights(self.pairs, self.dim, cfg.feature_mode, cfg.smoothing_eps)
+        contexts = [ctx for ctx, _ in self.pairs]
+        return core.pair_kl_weights(contexts, self.dim, cfg.feature_mode, cfg.smoothing_eps)
 
 
 # --- serialization ---------------------------------------------------------
@@ -424,8 +434,7 @@ def model_from_json(text: str) -> CdfModel:
     pairs = []
     for (x, y), e in zip(pair_ids, doc["pairs"]):
         ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
-        # The feature width the pair's SVM was trained on.
-        width = {"dual_kl": 2, "scalar_kl": 1}.get(cfg.feature_mode, ctx.mask.size)
+        width = feature_width(cfg.feature_mode, ctx)
         s = e["svm"]
         sv = np.asarray(s["support_vectors"], dtype=float)
         if sv.ndim != 2 or sv.shape[1] != width:

@@ -83,7 +83,15 @@ def train(
     seed: int = 0,
     jobs: int = 1,
 ) -> CdfModel:
-    """Fit profiles, pair contexts, features and one SVM per class pair."""
+    """Fit profiles, pair contexts, features and one SVM per class pair.
+
+    dual_kl and scalar_kl features come from one `core.whole_kl_features`
+    pass per class, over the class's rows and the weights of its m - 1 pairs,
+    before any SVM is fitted; the model's `kl_weights` is seeded with the
+    weights, so its training features are the bits `predict_batch` computes.
+    elementwise_kl features are wider, so each pair's are computed with
+    `core.kl_features` when its SVM is fitted.
+    """
     problems = validate_dataset(dataset)
     if problems:
         raise ValueError("invalid dataset: " + "; ".join(problems))
@@ -104,14 +112,40 @@ def train(
                 cardinality=card,
             )
         )
+    pair_ids = class_pairs(m)
+    contexts = {
+        (x, y): core.build_pair_context(profiles[x], profiles[y], cfg) for x, y in pair_ids
+    }
+
+    mode, eps = cfg.feature_mode, cfg.smoothing_eps
+    weights = blocks = None
+    if mode != "elementwise_kl":
+        weights = core.pair_kl_weights(list(contexts.values()), dataset.dim, mode, eps)
+        # blocks[c] holds class c's rows under the m - 1 pairs naming c, in
+        # pair order: pair (x, y) is column y - 1 of blocks[x], x of blocks[y].
+        blocks = [
+            core.whole_kl_features(
+                class_matrices[cid],
+                core.select_pair_weights(
+                    weights, [j for j, pair in enumerate(pair_ids) if cid in pair]
+                ),
+            )
+            for cid in range(m)
+        ]
+        class_matrices.clear()
 
     def pair_data(x, y):
-        ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
-        return ctx, *core.extract_pair_features(
-            class_matrices[x], class_matrices[y], ctx, profiles[x], profiles[y], cfg
-        )
+        ctx = contexts[x, y]
+        if blocks is None:
+            rows = [
+                core.kl_features(class_matrices[cid], ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
+                for cid in (x, y)
+            ]
+        else:
+            rows = [blocks[x][:, y - 1], blocks[y][:, x]]
+        return ctx, *core.extract_pair_features(*rows, ctx, profiles[x], profiles[y], cfg)
 
-    return CdfModel(
+    model = CdfModel(
         config=cfg,
         kernel=kernel,
         c=c,
@@ -124,6 +158,10 @@ def train(
         profiles=tuple(profiles),
         pairs=fit_pairs(m, pair_data, kernel, c, tol, max_passes, jobs),
     )
+    if weights is not None:
+        # Fills the cached_property; frozen dataclasses refuse plain setattr.
+        object.__setattr__(model, "kl_weights", weights)
+    return model
 
 
 def predict(model: CdfModel, sample) -> tuple[int, VoteRecord]:

@@ -165,6 +165,22 @@ class TestTrain:
         )
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--folds", "1", "expected 0 (no CV) or an integer >= 2, got '1'"),
+        ("--folds", "-2", "expected 0 (no CV) or an integer >= 2, got '-2'"),
+        ("--jobs", "0", "expected an integer >= 1, got '0'"),
+        ("--jobs", "-3", "expected an integer >= 1, got '-3'"),
+    ])
+    def test_folds_and_jobs_out_of_range_exit_2(self, fixture_files, tmp_path, capsys,
+                                                flag, value, message):
+        model_path = tmp_path / "m.json"
+        with pytest.raises(SystemExit) as exc:
+            main(train_args(fixture_files, model_path, tmp_path / "r",
+                            extra=[f"{flag}={value}"]))
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not model_path.exists()
+
 
 # The settings eval, predict and inspect read from the model file, and the
 # data options inspect never loads.
@@ -395,18 +411,27 @@ class TestInspect:
     def test_capped_solve_not_converged(self, tmp_path, capsys):
         # One 40-row pair of overlapping classes: with C=1000 and
         # max_passes=1 SMO stops at its 40-iteration cap far from tol.
+        # train warns of it on stderr only, inspect reports converged=0.
         x, y = gaussian_blobs(20, classes=2, shift=1.5)
         data = tmp_path / "pair.sparse"
         data.write_text(dump_sparse(Dataset.from_arrays(x, y)))
-        model_path = tmp_path / "m.json"
+        model_path, report = tmp_path / "m.json", tmp_path / "r"
         for c, iterations, converged in (("1000", "40", "0"), ("10", "24", "1")):
             rc = main([
                 "train", "--format", "sparse", "--data", str(data), "--dim", "20",
-                "--model", str(model_path), "--out", str(tmp_path / "r"),
+                "--model", str(model_path), "--out", str(report),
                 "--kernel", "linear", "--c", c, "--max-passes", "1",
             ])
             assert rc == 0
-            capsys.readouterr()
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("warning:")]
+            gap = model_from_json(model_path.read_text()).pairs[0][1].kkt_violation_max
+            assert warnings == [
+                f"warning: pair (0,1) stopped at the SMO iteration cap: 40 iterations, "
+                f"kkt_violation_max={fmt_float(gap)} > tol=0.001"
+            ] * (converged == "0")
+            text = report.read_text()
+            assert "warning" not in text and text.endswith("\npair_0_1_fallback=0\n")
             assert main(["inspect", "--model", str(model_path)]) == 0
             lines = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
             assert lines["pair_0_1_iterations"] == iterations

@@ -271,6 +271,16 @@ class TestKlDivergence:
             kl_divergence([0.5, 0.6], [0.5, 0.5])
 
 
+def training_rows(samples, ctx, cfg):
+    """A class's feature rows under one pair, computed as `multiclass.train` does."""
+    samples = np.asarray(samples, dtype=float)
+    mode, eps = cfg.feature_mode, cfg.smoothing_eps
+    if mode == "elementwise_kl":
+        return core.kl_features(samples, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
+    weights = core.pair_kl_weights([ctx], samples.shape[1], mode, eps)
+    return core.whole_kl_features(samples, weights)[:, 0]
+
+
 class TestExtractPairFeatures:
     def setup_method(self):
         self.profile_x = profile_from([4.0, 2.0, 0.0, 2.0], class_id=0)
@@ -278,53 +288,54 @@ class TestExtractPairFeatures:
         self.cfg = CdfConfig(b=1.0, b_prime=1.0)
         self.ctx = build_pair_context(self.profile_x, self.profile_y, self.cfg)
 
-    def test_sample_equal_to_own_profile(self):
-        samples_x = [self.profile_x.mean_vec]
-        samples_y = [self.profile_y.mean_vec]
-        features, _ = extract_pair_features(
-            samples_x, samples_y, self.ctx, self.profile_x, self.profile_y, self.cfg
+    def extract(self, samples_x, samples_y, cfg=None):
+        cfg = cfg or self.cfg
+        return extract_pair_features(
+            training_rows(samples_x, self.ctx, cfg), training_rows(samples_y, self.ctx, cfg),
+            self.ctx, self.profile_x, self.profile_y, cfg,
         )
+
+    def test_sample_equal_to_own_profile(self):
+        features, _ = self.extract([self.profile_x.mean_vec], [self.profile_y.mean_vec])
         ref_x, _ = restrict_normalize(self.profile_x.mean_vec, self.ctx.mask)
         ref_y, _ = restrict_normalize(self.profile_y.mean_vec, self.ctx.mask)
         assert features[0, 0] <= 1e-12
         assert abs(features[0, 1] - kl_divergence(ref_x, ref_y)) <= 1e-12
 
     def test_label_order(self):
-        samples_x = [self.profile_x.mean_vec] * 3
-        samples_y = [self.profile_y.mean_vec] * 2
-        features, labels = extract_pair_features(
-            samples_x, samples_y, self.ctx, self.profile_x, self.profile_y, self.cfg
+        features, labels = self.extract(
+            [self.profile_x.mean_vec] * 3, [self.profile_y.mean_vec] * 2
         )
         assert features.shape[0] == 5
         assert labels.dtype == float and list(labels) == [1, 1, 1, -1, -1]
+        np.testing.assert_array_equal(features[1], features[0])
 
     def test_scalar_mode_is_first_dual_component(self):
-        samples_x = [np.asarray([3.0, 1.0, 0.5, 2.0])]
-        samples_y = [np.asarray([1.0, 0.5, 3.0, 2.0])]
-        dual, _ = extract_pair_features(
-            samples_x, samples_y, self.ctx, self.profile_x, self.profile_y, self.cfg
-        )
         from dataclasses import replace
 
-        scalar_cfg = replace(self.cfg, feature_mode="scalar_kl")
-        scalar, _ = extract_pair_features(
-            samples_x, samples_y, self.ctx, self.profile_x, self.profile_y, scalar_cfg
-        )
+        samples_x = [np.asarray([3.0, 1.0, 0.5, 2.0])]
+        samples_y = [np.asarray([1.0, 0.5, 3.0, 2.0])]
+        dual, _ = self.extract(samples_x, samples_y)
+        scalar, _ = self.extract(samples_x, samples_y, replace(self.cfg, feature_mode="scalar_kl"))
         np.testing.assert_array_equal(scalar[:, 0], dual[:, 0])
 
     def test_elementwise_mode_dimension(self):
         from dataclasses import replace
 
         cfg = replace(self.cfg, feature_mode="elementwise_kl")
-        features, _ = extract_pair_features(
-            [np.asarray([3.0, 1.0, 0.5, 2.0])],
-            [np.asarray([1.0, 0.5, 3.0, 2.0])],
-            self.ctx,
-            self.profile_x,
-            self.profile_y,
-            cfg,
+        features, _ = self.extract(
+            [np.asarray([3.0, 1.0, 0.5, 2.0])], [np.asarray([1.0, 0.5, 3.0, 2.0])], cfg
         )
         assert features.shape == (2, self.ctx.mask.size)
+
+    def test_refuses_rows_of_another_width_or_pair(self):
+        rows = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="must be 2 wide"):
+            extract_pair_features(rows, rows[:, :1], self.ctx, self.profile_x, self.profile_y,
+                                  self.cfg)
+        with pytest.raises(ValueError, match="profiles do not match"):
+            extract_pair_features(rows, rows, self.ctx, self.profile_y, self.profile_x,
+                                  self.cfg)
 
 
 class TestBuildPairContext:
@@ -355,11 +366,12 @@ class TestSampleFeatureConsistency:
         cfg = CdfConfig()
         ctx = build_pair_context(p_x, p_y, cfg)
         sample = rng.uniform(0, 5, size=10)
-        features, _ = extract_pair_features([sample], [sample], ctx, p_x, p_y, cfg)
+        rows = training_rows([sample], ctx, cfg)
+        features, _ = extract_pair_features(rows, rows, ctx, p_x, p_y, cfg)
         direct = core.sample_feature(
             sample, ctx.mask, ctx.ref_x, ctx.ref_y, cfg.feature_mode, cfg.smoothing_eps
         )
-        np.testing.assert_array_equal(features[0], direct)
+        assert np.all(np.abs(features[0] - direct) <= 1e-12 * (1 + np.abs(direct)))
 
 
 class TestKlFeaturesAgainstScalarOracle:

@@ -334,17 +334,102 @@ class TestPredictAgainstPairLoopOracle:
             assert np.all(np.abs(feats - want_feats) <= 1e-12 * (1 + np.abs(want_feats)))
 
 
+def training_features(monkeypatch, *args, **kwargs):
+    """The model `train(*args, **kwargs)` returns, and each pair's SVM input."""
+    seen = {}
+    extract = core.extract_pair_features
+
+    def spy(*a):
+        features, labels = extract(*a)
+        seen[a[2].class_x, a[2].class_y] = features, labels
+        return features, labels
+
+    monkeypatch.setattr(core, "extract_pair_features", spy)
+    model = train(*args, **kwargs)
+    monkeypatch.undo()
+    return model, seen
+
+
+class TestTrainAgainstPairLoopOracle:
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    @pytest.mark.parametrize("classes", (2, 4))
+    def test_features_match_the_per_pair_path(self, monkeypatch, classes, mode):
+        ds = oracle_dataset(classes, seed=31 + classes)
+        cfg = CdfConfig(feature_mode=mode)
+        model, seen = training_features(monkeypatch, ds, cfg, kernel=POLY2)
+        assert np.mean(ds.samples == 0) > 0.25
+        if classes > 2:
+            assert model.pairs[-1][0].fallback
+        assert list(seen) == [(ctx.class_x, ctx.class_y) for ctx, _ in model.pairs]
+        for ctx, _ in model.pairs:
+            got, labels = seen[ctx.class_x, ctx.class_y]
+            want, want_labels = pair_loop_oracle.pair_training_data(ds, ctx, cfg)
+            np.testing.assert_array_equal(labels, want_labels)
+            assert got.shape == want.shape
+            if mode == "elementwise_kl":
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+
+    @pytest.mark.parametrize("classes", (2, 4))
+    def test_elementwise_model_bytes_match_the_per_pair_path(self, classes):
+        ds = oracle_dataset(classes, seed=31 + classes)
+        cfg = CdfConfig(feature_mode="elementwise_kl")
+        model = train(ds, cfg, kernel=POLY2)
+        assert model_to_json(model) == model_to_json(pair_loop_oracle.train(ds, cfg, POLY2))
+
+    @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
+    @pytest.mark.parametrize("classes", (2, 4))
+    def test_features_are_the_predict_features(self, monkeypatch, classes, mode):
+        ds = oracle_dataset(classes, seed=31 + classes)
+        model, seen = training_features(monkeypatch, ds, CdfConfig(feature_mode=mode),
+                                        kernel=POLY2)
+        for j, (ctx, _) in enumerate(model.pairs):
+            rows = np.concatenate([ds.class_matrix(ctx.class_x), ds.class_matrix(ctx.class_y)])
+            want = core.whole_kl_features(rows, model.kl_weights)[:, j]
+            np.testing.assert_array_equal(seen[ctx.class_x, ctx.class_y][0], want)
+
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_jobs_do_not_change_the_model(self, mode):
+        ds = oracle_dataset(4, seed=35)
+        cfg = CdfConfig(feature_mode=mode)
+        one = train(ds, cfg, kernel=POLY2, jobs=1)
+        two = train(ds, cfg, kernel=POLY2, jobs=2)
+        assert two == one and model_to_json(two) == model_to_json(one)
+
+
+class TestSelectPairWeights:
+    @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
+    def test_selected_pairs_give_the_same_bits(self, mode):
+        ds = oracle_dataset(4, seed=35)
+        model = train(ds, CdfConfig(feature_mode=mode), kernel=POLY2)
+        whole = core.whole_kl_features(ds.samples, model.kl_weights)
+        for js in ([0], [5, 1, 3], list(range(len(model.pairs)))):
+            got = core.whole_kl_features(ds.samples[3:9],
+                                         core.select_pair_weights(model.kl_weights, js))
+            np.testing.assert_array_equal(got, whole[3:9, js])
+
+
 class TestCachedWeights:
     def test_cache_is_not_part_of_equality_or_the_file(self):
         x, y = gaussian_blobs(8, seed=17, dims=30, classes=3)
         model = train(Dataset.from_arrays(x, y), CdfConfig(), kernel=POLY2)
         text = model_to_json(model)
         fresh = model_from_json(text)
-        assert "kl_weights" not in vars(model)
-        predict_batch(model, x)
-        assert "kl_weights" in vars(model) and "kl_weights" not in vars(fresh)
+        # Training seeds the cache with the weights it extracted features with.
+        w, empty = vars(model)["kl_weights"]
+        cfg = model.config
+        want_w, want_empty = core.pair_kl_weights(
+            [ctx for ctx, _ in model.pairs], model.dim, cfg.feature_mode, cfg.smoothing_eps
+        )
+        np.testing.assert_array_equal(w, want_w)
+        np.testing.assert_array_equal(empty, want_empty)
+        # A loaded model builds it on its first predict.
+        assert "kl_weights" not in vars(fresh)
+        assert predict_batch(fresh, x) == predict_batch(model, x)
+        assert "kl_weights" in vars(fresh)
         assert model == fresh and fresh == model
-        assert model_to_json(model) == text
+        assert model_to_json(model) == text == model_to_json(fresh)
 
     def test_threads_racing_on_the_first_predict_agree(self):
         x, y = gaussian_blobs(8, seed=18, dims=30, classes=4)
