@@ -111,7 +111,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            help="comma-separated b grid for CV")
             p.add_argument("--grid-b-prime", dest="grid_b_prime", default="0.5,1.0,1.5,2.0",
                            help="comma-separated b' grid for CV")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed of the cross-validation folds")
             p.add_argument("--jobs", type=_positive_int, default=1)
         p.add_argument("--model", help="model file path")
         p.add_argument("--out", help="report/output file path")
@@ -286,9 +287,7 @@ def cmd_train(cfg: dict) -> int:
             for gb in _parse_grid(cfg["grid_b"], "grid-b")
             for gbp in _parse_grid(cfg["grid_b_prime"], "grid-b-prime")
         ]
-        trainer = multiclass.pipeline_trainer(
-            base, tol=tol, max_passes=max_passes, seed=seed, jobs=jobs
-        )
+        trainer = multiclass.pipeline_trainer(base, tol=tol, max_passes=max_passes, jobs=jobs)
         result = cross_validate(
             dataset.matrix(), dataset.labels, grid, folds, seed, trainer
         )
@@ -307,7 +306,7 @@ def cmd_train(cfg: dict) -> int:
     t1 = time.perf_counter()
     model = multiclass.train(
         dataset, final_cfg, kernel=kernel, c=c, tol=tol,
-        max_passes=max_passes, seed=seed, jobs=jobs,
+        max_passes=max_passes, jobs=jobs,
     )
     t_train = time.perf_counter() - t1
 

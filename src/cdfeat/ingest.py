@@ -108,19 +108,19 @@ def idx_dataset(images: IdxImages, labels, keep_classes=None) -> Dataset:
     """Pair image vectors with labels into a Dataset with dense class ids.
 
     `keep_classes` optionally restricts to a subset of the raw labels (for
-    example two digits); raw labels become the label-name side table.
+    example two digits); raw labels become the label-name side table. When
+    every row is kept, the dataset holds `images.pixels` itself, not a copy.
     """
     if images.pixels.shape[0] != len(labels):
         raise ValueError(
             f"{images.pixels.shape[0]} images but {len(labels)} labels"
         )
-    labels = [int(v) for v in labels]
-    wanted = sorted(set(labels) if keep_classes is None else set(keep_classes))
-    remap = {raw: dense for dense, raw in enumerate(wanted)}
-    rows = [i for i, lab in enumerate(labels) if lab in remap]
-    x = images.pixels[rows]
-    y = [remap[labels[i]] for i in rows]
-    return Dataset.from_arrays(x, y, label_names=[str(raw) for raw in wanted])
+    labels = np.asarray(labels, dtype=np.int64)
+    wanted = np.unique(labels if keep_classes is None else np.fromiter(keep_classes, np.int64))
+    keep = np.isin(labels, wanted)
+    x = images.pixels if keep.all() else images.pixels[keep]
+    y = np.searchsorted(wanted, labels[keep])
+    return Dataset.from_arrays(x, y, label_names=[str(raw) for raw in wanted.tolist()])
 
 
 # --- sparse text format ------------------------------------------------------

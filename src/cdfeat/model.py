@@ -6,13 +6,16 @@ numpy arrays are records (`record.Record`): each names its array fields once,
 keeps read-only views of them (the caller's arrays stay writable), compares
 field by field with arrays by shape and content, and is unhashable.
 `CdfConfig` is a plain frozen dataclass. Model serialization is a
-versioned JSON document ("cdf-model/3") whose reals carry 17 significant
-digits so that save/load round-trips are exact. It stores only what cannot be
-derived: the config and SVM settings, each class's sum vector and cardinality,
-and each pair's SVM. Loading rebuilds the mean profiles, every pair context
+versioned JSON document ("cdf-model/4") written by `json.dumps`: reals in
+Python's shortest round-trip text and a class's sums as integers when all are
+integral, so save/load round-trips are exact. It stores each fact once: the
+config and SVM settings, the label names, each class's sum vector and
+cardinality, and each pair's SVM. The class count is the number of label
+names, the dimension the length of a sum vector, and the pairs come in
+`class_pairs` order. Loading rebuilds the mean profiles, every pair context
 (mask, masked references, ratio means, thresholds) and each SVM's resolved
 kernel and C exactly as training computed them. Documents in the older
-"cdf-model/1" and "cdf-model/2" formats are refused; retrain to get a /3 file.
+"cdf-model/1" to "cdf-model/3" formats are refused; retrain to get a /4 file.
 
 `CdfModel.kl_weights`, the one cache, is seeded by `multiclass.train`, which
 builds the same weights to extract dual_kl and scalar_kl training features.
@@ -23,18 +26,19 @@ so threads that race to build it at worst build it twice, with equal results.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
+from numbers import Integral, Real
 
 import numpy as np
 
 from .record import Record
-from .report import fmt_float
 from .svm import KernelSpec, SvmModel
 
-MODEL_FORMAT = "cdf-model/3"
-RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2")
+MODEL_FORMAT = "cdf-model/4"
+RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2", "cdf-model/3")
 
 SELECTION_MODES = ("ratio", "literal")
 FEATURE_MODES = ("dual_kl", "scalar_kl", "elementwise_kl")
@@ -228,33 +232,70 @@ class PairContext(Record):
             raise ValueError("mask indices must be >= 0")
 
 
+def _check_classes(label_names, profiles, num_pairs: int) -> None:
+    """ValueError unless there are at least two classes, one profile per
+    label name, sums of one length in every profile, and one pair per class
+    pair."""
+    m = len(label_names)
+    if m < 2:
+        raise ValueError(f"a model needs at least two classes, got {m} label names")
+    if len(profiles) != m:
+        raise ValueError(f"{m} label names but {len(profiles)} class profiles")
+    dim = profiles[0].sum_vec.size
+    if any(p.sum_vec.shape != (dim,) for p in profiles):
+        raise ValueError(f"every class profile must hold {dim} sums")
+    expected = m * (m - 1) // 2
+    if num_pairs != expected:
+        raise ValueError(f"expected {expected} pairs for {m} classes, got {num_pairs}")
+
+
+def check_svm_settings(c, tol, max_passes) -> None:
+    """ValueError unless `c` and `tol` are finite reals > 0 and `max_passes`
+    is an integer >= 1."""
+    for name, value in (("c", c), ("tol", tol)):
+        if isinstance(value, bool) or not isinstance(value, Real) or not (
+            math.isfinite(value) and value > 0
+        ):
+            raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
+    if isinstance(max_passes, bool) or not isinstance(max_passes, Integral) or max_passes < 1:
+        raise ValueError(f"max_passes must be an integer >= 1, got {max_passes!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class CdfModel(Record):
-    """The serializable artifact of training: per-pair contexts plus SVMs."""
+    """The serializable artifact of training: per-pair contexts plus SVMs.
+
+    The class count is `len(label_names)` and the dimension the length of
+    each profile's sums; construction refuses a model whose profiles, pairs
+    or SVM settings do not fit them.
+    """
 
     config: CdfConfig
     kernel: KernelSpec
     c: float
     tol: float
     max_passes: int
-    seed: int
-    num_classes: int
-    dim: int
     label_names: tuple
     profiles: tuple
     pairs: tuple  # ((PairContext, SvmModel), ...) in (x, y) lexicographic order
 
     def __post_init__(self):
         super().__post_init__()
-        m = self.num_classes
-        expected = m * (m - 1) // 2
-        if len(self.pairs) != expected:
-            raise ValueError(f"expected {expected} pairs for {m} classes, got {len(self.pairs)}")
+        _check_classes(self.label_names, self.profiles, len(self.pairs))
         for ctx, _ in self.pairs:
             if np.any(ctx.mask >= self.dim):
                 raise ValueError(
                     f"pair ({ctx.class_x},{ctx.class_y}) mask exceeds dim {self.dim}"
                 )
+        check_svm_settings(self.c, self.tol, self.max_passes)
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.label_names)
+
+    @property
+    def dim(self) -> int:
+        return self.profiles[0].sum_vec.size
 
     @cached_property
     def kl_weights(self) -> tuple:
@@ -274,61 +315,17 @@ class CdfModel(Record):
 
 # --- serialization ---------------------------------------------------------
 
-def _emit(value, out: list) -> None:
-    # Deterministic JSON emitter; floats carry 17 significant digits.
-    if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(fmt_float(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, dict):
-        out.append("{")
-        for k, (key, item) in enumerate(value.items()):
-            if k:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(item, out)
-        out.append("}")
-    elif isinstance(value, np.ndarray) and value.ndim and value.dtype.kind in "fiu":
-        real = value.dtype.kind == "f"
-        if real and not np.all(np.isfinite(value)):
-            raise ValueError("non-finite real cannot be formatted")
-        # + 0.0 writes -0.0 as 0, as fmt_float does.
-        out.append(_array_text((value + 0.0 if real else value).tolist(), value.ndim, real))
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        out.append("[")
-        for k, item in enumerate(value):
-            if k:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _array_text(items: list, ndim: int, real: bool) -> str:
-    # The bytes `_emit` writes element by element, from a numpy array's tolist().
-    if ndim > 1:
-        return "[" + ",".join([_array_text(row, ndim - 1, real) for row in items]) + "]"
-    if real:
-        return "[" + ",".join([format(v, ".17g") for v in items]) + "]"
-    return "[" + ",".join(map(str, items)) + "]"
-
-
-def _dumps(value) -> str:
-    out: list = []
-    _emit(value, out)
-    return "".join(out)
+def _sums_doc(sum_vec: np.ndarray) -> list:
+    # Counts (pixels, terms) sum to integers; "12" is shorter than "12.0".
+    # Below 2**53 every integer is a float, so the reader gets the same sums.
+    if np.all(sum_vec == np.floor(sum_vec)) and np.all(sum_vec < 2.0**53):
+        return sum_vec.astype(np.int64).tolist()
+    return sum_vec.tolist()
 
 
 def _kernel_doc(k: KernelSpec) -> dict:
-    return {"kind": k.kind, "degree": k.degree, "gamma": k.gamma, "coef0": k.coef0}
+    gamma = None if k.gamma is None else float(k.gamma)
+    return {"kind": k.kind, "degree": int(k.degree), "gamma": gamma, "coef0": float(k.coef0)}
 
 
 def _kernel_from(doc: dict) -> KernelSpec:
@@ -338,52 +335,49 @@ def _kernel_from(doc: dict) -> KernelSpec:
 
 
 def model_to_json(model: CdfModel) -> str:
-    """Serialize a trained model to the cdf-model/3 JSON document."""
+    """Serialize a trained model to the cdf-model/4 JSON document.
+
+    ValueError if a real is not finite.
+    """
     cfg = model.config
     doc = {
         "format": MODEL_FORMAT,
         "config": {
-            "b": cfg.b,
-            "b_prime": cfg.b_prime,
+            "b": float(cfg.b),
+            "b_prime": float(cfg.b_prime),
             "selection_mode": cfg.selection_mode,
             "feature_mode": cfg.feature_mode,
-            "smoothing_eps": cfg.smoothing_eps,
+            "smoothing_eps": float(cfg.smoothing_eps),
             "pair_overrides": [
-                [x, y, b, bp] for (x, y), (b, bp) in sorted(cfg.pair_overrides.items())
+                [int(x), int(y), float(b), float(bp)]
+                for (x, y), (b, bp) in sorted(cfg.pair_overrides.items())
             ],
         },
         "kernel": _kernel_doc(model.kernel),
-        "c": model.c,
-        "tol": model.tol,
-        "max_passes": model.max_passes,
-        "seed": model.seed,
-        "num_classes": model.num_classes,
-        "dim": model.dim,
+        "c": float(model.c),
+        "tol": float(model.tol),
+        "max_passes": int(model.max_passes),
         "label_names": list(model.label_names),
         "profiles": [
-            {"class_id": p.class_id, "cardinality": p.cardinality, "sum_vec": p.sum_vec}
+            {"cardinality": int(p.cardinality), "sum_vec": _sums_doc(p.sum_vec)}
             for p in model.profiles
         ],
         "pairs": [
             {
-                "class_x": ctx.class_x,
-                "class_y": ctx.class_y,
-                "svm": {
-                    "support_vectors": svm.support_vectors,
-                    "coef": svm.coef,
-                    "bias": svm.bias,
-                    "iterations": svm.iterations,
-                    "kkt_violation_max": svm.kkt_violation_max,
-                },
+                "support_vectors": svm.support_vectors.tolist(),
+                "coef": svm.coef.tolist(),
+                "bias": float(svm.bias),
+                "iterations": int(svm.iterations),
+                "kkt_violation_max": float(svm.kkt_violation_max),
             }
-            for ctx, svm in model.pairs
+            for _, svm in model.pairs
         ],
     }
-    return _dumps(doc)
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def model_from_json(text: str) -> CdfModel:
-    """Parse a cdf-model/3 JSON document and rebuild what training derived.
+    """Parse a cdf-model/4 JSON document and rebuild what training derived.
 
     Mean profiles, pair contexts and each SVM's kernel and C are recomputed
     the way `multiclass.train` computes them, so a loaded model equals the
@@ -412,14 +406,10 @@ def model_from_json(text: str) -> CdfModel:
         },
     )
     kernel = _kernel_from(doc["kernel"])
-    m, dim = doc["num_classes"], doc["dim"]
-    if len(doc["profiles"]) != m:
-        raise ValueError(f"expected {m} class profiles, got {len(doc['profiles'])}")
+    label_names = tuple(doc["label_names"])
     profiles = []
     for cid, p in enumerate(doc["profiles"]):
         sum_vec = np.asarray(p["sum_vec"], dtype=float)
-        if p["class_id"] != cid or sum_vec.shape != (dim,):
-            raise ValueError(f"profile {cid}: expected class {cid} with {dim} sums")
         profiles.append(
             ClassProfile(
                 class_id=cid,
@@ -428,14 +418,12 @@ def model_from_json(text: str) -> CdfModel:
                 cardinality=p["cardinality"],
             )
         )
-    pair_ids = class_pairs(m)
-    if [(e["class_x"], e["class_y"]) for e in doc["pairs"]] != pair_ids:
-        raise ValueError("pairs must list every class pair (x, y), x < y, in order")
+    # Checked before the pair contexts are built from the profiles.
+    _check_classes(label_names, profiles, len(doc["pairs"]))
     pairs = []
-    for (x, y), e in zip(pair_ids, doc["pairs"]):
+    for (x, y), s in zip(class_pairs(len(label_names)), doc["pairs"]):
         ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
         width = feature_width(cfg.feature_mode, ctx)
-        s = e["svm"]
         sv = np.asarray(s["support_vectors"], dtype=float)
         if sv.ndim != 2 or sv.shape[1] != width:
             raise ValueError(f"pair ({x},{y}): support vectors must be rows of {width} features")
@@ -457,10 +445,7 @@ def model_from_json(text: str) -> CdfModel:
         c=doc["c"],
         tol=doc["tol"],
         max_passes=doc["max_passes"],
-        seed=doc["seed"],
-        num_classes=m,
-        dim=dim,
-        label_names=tuple(doc["label_names"]),
+        label_names=label_names,
         profiles=tuple(profiles),
         pairs=tuple(pairs),
     )

@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
-from .model import CdfConfig, CdfModel, ClassProfile, Dataset, class_pairs, validate_dataset
+from .model import (
+    CdfConfig, CdfModel, ClassProfile, Dataset, check_svm_settings, class_pairs, validate_dataset,
+)
 from .svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, GridCell, KernelSpec, decision_batch, smo_train
 
 # The pair SVMs' kernel and C when the caller names none. The kernel takes
@@ -90,11 +92,13 @@ def train(
     before any SVM is fitted; the model's `kl_weights` is seeded with the
     weights, so its training features are the bits `predict_batch` computes.
     elementwise_kl features are wider, so each pair's are computed with
-    `core.kl_features` when its SVM is fitted.
+    `core.kl_features` when its SVM is fitted. The solves use no randomness;
+    `seed` is accepted and unused.
     """
     problems = validate_dataset(dataset)
     if problems:
         raise ValueError("invalid dataset: " + "; ".join(problems))
+    check_svm_settings(c, tol, max_passes)
     m = dataset.num_classes
     if m < 2:
         raise ValueError("training needs at least two classes")
@@ -151,9 +155,6 @@ def train(
         c=c,
         tol=tol,
         max_passes=max_passes,
-        seed=seed,
-        num_classes=m,
-        dim=dataset.dim,
         label_names=dataset.label_names,
         profiles=tuple(profiles),
         pairs=fit_pairs(m, pair_data, kernel, c, tol, max_passes, jobs),
@@ -233,7 +234,7 @@ def pipeline_trainer(
     """cross_validate trainer running the full pipeline per grid cell.
 
     The cell's b/b_prime replace the config's global multipliers and the
-    cell's C and kernel drive the pair SVMs.
+    cell's C and kernel drive the pair SVMs. `seed` is accepted and unused.
     """
 
     def trainer(x_train, y_train, cell: GridCell):
@@ -241,7 +242,7 @@ def pipeline_trainer(
         ds = Dataset.from_arrays(x_train, y_train)
         model = train(
             ds, cell_cfg, kernel=cell.kernel, c=cell.c, tol=tol,
-            max_passes=max_passes, seed=seed, jobs=jobs,
+            max_passes=max_passes, jobs=jobs,
         )
 
         def predict_labels(x_eval):

@@ -1,4 +1,4 @@
-"""Deterministic text formatting shared by reports and model serialization."""
+"""Deterministic text formatting of the numbers in reports."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ import math
 
 
 def fmt_float(x: float) -> str:
-    """Format a real with 17 significant digits; round-trips exactly.
-
-    -0.0 is written as 0: a JSON reader takes "-0" for the integer 0, so a
-    signed zero could not round-trip anyway, and a reloaded model would
-    serialize differently.
+    """Format a real for a report with 17 significant digits; round-trips
+    exactly. -0.0 is written as 0. Model files do not use it: `json.dumps`
+    writes their reals.
     """
     if math.isnan(x) or math.isinf(x):
         raise ValueError("non-finite real cannot be formatted")

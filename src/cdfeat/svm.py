@@ -359,22 +359,3 @@ def cross_validate(x, y, grid, folds: int, seed: int, trainer) -> CvResult:
             best_cell = cell
     return CvResult(best=best_cell, table=tuple(table))
 
-
-def binary_svm_trainer(tol: float = DEFAULT_TOL, max_passes: int = DEFAULT_MAX_PASSES):
-    """Plain two-class SVM trainer for cross_validate; ignores b/b_prime."""
-
-    def trainer(x_train, y_train, cell: GridCell):
-        classes = np.unique(y_train)
-        if classes.size != 2:
-            raise ValueError("binary_svm_trainer needs exactly two classes")
-        pm = np.where(y_train == classes[1], 1.0, -1.0)
-        model = smo_train(x_train, pm, cell.c, cell.kernel, tol=tol,
-                          max_passes=max_passes)
-
-        def predict(x_eval):
-            d = decision_batch(model, x_eval)
-            return np.where(d > 0, classes[1], classes[0])
-
-        return predict
-
-    return trainer

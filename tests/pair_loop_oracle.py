@@ -52,8 +52,8 @@ def train(dataset, cfg, kernel, c=DEFAULT_C, tol=DEFAULT_TOL,
         return ctx, *pair_training_data(dataset, ctx, cfg)
 
     return CdfModel(
-        config=cfg, kernel=kernel, c=c, tol=tol, max_passes=max_passes, seed=0,
-        num_classes=dataset.num_classes, dim=dataset.dim, label_names=dataset.label_names,
+        config=cfg, kernel=kernel, c=c, tol=tol, max_passes=max_passes,
+        label_names=dataset.label_names,
         profiles=tuple(profs),
         pairs=fit_pairs(dataset.num_classes, pair_data, kernel, c, tol, max_passes),
     )

@@ -443,11 +443,11 @@ class TestInspect:
         doc = json.loads(trained["model"].read_text())
         doc["profiles"][0]["cardinality"] = str(doc["profiles"][0]["cardinality"])
         nan_bias = json.loads(trained["model"].read_text())
-        nan_bias["pairs"][0]["svm"]["bias"] = float("nan")
+        nan_bias["pairs"][0]["bias"] = float("nan")
         texts = ["{}", json.dumps(doc), json.dumps(nan_bias)]
         for value in (float("nan"), float("inf")):
             bad_sv = json.loads(trained["model"].read_text())
-            bad_sv["pairs"][0]["svm"]["support_vectors"][0][1] = value
+            bad_sv["pairs"][0]["support_vectors"][0][1] = value
             texts.append(json.dumps(bad_sv))
         for text in texts:
             bad = tmp_path / "bad.json"
@@ -653,7 +653,8 @@ class TestConfigFile:
         common = ["--config", str(config), "--model", str(model_path)]
         assert main(["train", *common, "--out", str(tmp_path / "train.report")]) == 0
         model = model_from_json(model_path.read_text())
-        assert (model.config.b, model.c, model.seed) == (1.5, 5.0, 7)
+        assert (model.config.b, model.c) == (1.5, 5.0)
+        assert "seed" not in json.loads(model_path.read_text())
         capsys.readouterr()
         assert main(["eval", *common, "--data", str(fixture_files["test"])]) == 0
         lines = capsys.readouterr().out.splitlines()

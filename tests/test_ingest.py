@@ -9,6 +9,7 @@ from cdfeat.ingest import (
     IDX_LABEL_MAGIC,
     BowResult,
     IdxFormatError,
+    IdxImages,
     RawDocument,
     SgmlFormatError,
     SparseFormatError,
@@ -114,6 +115,31 @@ class TestIdxDataset:
         ds = idx_dataset(images, [0, 1, 2], keep_classes=[0, 2])
         assert len(ds) == 2
         assert ds.label_names == ("0", "2")
+        assert list(ds.labels) == [0, 1]
+        np.testing.assert_array_equal(ds.samples, [[10.0], [30.0]])
+        assert not np.shares_memory(ds.samples, images.pixels)
+
+    def test_matches_the_per_row_remap(self):
+        # The per-row loops that idx_dataset's numpy remap replaced.
+        rng = np.random.default_rng(3)
+        for case in range(20):
+            labels = rng.integers(0, 10, size=30).tolist()
+            keep = None if case % 2 else rng.choice(10, size=4, replace=False).tolist()
+            wanted = sorted(set(labels) if keep is None else set(keep))
+            remap = {raw: dense for dense, raw in enumerate(wanted)}
+            rows = [i for i, lab in enumerate(labels) if lab in remap]
+            pixels = rng.integers(0, 256, size=(30, 4)).astype(float)
+            ds = idx_dataset(IdxImages(pixels, 2, 2), labels, keep_classes=keep)
+            assert ds.label_names == tuple(str(raw) for raw in wanted)
+            assert ds.labels.tolist() == [remap[labels[i]] for i in rows]
+            np.testing.assert_array_equal(ds.samples, pixels[rows])
+
+    def test_no_copy_when_every_row_is_kept(self):
+        images = load_idx_images(image_bytes(4, 1, 2, [1, 2, 3, 4, 5, 6, 7, 8]))
+        for keep, names in ((None, ("3", "7")), ([7, 3], ("3", "7")), ([9, 7, 3], ("3", "7", "9"))):
+            ds = idx_dataset(images, [7, 3, 7, 3], keep_classes=keep)
+            assert np.shares_memory(ds.samples, images.pixels)
+            assert list(ds.labels) == [1, 0, 1, 0] and ds.label_names == names
 
 
 class TestSparse:

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from cdfeat import core
+from cdfeat import core, multiclass
 from cdfeat.model import FEATURE_MODES, CdfConfig, Dataset, model_from_json, model_to_json
 from cdfeat.multiclass import (
     VoteRecord,
@@ -70,6 +70,18 @@ class TestTrain:
         ds = Dataset.from_arrays(x, [0] * 5)
         with pytest.raises(ValueError, match="two classes"):
             train(ds, CdfConfig(), kernel=POLY2)
+
+    @pytest.mark.parametrize("settings", [
+        {"c": 0.0}, {"c": float("inf")}, {"tol": 0.0}, {"tol": float("nan")}, {"tol": "0.001"},
+        {"max_passes": 0}, {"max_passes": 2.5},
+    ])
+    def test_bad_svm_settings_refused_before_fitting(self, settings, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a pair SVM was fitted")
+
+        monkeypatch.setattr(multiclass, "fit_pairs", no_fit)
+        with pytest.raises(ValueError, match=next(iter(settings))):
+            train(two_class_dataset(), CdfConfig(), kernel=POLY2, **settings)
 
     def test_jobs_match_sequential(self):
         x, y = gaussian_blobs(10, seed=3, dims=12, classes=3)

@@ -5,7 +5,6 @@ from cdfeat.svm import (
     GridCell,
     KernelSpec,
     SvmModel,
-    binary_svm_trainer,
     cross_validate,
     decision,
     decision_batch,
@@ -319,6 +318,25 @@ class TestStratifiedFolds:
         b = stratified_folds(y, 4, seed=9)
         for fa, fb in zip(a, b):
             np.testing.assert_array_equal(fa, fb)
+
+
+def binary_svm_trainer():
+    """Plain two-class SVM trainer for cross_validate; ignores b/b_prime."""
+
+    def trainer(x_train, y_train, cell: GridCell):
+        classes = np.unique(y_train)
+        if classes.size != 2:
+            raise ValueError("binary_svm_trainer needs exactly two classes")
+        pm = np.where(y_train == classes[1], 1.0, -1.0)
+        model = smo_train(x_train, pm, cell.c, cell.kernel)
+
+        def predict(x_eval):
+            d = decision_batch(model, x_eval)
+            return np.where(d > 0, classes[1], classes[0])
+
+        return predict
+
+    return trainer
 
 
 class TestCrossValidate:
