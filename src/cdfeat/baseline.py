@@ -21,17 +21,19 @@ class TfIdfModel(Record):
     """Per-term inverse document frequencies fit on a training corpus."""
 
     idf: np.ndarray
-    vocab_size: int
-    doc_count: int
 
     ARRAYS = {"idf": float}
 
     def __post_init__(self):
         super().__post_init__()
-        if self.idf.shape != (self.vocab_size,):
-            raise ValueError("idf length must equal vocab_size")
+        if self.idf.ndim != 1:
+            raise ValueError("idf must be a vector")
         if np.any(self.idf < 0):
             raise ValueError("idf values must be >= 0")
+
+    @property
+    def vocab_size(self) -> int:
+        return self.idf.size
 
 
 def fit_idf(train_vectors) -> TfIdfModel:
@@ -41,8 +43,7 @@ def fit_idf(train_vectors) -> TfIdfModel:
         raise ValueError("fit_idf needs a non-empty 2-D count matrix")
     d = mat.shape[0]
     df = np.sum(mat > 0, axis=0)
-    idf = np.log((1.0 + d) / (1.0 + df)) + 1.0
-    return TfIdfModel(idf=idf, vocab_size=mat.shape[1], doc_count=d)
+    return TfIdfModel(idf=np.log((1.0 + d) / (1.0 + df)) + 1.0)
 
 
 def transform(model: TfIdfModel, vectors) -> np.ndarray:

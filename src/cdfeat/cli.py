@@ -362,7 +362,7 @@ def cmd_eval(cfg: dict) -> int:
     truth = _align_truth(model, dataset)
     cm = metrics.confusion(preds, truth, model.num_classes)
     report = _config_echo_lines(cfg)
-    report.extend(metrics.metric_lines(preds, truth, model.num_classes, model.label_names))
+    report.extend(metrics.metric_lines(cm, model.label_names))
     report.append("confusion_matrix:")
     report.append(metrics.format_confusion(cm, model.label_names))
     _write_report(cfg, report)

@@ -245,13 +245,11 @@ def build_pair_context(
     b, b_prime = cfg.multipliers(profile_x.class_id, profile_y.class_id)
     mu_xy = pair_mean(pair_ratios(profile_x.mean_vec, profile_y.mean_vec, cfg.smoothing_eps))
     mu_yx = pair_mean(pair_ratios(profile_y.mean_vec, profile_x.mean_vec, cfg.smoothing_eps))
-    tau = b * mu_xy
-    tau_prime = b_prime * mu_yx
     mask, fallback = select_indices(
         profile_x.mean_vec,
         profile_y.mean_vec,
-        tau,
-        tau_prime,
+        b * mu_xy,
+        b_prime * mu_yx,
         mode=cfg.selection_mode,
         eps=cfg.smoothing_eps,
     )
@@ -262,8 +260,6 @@ def build_pair_context(
         class_y=profile_y.class_id,
         mu_xy=mu_xy,
         mu_yx=mu_yx,
-        tau=tau,
-        tau_prime=tau_prime,
         mask=mask,
         b=b,
         b_prime=b_prime,

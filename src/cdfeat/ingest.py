@@ -11,6 +11,7 @@ import gzip
 import re
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -300,14 +301,10 @@ _TOKEN_RE = re.compile(r"[A-Za-z]+")
 class Vocabulary:
     """Term index fit on the training split; document frequencies included."""
 
-    term_to_index: dict
     index_to_term: tuple
     document_frequency: tuple
 
     def __post_init__(self):
-        for term, idx in self.term_to_index.items():
-            if self.index_to_term[idx] != term:
-                raise ValueError("term_to_index and index_to_term disagree")
         if len(self.index_to_term) != len(self.document_frequency):
             raise ValueError("one document frequency per term required")
         if any(df < 1 for df in self.document_frequency):
@@ -315,6 +312,10 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.index_to_term)
+
+    @cached_property
+    def term_to_index(self) -> dict:
+        return {term: i for i, term in enumerate(self.index_to_term)}
 
 
 def tokenize(text: str) -> list[str]:
@@ -336,7 +337,6 @@ def build_vocabulary(docs, min_df: int = DEFAULT_MIN_DF) -> Vocabulary:
             df[term] = df.get(term, 0) + 1
     kept = sorted(term for term, count in df.items() if count >= min_df)
     return Vocabulary(
-        term_to_index={term: i for i, term in enumerate(kept)},
         index_to_term=tuple(kept),
         document_frequency=tuple(df[term] for term in kept),
     )

@@ -104,24 +104,22 @@ def format_confusion(cm: ConfusionMatrix, label_names=None) -> str:
     return "\n".join(lines)
 
 
-def metric_lines(preds, truth, num_classes: int, label_names=None) -> list[str]:
-    """Machine-readable `metric=value` lines for one evaluation."""
+def metric_lines(cm: ConfusionMatrix, label_names=None) -> list[str]:
+    """Machine-readable `metric=value` lines for one evaluation's confusion matrix."""
     from .report import fmt_float
 
-    cm = confusion(preds, truth, num_classes)
     macro_f, micro_f, per_class = macro_micro_f(cm)
-    names = list(label_names) if label_names is not None else [str(c) for c in range(num_classes)]
+    names = [str(c) for c in range(cm.num_classes)] if label_names is None else list(label_names)
+    error = (cm.total - int(np.trace(cm.counts))) / cm.total
     lines = [
         f"samples={cm.total}",
-        f"error_rate={fmt_float(error_rate(preds, truth))}",
-        f"accuracy={fmt_float(1.0 - error_rate(preds, truth))}",
+        f"error_rate={fmt_float(error)}",
+        f"accuracy={fmt_float(1.0 - error)}",
         f"macro_f={fmt_float(macro_f)}",
         f"micro_f={fmt_float(micro_f)}",
     ]
-    for c, (p, r, f1) in enumerate(per_class):
-        lines.append(
-            f"class_{names[c]}_precision={fmt_float(p)}"
-        )
-        lines.append(f"class_{names[c]}_recall={fmt_float(r)}")
-        lines.append(f"class_{names[c]}_f1={fmt_float(f1)}")
+    for name, (p, r, f1) in zip(names, per_class):
+        lines.append(f"class_{name}_precision={fmt_float(p)}")
+        lines.append(f"class_{name}_recall={fmt_float(r)}")
+        lines.append(f"class_{name}_f1={fmt_float(f1)}")
     return lines

@@ -12,15 +12,15 @@ integral, so save/load round-trips are exact. It stores each fact once: the
 config and SVM settings, the label names, each class's sum vector and
 cardinality, and each pair's SVM. The class count is the number of label
 names, the dimension the length of a sum vector, and the pairs come in
-`class_pairs` order. Loading rebuilds the mean profiles, every pair context
-(mask, masked references, ratio means, thresholds) and each SVM's resolved
-kernel and C exactly as training computed them. Documents in the older
-"cdf-model/1" to "cdf-model/3" formats are refused; retrain to get a /4 file.
+`class_pairs` order. Loading rebuilds every pair context (mask, masked
+references, ratio means) and each SVM's resolved kernel and C exactly as
+training computed them. Documents in the older "cdf-model/1" to
+"cdf-model/3" formats are refused; retrain to get a /4 file.
 
-`CdfModel.kl_weights`, the one cache, is seeded by `multiclass.train`, which
-builds the same weights to extract dual_kl and scalar_kl training features.
-A loaded model builds it lazily on its first predict, from frozen fields only,
-so threads that race to build it at worst build it twice, with equal results.
+Records store independent facts only; what follows from them is a property
+or a cache (`ClassProfile.mean_vec`, `CdfModel.kl_weights`) built on first use
+from frozen fields, so threads that race to build one at worst build it twice.
+`multiclass.train` seeds `kl_weights` with its dual_kl/scalar_kl weights.
 """
 
 from __future__ import annotations
@@ -106,8 +106,6 @@ class Dataset(Record):
 
     samples: np.ndarray
     labels: np.ndarray
-    num_classes: int
-    dim: int
     label_names: tuple
 
     ARRAYS = {"samples": float, "labels": np.int64}
@@ -130,13 +128,15 @@ class Dataset(Record):
         if label_names is None:
             m = int(y.max()) + 1 if y.size else 0
             label_names = tuple(str(c) for c in range(m))
-        return cls(
-            samples=x,
-            labels=y,
-            num_classes=len(label_names),
-            dim=x.shape[1],
-            label_names=tuple(label_names),
-        )
+        return cls(samples=x, labels=y, label_names=tuple(label_names))
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.label_names)
+
+    @property
+    def dim(self) -> int:
+        return self.samples.shape[1]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -153,8 +153,8 @@ class Dataset(Record):
 def validate_dataset(dataset: Dataset) -> list[str]:
     """Report every violated Dataset invariant; empty list means valid."""
     x, y, m = dataset.samples, dataset.labels, dataset.num_classes
-    if x.shape != (y.size, dataset.dim):
-        return [f"sample matrix shape {x.shape} is not ({y.size}, {dataset.dim})"]
+    if x.ndim != 2 or x.shape[0] != y.size:
+        return [f"sample matrix shape {x.shape} is not 2-D with one row per label ({y.size})"]
     violations = [
         f"sample {i}: components must be finite and >= 0"
         for i in np.flatnonzero(~np.all(np.isfinite(x) & (x >= 0), axis=1))
@@ -170,26 +170,28 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class ClassProfile(Record):
-    """Per-class sum and mean vectors over the class's samples."""
+    """Per-class sum vector over the class's samples, and its sample count."""
 
     class_id: int
     sum_vec: np.ndarray
-    mean_vec: np.ndarray
     cardinality: int
 
-    ARRAYS = {"sum_vec": float, "mean_vec": float}
+    ARRAYS = {"sum_vec": float}
 
     def __post_init__(self):
         super().__post_init__()
-        if self.cardinality < 1:
-            raise ValueError("cardinality must be >= 1")
-        for name, v in (("sum_vec", self.sum_vec), ("mean_vec", self.mean_vec)):
-            if not np.all(np.isfinite(v)) or np.any(v < 0):
-                raise ValueError(f"{name} entries must be finite and >= 0")
-        recon = self.mean_vec * self.cardinality
-        scale = np.maximum(np.abs(self.sum_vec), 1.0)
-        if np.any(np.abs(recon - self.sum_vec) > 1e-9 * scale):
-            raise ValueError("mean_vec * cardinality does not reproduce sum_vec")
+        _integer(self.cardinality, "cardinality", 1)
+        if not np.all(np.isfinite(self.sum_vec)) or np.any(self.sum_vec < 0):
+            raise ValueError("sum_vec entries must be finite and >= 0")
+
+    @cached_property
+    def mean_vec(self) -> np.ndarray:
+        """The read-only `core.class_mean(sum_vec, cardinality)`; not part of `==`."""
+        from . import core  # core imports this module
+
+        mean = core.class_mean(self.sum_vec, self.cardinality)
+        mean.setflags(write=False)
+        return mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,8 +209,6 @@ class PairContext(Record):
     class_y: int
     mu_xy: float
     mu_yx: float
-    tau: float
-    tau_prime: float
     mask: np.ndarray
     b: float
     b_prime: float
@@ -222,14 +222,20 @@ class PairContext(Record):
         super().__post_init__()
         if not self.class_x < self.class_y:
             raise ValueError("pair must be in canonical order class_x < class_y")
-        if self.tau != self.b * self.mu_xy or self.tau_prime != self.b_prime * self.mu_yx:
-            raise ValueError("thresholds do not recompute from b * mu")
         if self.mask.size == 0:
             raise ValueError("mask must be non-empty")
         if np.any(np.diff(self.mask) <= 0):
             raise ValueError("mask must be strictly increasing")
         if self.mask[0] < 0:
             raise ValueError("mask indices must be >= 0")
+
+    @property
+    def tau(self) -> float:
+        return self.b * self.mu_xy
+
+    @property
+    def tau_prime(self) -> float:
+        return self.b_prime * self.mu_yx
 
 
 def _check_classes(label_names, profiles, num_pairs: int) -> None:
@@ -249,6 +255,13 @@ def _check_classes(label_names, profiles, num_pairs: int) -> None:
         raise ValueError(f"expected {expected} pairs for {m} classes, got {num_pairs}")
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    """`value` if it is an integer >= `minimum`; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def check_svm_settings(c, tol, max_passes) -> None:
     """ValueError unless `c` and `tol` are finite reals > 0 and `max_passes`
     is an integer >= 1."""
@@ -257,8 +270,7 @@ def check_svm_settings(c, tol, max_passes) -> None:
             math.isfinite(value) and value > 0
         ):
             raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
-    if isinstance(max_passes, bool) or not isinstance(max_passes, Integral) or max_passes < 1:
-        raise ValueError(f"max_passes must be an integer >= 1, got {max_passes!r}")
+    _integer(max_passes, "max_passes", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,13 +391,15 @@ def model_to_json(model: CdfModel) -> str:
 def model_from_json(text: str) -> CdfModel:
     """Parse a cdf-model/4 JSON document and rebuild what training derived.
 
-    Mean profiles, pair contexts and each SVM's kernel and C are recomputed
+    Pair contexts and each SVM's kernel and C are recomputed
     the way `multiclass.train` computes them, so a loaded model equals the
-    trained one. Older formats raise ValueError.
+    trained one. Older formats and malformed documents raise ValueError.
     """
     from . import core  # core imports this module
 
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model file holds a JSON object, not {type(doc).__name__}")
     fmt = doc.get("format")
     if fmt in RETIRED_FORMATS:
         raise ValueError(
@@ -407,17 +421,16 @@ def model_from_json(text: str) -> CdfModel:
     )
     kernel = _kernel_from(doc["kernel"])
     label_names = tuple(doc["label_names"])
-    profiles = []
-    for cid, p in enumerate(doc["profiles"]):
-        sum_vec = np.asarray(p["sum_vec"], dtype=float)
-        profiles.append(
-            ClassProfile(
-                class_id=cid,
-                sum_vec=sum_vec,
-                mean_vec=core.class_mean(sum_vec, p["cardinality"]),
-                cardinality=p["cardinality"],
-            )
+    if not all(isinstance(name, str) for name in label_names):
+        raise ValueError(f"label names must be strings, got {list(label_names)!r}")
+    profiles = [
+        ClassProfile(
+            class_id=cid,
+            sum_vec=np.asarray(p["sum_vec"], dtype=float),
+            cardinality=p["cardinality"],
         )
+        for cid, p in enumerate(doc["profiles"])
+    ]
     # Checked before the pair contexts are built from the profiles.
     _check_classes(label_names, profiles, len(doc["pairs"]))
     pairs = []
@@ -435,7 +448,7 @@ def model_from_json(text: str) -> CdfModel:
             bias=s["bias"],
             kernel=kernel.resolve(width),
             c=doc["c"],
-            iterations=s["iterations"],
+            iterations=_integer(s["iterations"], f"pair ({x},{y}) iterations", 0),
             kkt_violation_max=s["kkt_violation_max"],
         )
         pairs.append((ctx, svm))

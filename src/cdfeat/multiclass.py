@@ -28,11 +28,10 @@ DEFAULT_C = 10.0
 
 @dataclass(frozen=True)
 class VoteRecord:
-    """Pairwise voting outcome for one sample."""
+    """Pairwise voting outcome for one sample; `winner` follows `resolve_winner`."""
 
     votes: tuple
     margin_sums: tuple
-    winner: int
 
     def __post_init__(self):
         m = len(self.votes)
@@ -40,8 +39,10 @@ class VoteRecord:
             raise ValueError("votes and margin_sums must have one entry per class")
         if sum(self.votes) != m * (m - 1) // 2:
             raise ValueError("vote total must equal the number of class pairs")
-        if self.winner != resolve_winner(self.votes, self.margin_sums):
-            raise ValueError("winner does not follow the tie-break rule")
+
+    @property
+    def winner(self) -> int:
+        return resolve_winner(self.votes, self.margin_sums)
 
 
 def resolve_winner(votes, margin_sums) -> int:
@@ -104,18 +105,10 @@ def train(
         raise ValueError("training needs at least two classes")
 
     class_matrices = [dataset.class_matrix(cid) for cid in range(m)]
-    profiles = []
-    for cid in range(m):
-        sums = core.class_sum(class_matrices[cid])
-        card = class_matrices[cid].shape[0]
-        profiles.append(
-            ClassProfile(
-                class_id=cid,
-                sum_vec=sums,
-                mean_vec=core.class_mean(sums, card),
-                cardinality=card,
-            )
-        )
+    profiles = [
+        ClassProfile(class_id=cid, sum_vec=core.class_sum(rows), cardinality=rows.shape[0])
+        for cid, rows in enumerate(class_matrices)
+    ]
     pair_ids = class_pairs(m)
     contexts = {
         (x, y): core.build_pair_context(profiles[x], profiles[y], cfg) for x, y in pair_ids
@@ -217,11 +210,8 @@ def vote(decisions, classes, num_classes: int) -> list[tuple[int, VoteRecord]]:
     np.add.at(votes, (rows, voted), 1)
     margins = np.zeros((len(decisions), num_classes))
     np.add.at(margins, (rows, voted), np.abs(decisions))
-    out = []
-    for v, s in zip(votes.tolist(), margins.tolist()):
-        record = VoteRecord(votes=tuple(v), margin_sums=tuple(s), winner=resolve_winner(v, s))
-        out.append((record.winner, record))
-    return out
+    records = [VoteRecord(tuple(v), tuple(s)) for v, s in zip(votes.tolist(), margins.tolist())]
+    return [(record.winner, record) for record in records]
 
 
 def pipeline_trainer(

@@ -131,7 +131,7 @@ class SvmModel(Record):
         co = self.coef
         if not (math.isfinite(self.bias) and math.isfinite(self.kkt_violation_max)):
             raise ValueError("bias and kkt_violation_max must be finite")
-        if self.support_vectors.shape[0] != co.shape[0]:
+        if co.shape != self.support_vectors.shape[:1]:
             raise ValueError("one coefficient per support vector required")
         # Written as "not <=" so that a NaN or infinite coefficient fails too.
         if not np.all(np.abs(co) <= self.c * (1 + 1e-9) + 1e-12):

@@ -14,7 +14,7 @@ import numpy as np
 
 from cdfeat import core
 from cdfeat.model import CdfModel, ClassProfile
-from cdfeat.multiclass import DEFAULT_C, VoteRecord, fit_pairs, resolve_winner
+from cdfeat.multiclass import DEFAULT_C, VoteRecord, fit_pairs
 from cdfeat.svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, decision_batch
 
 
@@ -23,11 +23,7 @@ def profiles(dataset) -> list[ClassProfile]:
     out = []
     for cid in range(dataset.num_classes):
         rows = dataset.class_matrix(cid)
-        sums = core.class_sum(rows)
-        out.append(ClassProfile(
-            class_id=cid, sum_vec=sums, mean_vec=core.class_mean(sums, len(rows)),
-            cardinality=len(rows),
-        ))
+        out.append(ClassProfile(class_id=cid, sum_vec=core.class_sum(rows), cardinality=len(rows)))
     return out
 
 
@@ -83,6 +79,6 @@ def predict_batch(model, x) -> list[tuple[int, VoteRecord]]:
         margins[rows, voted] += np.abs(d)
     out = []
     for v, s in zip(votes.tolist(), margins.tolist()):
-        record = VoteRecord(votes=tuple(v), margin_sums=tuple(s), winner=resolve_winner(v, s))
+        record = VoteRecord(votes=tuple(v), margin_sums=tuple(s))
         out.append((record.winner, record))
     return out

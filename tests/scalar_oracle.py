@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from cdfeat import core
-from cdfeat.multiclass import VoteRecord, resolve_winner
+from cdfeat.multiclass import VoteRecord
 from cdfeat.svm import decision
 
 
@@ -44,9 +44,5 @@ def predict(model, sample) -> tuple[int, VoteRecord]:
         voted = ctx.class_x if d > 0 else ctx.class_y
         votes[voted] += 1
         margins[voted] += abs(d)
-    record = VoteRecord(
-        votes=tuple(votes),
-        margin_sums=tuple(margins),
-        winner=resolve_winner(votes, margins),
-    )
+    record = VoteRecord(votes=tuple(votes), margin_sums=tuple(margins))
     return record.winner, record

@@ -51,7 +51,7 @@ class TestFitIdf:
 
     def test_callers_array_stays_writable(self):
         idf = np.ones(3)
-        model = TfIdfModel(idf, 3, 1)
+        model = TfIdfModel(idf)
         assert idf.flags.writeable and not model.idf.flags.writeable
 
 
@@ -67,7 +67,7 @@ class TestTransform:
         np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-15)
 
     def test_uniform_idf_proportional_to_counts(self):
-        model = TfIdfModel(idf=np.full(3, 2.0), vocab_size=3, doc_count=4)
+        model = TfIdfModel(idf=np.full(3, 2.0))
         counts = np.asarray([[1.0, 2.0, 2.0]])
         out = transform(model, counts)
         np.testing.assert_allclose(out, counts / np.linalg.norm(counts), atol=1e-15)

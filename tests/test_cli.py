@@ -444,7 +444,15 @@ class TestInspect:
         doc["profiles"][0]["cardinality"] = str(doc["profiles"][0]["cardinality"])
         nan_bias = json.loads(trained["model"].read_text())
         nan_bias["pairs"][0]["bias"] = float("nan")
-        texts = ["{}", json.dumps(doc), json.dumps(nan_bias)]
+        texts = ["{}", "[]", "null", '"x"', json.dumps(doc), json.dumps(nan_bias)]
+        for corrupt in (
+            lambda d: d["profiles"][0].update(cardinality=60.5),
+            lambda d: d["pairs"][0].update(iterations="5"),
+            lambda d: d.update(label_names=list(range(len(d["label_names"])))),
+        ):
+            bad_doc = json.loads(trained["model"].read_text())
+            corrupt(bad_doc)
+            texts.append(json.dumps(bad_doc))
         for value in (float("nan"), float("inf")):
             bad_sv = json.loads(trained["model"].read_text())
             bad_sv["pairs"][0]["support_vectors"][0][1] = value

@@ -9,6 +9,7 @@ from cdfeat.metrics import (
     macro_micro_f,
     metric_lines,
 )
+from cdfeat.report import fmt_float
 
 # Hand-computed on [[8,2],[3,7]]: P0=8/11, R0=8/10, F0=16/21;
 # P1=7/9, R1=7/10, F1=14/19; macro=(16/21+14/19)/2=299/399; micro=0.75.
@@ -120,10 +121,19 @@ class TestMacroMicroF:
 
 class TestReportEmission:
     def test_metric_lines_keys(self):
-        lines = metric_lines([0, 1, 1], [0, 1, 0], 2)
+        lines = metric_lines(confusion([0, 1, 1], [0, 1, 0], 2))
         joined = "\n".join(lines)
         for key in ("error_rate=", "macro_f=", "micro_f=", "class_0_precision="):
             assert key in joined
+
+    def test_metric_lines_error_matches_error_rate(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 7, 30, 97):
+            preds, truth = rng.integers(0, 3, n).tolist(), rng.integers(0, 3, n).tolist()
+            err = error_rate(preds, truth)
+            lines = metric_lines(confusion(preds, truth, 3))
+            assert f"error_rate={fmt_float(err)}" in lines
+            assert f"accuracy={fmt_float(1.0 - err)}" in lines
 
     def test_format_confusion_aligned(self):
         cm = confusion([0, 1, 1], [0, 1, 0], 2)

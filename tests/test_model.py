@@ -39,7 +39,7 @@ def one_of_each_record() -> list:
         ctx,
         model,
         svm,
-        TfIdfModel(np.ones(3), 3, 1),
+        TfIdfModel(np.ones(3)),
         ConfusionMatrix(np.eye(2, dtype=np.int64), 2),
         IdxImages(np.ones((1, 4)), 2, 2),
     ]
@@ -54,7 +54,7 @@ class TestValidateDataset:
             Dataset.from_arrays([[0.0, 2.0], [2.0, 2.0], [1.0], [3.0, 1.0]], [0, 0, 1, 1])
 
     def test_shape_mismatch_reported(self):
-        bad = replace(small_dataset(), dim=3)
+        bad = replace(small_dataset(), labels=[0, 0, 1])
         assert any("shape" in v for v in validate_dataset(bad))
 
     def test_out_of_range_class_named(self):
@@ -96,23 +96,19 @@ class TestValidateDataset:
 
 
 class TestClassProfile:
-    def test_mean_sum_consistency_enforced(self):
-        with pytest.raises(ValueError, match="reproduce"):
-            ClassProfile(
-                class_id=0,
-                sum_vec=np.asarray([2.0, 4.0]),
-                mean_vec=np.asarray([1.0, 3.0]),
-                cardinality=2,
-            )
-
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            ClassProfile(
-                class_id=0,
-                sum_vec=np.asarray([-2.0]),
-                mean_vec=np.asarray([-1.0]),
-                cardinality=2,
-            )
+            ClassProfile(class_id=0, sum_vec=np.asarray([-2.0]), cardinality=2)
+
+    def test_mean_is_derived_and_read_only(self):
+        sums = np.asarray([3.0, 1.0, 0.0, 1e300, 5e-324])
+        profile = ClassProfile(class_id=0, sum_vec=sums, cardinality=3)
+        assert profile.mean_vec.tobytes() == (sums / 3).tobytes()
+        assert profile.mean_vec is profile.mean_vec
+        with pytest.raises(ValueError):
+            profile.mean_vec[0] = 9.0
+        with pytest.raises(AttributeError):
+            profile.mean_vec = sums
 
 
 class TestSerializationRoundTrip:
@@ -214,20 +210,31 @@ class TestSerializationRoundTrip:
         lambda doc: doc.update(max_passes=2.5),
         lambda doc: doc.update(c=0.0),
         lambda doc: doc.update(c=-5.0),
+        lambda doc: doc["profiles"][0].update(cardinality=60.5),
+        lambda doc: doc["pairs"][0].update(iterations="5"),
+        lambda doc: doc.update(label_names=list(range(len(doc["label_names"])))),
+        lambda doc: doc["pairs"][0].update(coef=5),
+        # A string is the whole document, one that is not a JSON object.
+        "[]", "null", '"x"',
     ], ids=["truncated", "negative", "null", "nan-string", "cardinality-0",
             "sv-width", "missing-pair", "extra-pair", "names-short", "names-long",
             "one-class", "bias-nan", "kkt-inf", "coef-nan", "sv-nan", "sv-inf",
             "tol-string", "tol-0", "tol-nan", "tol-bool", "max-passes-0", "max-passes-real",
-            "c-0", "c-negative"])
+            "c-0", "c-negative", "cardinality-real", "iterations-string", "names-int",
+            "coef-scalar", "doc-list", "doc-null", "doc-string"])
     def test_corrupt_document_fails_at_load(self, corrupt, tmp_path, capsys):
-        doc = json.loads(
-            model_to_json(self._tiny_model(3, feature_mode="scalar_kl", classes=3))
-        )
-        corrupt(doc)
+        if isinstance(corrupt, str):
+            text = corrupt
+        else:
+            doc = json.loads(
+                model_to_json(self._tiny_model(3, feature_mode="scalar_kl", classes=3))
+            )
+            corrupt(doc)
+            text = json.dumps(doc)
         with pytest.raises(ValueError):
-            model_from_json(json.dumps(doc))
+            model_from_json(text)
         path = tmp_path / "corrupt.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(text)
         assert main(["inspect", "--model", str(path)]) == 2
         assert "unreadable model" in capsys.readouterr().err
 
@@ -279,9 +286,9 @@ class TestDatasetHelpers:
         x = np.ones((2, 2))
         ds = Dataset.from_arrays(x, [0, 1])
         assert x.flags.writeable and not ds.samples.flags.writeable
-        mean = np.ones(2)
-        ClassProfile(class_id=0, sum_vec=2 * mean, mean_vec=mean, cardinality=2)
-        assert mean.flags.writeable
+        sums = np.ones(2)
+        ClassProfile(class_id=0, sum_vec=sums, cardinality=2)
+        assert sums.flags.writeable
         px, counts = np.ones((1, 4)), np.eye(2, dtype=np.int64)
         images, cm = IdxImages(px, 2, 2), ConfusionMatrix(counts, 2)
         assert px.flags.writeable and counts.flags.writeable

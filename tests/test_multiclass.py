@@ -58,12 +58,22 @@ class TestTrain:
         bad = Dataset(
             samples=ds.samples,
             labels=np.concatenate([[9], ds.labels[1:]]),
-            num_classes=ds.num_classes,
-            dim=ds.dim,
             label_names=ds.label_names,
         )
         with pytest.raises(ValueError, match="invalid dataset"):
             train(bad, CdfConfig(), kernel=POLY2)
+
+    def test_label_outside_names_refused_before_fitting(self, monkeypatch):
+        # Three classes of rows but two label names: refused before any solve.
+        x, y = gaussian_blobs(6, seed=4, dims=5, classes=3)
+        bad = Dataset(samples=x, labels=y, label_names=("a", "b"))
+        calls, smo_train = [], multiclass.smo_train
+        monkeypatch.setattr(
+            multiclass, "smo_train", lambda *a, **k: calls.append(a) or smo_train(*a, **k)
+        )
+        with pytest.raises(ValueError, match=r"invalid dataset: .*class id 2 outside \[0, 2\)"):
+            train(bad, CdfConfig(), kernel=POLY2)
+        assert calls == []
 
     def test_single_class_rejected(self):
         x = np.abs(np.random.default_rng(0).normal(size=(5, 3)))
@@ -173,13 +183,9 @@ class TestWinnerResolution:
     def test_class_id_breaks_full_tie(self):
         assert resolve_winner([1, 1, 1], [2.0, 2.0, 2.0]) == 0
 
-    def test_vote_record_checks_winner(self):
-        with pytest.raises(ValueError, match="tie-break"):
-            VoteRecord(votes=(1, 1, 1), margin_sums=(0.0, 1.0, 5.0), winner=1)
-
     def test_vote_record_checks_total(self):
         with pytest.raises(ValueError, match="vote total"):
-            VoteRecord(votes=(4, 1, 1), margin_sums=(0.0, 0.0, 0.0), winner=0)
+            VoteRecord(votes=(4, 1, 1), margin_sums=(0.0, 0.0, 0.0))
 
 
 class TestPipelineTrainer:
