@@ -26,16 +26,14 @@ from frozen fields, so threads that race to build one at worst build it twice.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from numbers import Integral, Real
 
 import numpy as np
 
 from .record import Record
-from .svm import KernelSpec, SvmModel
+from .svm import KernelSpec, SvmModel, check_svm_settings, is_finite_real, is_integer
 
 MODEL_FORMAT = "cdf-model/4"
 RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2", "cdf-model/3")
@@ -62,10 +60,10 @@ class CdfConfig:
     pair_overrides: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        if self.b <= 0 or self.b_prime <= 0:
-            raise ValueError("b and b_prime must be > 0")
-        if self.smoothing_eps <= 0:
-            raise ValueError("smoothing_eps must be > 0")
+        for name in ("b", "b_prime", "smoothing_eps"):
+            value = getattr(self, name)
+            if not (is_finite_real(value) and value > 0):
+                raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection_mode {self.selection_mode!r}")
         if self.feature_mode not in FEATURE_MODES:
@@ -73,8 +71,10 @@ class CdfConfig:
         for (x, y), (b, bp) in self.pair_overrides.items():
             if not x < y:
                 raise ValueError(f"override pair ({x},{y}) not in canonical order")
-            if b <= 0 or bp <= 0:
-                raise ValueError(f"override for pair ({x},{y}) must have b, b_prime > 0")
+            if not all(is_finite_real(v) and v > 0 for v in (b, bp)):
+                raise ValueError(
+                    f"override for pair ({x},{y}) must have finite real b, b_prime > 0"
+                )
 
     def multipliers(self, class_x: int, class_y: int) -> tuple[float, float]:
         """The (b, b_prime) in effect for a pair, honoring overrides."""
@@ -257,20 +257,9 @@ def _check_classes(label_names, profiles, num_pairs: int) -> None:
 
 def _integer(value, what: str, minimum: int) -> int:
     """`value` if it is an integer >= `minimum`; ValueError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+    if not is_integer(value) or value < minimum:
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return value
-
-
-def check_svm_settings(c, tol, max_passes) -> None:
-    """ValueError unless `c` and `tol` are finite reals > 0 and `max_passes`
-    is an integer >= 1."""
-    for name, value in (("c", c), ("tol", tol)):
-        if isinstance(value, bool) or not isinstance(value, Real) or not (
-            math.isfinite(value) and value > 0
-        ):
-            raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
-    _integer(max_passes, "max_passes", 1)
 
 
 @dataclass(frozen=True, eq=False)

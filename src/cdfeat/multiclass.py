@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
-from .model import (
-    CdfConfig, CdfModel, ClassProfile, Dataset, check_svm_settings, class_pairs, validate_dataset,
+from .model import CdfConfig, CdfModel, ClassProfile, Dataset, class_pairs, validate_dataset
+from .svm import (
+    DEFAULT_MAX_PASSES, DEFAULT_TOL, GridCell, KernelSpec, check_svm_settings, decision_batch,
+    smo_train,
 )
-from .svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, GridCell, KernelSpec, decision_batch, smo_train
 
 # The pair SVMs' kernel and C when the caller names none. The kernel takes
 # KernelSpec's degree 2, gamma 1/dim and coef0 1.
@@ -57,7 +58,10 @@ def resolve_winner(votes, margin_sums) -> int:
 
 
 def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes, jobs=1) -> tuple:
-    """(key, SvmModel) per class pair in order; pair_data(x, y) gives key, features, +/-1 labels."""
+    """(key, SvmModel) per class pair in order; pair_data(x, y) gives key, features, +/-1 labels.
+
+    ValueError for bad SVM settings, before any pair is fitted."""
+    check_svm_settings(c, tol, max_passes)
 
     def fit(pair):
         x, y = pair

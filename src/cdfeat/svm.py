@@ -3,9 +3,11 @@
 The solver optimizes the standard dual
     min 1/2 a'Qa - sum(a)   s.t.  0 <= a_i <= C,  sum(a_i y_i) = 0
 with maximal-violating-pair working-set selection, so the stopping measure is
-the largest KKT violation. The solver's state is s = -y*grad with the index
-sets I_up/I_low: a step changes two multipliers, so it rewrites their two
-entries of I_up/I_low and subtracts their two scaled kernel rows from s.
+the largest KKT violation. With s = -y*grad, the solver's state is one (2, n)
+violation matrix: row 0 holds s on I_up and -inf elsewhere, row 1 holds -s on
+I_low and -inf elsewhere. One argmax per row picks the pair; a step changes
+two multipliers, rewrites their entries when they enter or leave I_up/I_low,
+and subtracts their two scaled kernel rows from row 0 and adds them to row 1.
 Everything is deterministic: argmax ties resolve to the lowest index and no
 randomness enters the solve.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,6 +37,26 @@ DEFAULT_TOL = 1e-3
 DEFAULT_MAX_PASSES = 10
 
 
+def is_integer(value) -> bool:
+    """True for an int or numpy integer; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, Integral)
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite int, float or numpy scalar of either; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+
+
+def check_svm_settings(c, tol, max_passes) -> None:
+    """ValueError unless `c` and `tol` are finite reals > 0 and `max_passes`
+    is an integer >= 1."""
+    for name, value in (("c", c), ("tol", tol)):
+        if not (is_finite_real(value) and value > 0):
+            raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
+    if not (is_integer(max_passes) and max_passes >= 1):
+        raise ValueError(f"max_passes must be an integer >= 1, got {max_passes!r}")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel function selector. gamma=None means 1/dim, resolved at training."""
@@ -46,10 +69,14 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if not is_integer(self.degree):
+            raise ValueError(f"degree must be an integer, got {self.degree!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial kernel requires degree >= 1")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ValueError("gamma must be > 0 when given")
+        if self.gamma is not None and not (is_finite_real(self.gamma) and self.gamma > 0):
+            raise ValueError(f"gamma must be a finite real > 0 when given, got {self.gamma!r}")
+        if not is_finite_real(self.coef0):
+            raise ValueError(f"coef0 must be a finite real, got {self.coef0!r}")
 
     def resolve(self, dim: int) -> "KernelSpec":
         """Fill in gamma = 1/dim when left unset."""
@@ -151,52 +178,63 @@ def smo_train(
     """Train a binary SVM by SMO.
 
     `y` holds +/-1 labels; `max_passes` bounds the work at max_passes * n
-    pair updates. Each step solves its two-variable subproblem in Python
-    floats (the same float64 arithmetic) and updates s and I_up/I_low in
-    place; the result has the bits of a full-gradient update every step.
+    pair updates. The state is the violation matrix v of the module doc.
+    A step reads only two multipliers and labels, so those are Python
+    floats, and it solves its two-variable subproblem in Python floats (the
+    same float64 arithmetic) before it updates v in place. Negation is
+    exact, so the result has the bits of a full-gradient update every step.
     """
+    check_svm_settings(c, tol, max_passes)
     x = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape[0] != yv.shape[0]:
         raise ValueError("x must be 2-D with one label per row")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite feature values")
-    if not np.all(np.isin(yv, (-1.0, 1.0))):
+    if not np.all(np.abs(yv) == 1.0):
         raise ValueError("labels must be +1 or -1")
     if np.all(yv == yv[0]):
         raise ValueError("training needs at least one sample of each label")
-    if c <= 0:
-        raise ValueError("C must be > 0")
 
     n = x.shape[0]
     spec = spec.resolve(x.shape[1])
     kern = _KernelRows(spec, x)
+    gram = kern.full
 
-    alpha = np.zeros(n)
-    s = yv.copy()  # -y*grad, with grad = -1 at alpha = 0
-    up = yv > 0  # I_up and I_low at alpha = 0
-    low = ~up
-    max_iter = max(1, max_passes * n)
-    iterations = 0
+    c, tol = float(c), float(tol)
+    ys = yv.tolist()
+    alpha = [0.0] * n
     neg_inf = -np.inf
+    # At alpha = 0, s = -y*grad = y: I_up holds the positive samples with
+    # s = 1, I_low the negative ones with -s = 1.
+    v = np.full((2, n), neg_inf)
+    pos = yv > 0
+    v[0, pos] = 1.0
+    v[1, ~pos] = 1.0
+    v_up, v_low = v
+    t = np.empty(n)
+    u = np.empty(n)
+    max_iter = max_passes * n
+    iterations = 0
 
     while iterations < max_iter:
-        m_up = np.where(up, s, neg_inf)
-        m_low = np.where(low, s, -neg_inf)
-        i = int(np.argmax(m_up))
-        j = int(np.argmin(m_low))
-        if m_up.item(i) - m_low.item(j) <= tol:
+        i, j = v.argmax(axis=1).tolist()
+        s_i, neg_s_j = v.item(0, i), v.item(1, j)
+        # s_i - s_j, exactly; -inf when I_up or I_low is empty.
+        if s_i + neg_s_j <= tol:
             break
 
-        ki = kern.row(i)
-        kj = kern.row(j)
+        if gram is None:
+            ki, kj = kern.row(i), kern.row(j)
+        else:
+            ki, kj = gram[i], gram[j]
         quad = ki.item(i) + kj.item(j) - 2.0 * ki.item(j)
         if quad <= 0:
             quad = 1e-12
 
-        y_i, y_j = yv.item(i), yv.item(j)
-        grad_i, grad_j = -y_i * s.item(i), -y_j * s.item(j)
-        old_i, old_j = alpha.item(i), alpha.item(j)
+        y_i, y_j = ys[i], ys[j]
+        grad_i, grad_j = -y_i * s_i, y_j * neg_s_j
+        old_i, old_j = alpha[i], alpha[j]
         if y_i != y_j:
             delta = (-grad_i - grad_j) / quad
             diff = old_i - old_j
@@ -223,19 +261,30 @@ def smo_train(
                 ai, aj = 0.0, total
 
         alpha[i], alpha[j] = ai, aj
-        for k, y_k, a_k in ((i, y_i, ai), (j, y_j, aj)):
-            up[k] = a_k < c if y_k > 0 else a_k > 0
-            low[k] = a_k > 0 if y_k > 0 else a_k < c
-        # Multiplying by y = +/-1 is exact and rounding is symmetric in sign,
-        # so this equals grad += y*y_i*d_i*K_i + y*y_j*d_j*K_j; s = -y*grad.
-        s -= (y_i * (ai - old_i)) * ki + (y_j * (aj - old_j)) * kj
+        # A multiplier that enters or leaves I_up or I_low gets both entries
+        # rewritten from its s before this step; the row update then applies.
+        for k, y_k, a_k, old_k, s_k in ((i, y_i, ai, old_i, s_i), (j, y_j, aj, old_j, -neg_s_j)):
+            if (a_k > 0) != (old_k > 0) or (a_k < c) != (old_k < c):
+                v[0, k] = s_k if (a_k < c if y_k > 0 else a_k > 0) else neg_inf
+                v[1, k] = -s_k if (a_k > 0 if y_k > 0 else a_k < c) else neg_inf
+        # The gradient moves by y*t with t = y_i*d_i*K_i + y_j*d_j*K_j, and
+        # multiplying by y = +/-1 is exact and rounding is symmetric in sign,
+        # so row 0 gets s - t, the new s. Row 1 gets -s + t = -(s - t) up to
+        # the sign of a zero; -inf entries stay -inf.
+        np.multiply(ki, y_i * (ai - old_i), out=t)
+        np.multiply(kj, y_j * (aj - old_j), out=u)
+        t += u
+        v_up -= t
+        v_low += t
         iterations += 1
 
     # Final KKT gap and bias from the converged multipliers. s goes through
     # grad = -y*s + 0.0, because the gradient update gives an exactly
-    # cancelled entry +0.0 in grad, not in s; so the bias and gap keep the
-    # bits of -y*grad down to the sign of a zero.
-    s = -yv * (-yv * s + 0.0)
+    # cancelled entry +0.0 in grad, where v may hold a zero of either sign;
+    # so the bias and gap keep the bits of -y*grad down to the sign of a zero.
+    alpha = np.array(alpha)
+    up, low = v > neg_inf
+    s = -yv * (-yv * np.where(up, v_up, -v_low) + 0.0)
     m = float(np.max(np.where(up, s, neg_inf)))
     mm = float(np.min(np.where(low, s, -neg_inf)))
     kkt_gap = max(m - mm, 0.0)

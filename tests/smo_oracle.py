@@ -1,9 +1,10 @@
 """The whole-array SMO loop, kept as a bit-level reference for `svm.smo_train`.
 
 Every iteration rebuilds the index sets I_up/I_low from alpha, recomputes
-s = -y*grad and updates the full gradient; the production solver keeps s as
-its state and touches only the entries of the two changed multipliers, and
-must return an equal `SvmModel` (same bits) on every problem.
+s = -y*grad and updates the full gradient; the production solver keeps s in
+its (2, n) violation matrix, rewrites only the entries of the two changed
+multipliers, and must return an equal `SvmModel` (same bits) on every
+problem.
 """
 
 from __future__ import annotations

@@ -158,3 +158,13 @@ class TestSharedEngine:
         y[4] = bad
         with pytest.raises(ValueError, match=rf"sample 4: class id {bad} outside \[0, 2\)"):
             train_ovo(x, y, 2, KernelSpec(kind="linear"))
+
+    @pytest.mark.parametrize("settings", [
+        {"c": float("inf")}, {"tol": float("nan")}, {"tol": -1.0}, {"max_passes": 0},
+    ])
+    def test_bad_svm_settings_refused(self, settings):
+        # Each would otherwise stop every pair at the iteration cap or after
+        # one iteration and return a model.
+        x, y = gaussian_blobs(5, seed=74, dims=4, classes=2)
+        with pytest.raises(ValueError, match=next(iter(settings))):
+            train_ovo(x, y, 2, KernelSpec(kind="linear"), **settings)

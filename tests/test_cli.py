@@ -449,6 +449,10 @@ class TestInspect:
             lambda d: d["profiles"][0].update(cardinality=60.5),
             lambda d: d["pairs"][0].update(iterations="5"),
             lambda d: d.update(label_names=list(range(len(d["label_names"])))),
+            lambda d: d["kernel"].update(coef0="1"),
+            lambda d: d["kernel"].update(degree=2.5),
+            lambda d: d["kernel"].update(degree=True),
+            lambda d: d["config"].update(b=True),
         ):
             bad_doc = json.loads(trained["model"].read_text())
             corrupt(bad_doc)

@@ -214,6 +214,13 @@ class TestSerializationRoundTrip:
         lambda doc: doc["pairs"][0].update(iterations="5"),
         lambda doc: doc.update(label_names=list(range(len(doc["label_names"])))),
         lambda doc: doc["pairs"][0].update(coef=5),
+        lambda doc: doc["kernel"].update(coef0="1"),
+        lambda doc: doc["kernel"].update(gamma="0.5"),
+        lambda doc: doc["kernel"].update(degree=2.5),
+        lambda doc: doc["kernel"].update(degree=True),
+        lambda doc: doc["config"].update(b=True),
+        lambda doc: doc["config"].update(b_prime="1"),
+        lambda doc: doc["config"].update(smoothing_eps=float("inf")),
         # A string is the whole document, one that is not a JSON object.
         "[]", "null", '"x"',
     ], ids=["truncated", "negative", "null", "nan-string", "cardinality-0",
@@ -221,7 +228,8 @@ class TestSerializationRoundTrip:
             "one-class", "bias-nan", "kkt-inf", "coef-nan", "sv-nan", "sv-inf",
             "tol-string", "tol-0", "tol-nan", "tol-bool", "max-passes-0", "max-passes-real",
             "c-0", "c-negative", "cardinality-real", "iterations-string", "names-int",
-            "coef-scalar", "doc-list", "doc-null", "doc-string"])
+            "coef-scalar", "coef0-string", "gamma-string", "degree-real", "degree-bool",
+            "b-bool", "b-prime-string", "eps-inf", "doc-list", "doc-null", "doc-string"])
     def test_corrupt_document_fails_at_load(self, corrupt, tmp_path, capsys):
         if isinstance(corrupt, str):
             text = corrupt
@@ -257,7 +265,12 @@ class TestSerializationRoundTrip:
         for before, after in zip(model.profiles, back.profiles):
             assert before.sum_vec.tobytes() == after.sum_vec.tobytes()
         assert svm.support_vectors.tobytes() == back.pairs[0][1].support_vectors.tobytes()
-        nan_model = replace(model, config=replace(model.config, b=float("nan")))
+        # A config refuses a NaN b itself; a support vector is checked at load
+        # only, so a NaN there reaches model_to_json, which refuses it.
+        with pytest.raises(ValueError, match="b must be a finite real"):
+            replace(model.config, b=float("nan"))
+        nan_sv = np.resize(np.asarray([float("nan")]), svm.support_vectors.shape)
+        nan_model = replace(model, pairs=((ctx, replace(svm, support_vectors=nan_sv)),))
         with pytest.raises(ValueError, match="Out of range float"):
             model_to_json(nan_model)
 

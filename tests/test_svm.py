@@ -81,6 +81,21 @@ class TestKernels:
         with pytest.raises(ValueError, match="gamma"):
             KernelSpec(kind="rbf", gamma=-1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("degree", 2.5), ("degree", True), ("degree", "2"), ("gamma", True),
+        ("gamma", "0.5"), ("gamma", float("nan")), ("gamma", float("inf")),
+        ("coef0", "1"), ("coef0", False), ("coef0", float("nan")), ("coef0", float("-inf")),
+    ])
+    def test_mistyped_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            KernelSpec(kind="polynomial", **{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        spec = KernelSpec(kind="polynomial", degree=np.int64(3), gamma=np.float32(0.5),
+                          coef0=np.float64(-1.0))
+        assert (spec.degree, spec.gamma, spec.coef0) == (3, 0.5, -1.0)
+        assert KernelSpec(kind="linear", coef0=0).coef0 == 0
+
     def test_gamma_auto_resolution(self):
         spec = KernelSpec(kind="polynomial", degree=2, gamma=None)
         assert spec.resolve(4).gamma == 0.25
@@ -284,17 +299,53 @@ class TestSmoAgainstOracle:
                     capped += got.iterations == max_passes * n
         assert capped >= 10
 
+    def _assert_same_bits(self, x, y, c, spec, max_passes=10):
+        got = smo_train(x, y, c, spec, max_passes=max_passes)
+        want = smo_oracle.smo_train(x, y, c, spec, max_passes=max_passes)
+        assert got == want
+        assert got.coef.tobytes() == want.coef.tobytes()
+        assert self._bits(got.bias) == self._bits(want.bias)
+        assert self._bits(got.kkt_violation_max) == self._bits(want.kkt_violation_max)
+        assert got.iterations == want.iterations
+        return got
+
+    def test_nonpositive_curvature_branch(self):
+        # quad <= 0: a duplicated row with the opposite label under the linear
+        # kernel, and all-zero rows, give K_ii + K_jj - 2 K_ij = 0.
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(12, 3))
+        x[6:] = x[:6]
+        y = np.asarray([1.0, -1.0] * 3 + [-1.0, 1.0] * 3)
+        zeros = np.vstack([np.zeros((4, 2)), rng.normal(size=(6, 2))])
+        y_zeros = np.asarray([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
+        for c in (0.5, 10.0):
+            for max_passes in (1, 10):
+                self._assert_same_bits(x, y, c, LINEAR, max_passes)
+                self._assert_same_bits(zeros, y_zeros, c, LINEAR, max_passes)
+        # Only zero rows: every step has quad = 0, and the gradient stays at -1.
+        self._assert_same_bits(np.zeros((6, 2)), np.asarray([1.0, -1.0] * 3), 1.0, LINEAR)
+
+    def test_bench_sized_dual_kl_shape(self):
+        # n = 240 rows of two non-negative KL-like features, as a dual_kl pair
+        # of two 120-row classes gives them; polynomial degree 2 and C = 10.
+        rng = np.random.default_rng(22)
+        poly2 = KernelSpec(kind="polynomial", degree=2)
+        y = np.repeat([1.0, -1.0], 120)
+        capped = 0
+        for spread, max_passes in ((0.3, 10), (1.0, 10), (1.0, 1)):
+            center = np.where(y[:, None] > 0, [0.2, 0.8], [0.8, 0.2])
+            x = np.abs(center + spread * rng.standard_normal((240, 2)))
+            got = self._assert_same_bits(x, y, 10.0, poly2, max_passes)
+            capped += got.iterations == max_passes * 240
+        assert capped >= 1
+
     def test_signed_zero_bias_and_gap(self):
         # Exact cancellations: the oracle's bias and its gap are -0.0 here.
         for x, y, c, max_passes in (
             ([[-1.0], [-0.5], [-1.0]], [1.0, -1.0, 1.0], 2.0, 2),
             ([[0.5], [-0.5], [0.5], [-0.5]], [1.0, -1.0, 1.0, -1.0], 2.0, 10),
         ):
-            got = smo_train(x, y, c, LINEAR, max_passes=max_passes)
-            want = smo_oracle.smo_train(x, y, c, LINEAR, max_passes=max_passes)
-            assert got == want
-            assert self._bits(got.bias) == self._bits(want.bias)
-            assert self._bits(got.kkt_violation_max) == self._bits(want.kkt_violation_max)
+            self._assert_same_bits(x, y, c, LINEAR, max_passes)
 
 
 class TestStratifiedFolds:
