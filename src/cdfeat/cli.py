@@ -356,13 +356,23 @@ def cmd_eval(cfg: dict) -> int:
     _check_dims(model, dataset)
 
     t0 = time.perf_counter()
-    preds = [winner for winner, _ in multiclass.predict_batch(model, dataset.samples)]
+    decisions = multiclass.pair_decisions(model, dataset.samples)
+    classes = multiclass.pair_classes(model)
+    preds = [winner for winner, _ in multiclass.vote(decisions, classes, model.num_classes)]
     t_eval = time.perf_counter() - t0
 
     truth = _align_truth(model, dataset)
     cm = metrics.confusion(preds, truth, model.num_classes)
     report = _config_echo_lines(cfg)
     report.extend(metrics.metric_lines(cm, model.label_names))
+    # Per pair: the rows of its two classes, and those on which it voted for
+    # the other one of the two (pair (x, y) votes x when its decision is > 0).
+    truth = np.asarray(truth, dtype=np.int64)
+    for (x, y), d in zip(classes, decisions.T):
+        is_x, is_y = truth == x, truth == y
+        wrong = np.count_nonzero(is_x & (d <= 0)) + np.count_nonzero(is_y & (d > 0))
+        report.append(f"pair_{x}_{y}_rows={np.count_nonzero(is_x | is_y)}")
+        report.append(f"pair_{x}_{y}_wrong={wrong}")
     report.append("confusion_matrix:")
     report.append(metrics.format_confusion(cm, model.label_names))
     _write_report(cfg, report)

@@ -18,9 +18,13 @@ training computed them. Documents in the older "cdf-model/1" to
 "cdf-model/3" formats are refused; retrain to get a /4 file.
 
 Records store independent facts only; what follows from them is a property
-or a cache (`ClassProfile.mean_vec`, `CdfModel.kl_weights`) built on first use
-from frozen fields, so threads that race to build one at worst build it twice.
-`multiclass.train` seeds `kl_weights` with its dual_kl/scalar_kl weights.
+or a cache (`ClassProfile.mean_vec`, `CdfModel.kl_weights`,
+`CdfModel.decision_forms`) built on first use from frozen fields, so threads
+that race to build one at worst build it twice. `multiclass.train` seeds
+`kl_weights` with its dual_kl/scalar_kl weights. `decision_forms`, each pair
+SVM's decision as a polynomial in its 1 or 2 features (`svm.decision_forms`),
+exists for linear and polynomial kernels under dual_kl and scalar_kl; it is
+built by the first predict, neither by training nor by loading.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ from itertools import combinations
 import numpy as np
 
 from .record import Record
-from .svm import KernelSpec, SvmModel, check_svm_settings, is_finite_real, is_integer
+from .svm import (
+    KernelSpec, SvmModel, check_svm_settings, decision_forms, is_finite_real, is_integer,
+)
 
 MODEL_FORMAT = "cdf-model/4"
 RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2", "cdf-model/3")
@@ -312,6 +318,17 @@ class CdfModel(Record):
         cfg = self.config
         contexts = [ctx for ctx, _ in self.pairs]
         return core.pair_kl_weights(contexts, self.dim, cfg.feature_mode, cfg.smoothing_eps)
+
+    @cached_property
+    def decision_forms(self):
+        """`svm.decision_forms` of the pair SVMs, or None for an rbf kernel or
+        elementwise_kl features, whose pairs `predict` runs through the kernel
+        expansion. Derived from frozen fields, so it is not part of `==` and
+        not serialized.
+        """
+        if self.kernel.kind == "rbf" or self.config.feature_mode == "elementwise_kl":
+            return None
+        return decision_forms(svm for _, svm in self.pairs)
 
 
 # --- serialization ---------------------------------------------------------

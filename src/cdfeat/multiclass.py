@@ -1,8 +1,13 @@
 """One-vs-one engine (`fit_pairs`, `vote`), shared with the TF-IDF baseline.
 
 Prediction handles every pair in one pass over the sample matrix: the
-features of all pairs, then an (n, pairs) decision matrix, then one vote and
-margin accumulation in pair order. Ties in the vote count break on
+features of all pairs, then an (n, pairs) decision matrix (`pair_decisions`),
+then one vote and margin accumulation in pair order. With a linear or
+polynomial kernel under dual_kl or scalar_kl features, the decision matrix
+comes from the model's cached `decision_forms`, every pair's decision
+polynomial evaluated at once; with an rbf kernel or elementwise_kl features,
+from each pair's kernel expansion (`svm.decision_batch`). Either way a row's
+bits do not depend on the number of rows. Ties in the vote count break on
 accumulated |decision| margin, then on the lower class id, so prediction is
 fully deterministic.
 """
@@ -18,7 +23,7 @@ from . import core
 from .model import CdfConfig, CdfModel, ClassProfile, Dataset, class_pairs, validate_dataset
 from .svm import (
     DEFAULT_MAX_PASSES, DEFAULT_TOL, GridCell, KernelSpec, check_svm_settings, decision_batch,
-    smo_train,
+    monomials, smo_train,
 )
 
 # The pair SVMs' kernel and C when the caller names none. The kernel takes
@@ -168,7 +173,15 @@ def predict(model: CdfModel, sample) -> tuple[int, VoteRecord]:
 
 
 def _sample_matrix(samples, dim: int) -> np.ndarray:
-    """The samples as an (n, dim) float matrix; ValueError names the first bad row."""
+    """The samples as an (n, dim) float matrix; ValueError names the first bad row.
+
+    A 2-D array is checked in two reductions; other input, or a matrix that
+    fails, is checked row by row to name the row.
+    """
+    if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] == dim:
+        x = samples.astype(float, copy=False)
+        if x.size == 0 or (x.min() >= 0 and x.max() < np.inf):
+            return x
     rows = [np.asarray(row, dtype=float) for row in samples]
     for i, row in enumerate(rows):
         if row.shape != (dim,):
@@ -180,15 +193,15 @@ def _sample_matrix(samples, dim: int) -> np.ndarray:
     return x
 
 
-def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
-    """Predict every row of a sample matrix (or sequence), order preserved.
+def pair_decisions(model: CdfModel, samples) -> np.ndarray:
+    """The (n, pairs) decision matrix of a sample matrix (or sequence).
 
     dual_kl and scalar_kl features of every pair come from one
     `core.whole_kl_features` call with the model's cached `kl_weights`;
-    elementwise_kl features from one `core.kl_features` call per pair. Each
-    pair's decisions are computed once over all rows, then votes and margin
-    sums accumulate in pair order, so a row's result is the same whatever the
-    number of rows.
+    elementwise_kl features from one `core.kl_features` call per pair. With
+    `model.decision_forms`, every pair's decision polynomial is summed one
+    monomial at a time in elementwise products, so no reduction runs along a
+    row; otherwise each pair's `decision_batch` runs over all rows.
     """
     x = _sample_matrix(samples, model.dim)
     mode = model.config.feature_mode
@@ -199,9 +212,30 @@ def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
             for ctx, _ in model.pairs
         ]
     else:
-        feats = core.whole_kl_features(x, model.kl_weights).swapaxes(0, 1)
-    d = np.stack([decision_batch(svm, f) for (_, svm), f in zip(model.pairs, feats)], axis=1)
-    return vote(d, [(ctx.class_x, ctx.class_y) for ctx, _ in model.pairs], model.num_classes)
+        feats = core.whole_kl_features(x, model.kl_weights)
+        forms = model.decision_forms
+        if forms is not None:
+            d = np.empty(feats.shape[:2])
+            d[:] = forms.bias
+            for w, mono in zip(forms.weights, monomials(feats, forms.exponents)):
+                d += w if mono is None else w * mono
+            return d
+        feats = feats.swapaxes(0, 1)
+    return np.stack([decision_batch(svm, f) for (_, svm), f in zip(model.pairs, feats)], axis=1)
+
+
+def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
+    """Predict every row of a sample matrix (or sequence), order preserved.
+
+    Votes and margin sums accumulate over `pair_decisions` in pair order, so
+    a row's result is the same whatever the number of rows.
+    """
+    return vote(pair_decisions(model, samples), pair_classes(model), model.num_classes)
+
+
+def pair_classes(model: CdfModel) -> list[tuple[int, int]]:
+    """The (class_x, class_y) of each pair, in the model's pair order."""
+    return [(ctx.class_x, ctx.class_y) for ctx, _ in model.pairs]
 
 
 def vote(decisions, classes, num_classes: int) -> list[tuple[int, VoteRecord]]:

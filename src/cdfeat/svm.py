@@ -10,6 +10,18 @@ two multipliers, rewrites their entries when they enter or leave I_up/I_low,
 and subtracts their two scaled kernel rows from row 0 and adds them to row 1.
 Everything is deterministic: argmax ties resolve to the lowest index and no
 randomness enters the solve.
+
+A trained SVM's decision sum_s coef_s k(s, f) + bias is, for a linear or
+polynomial kernel, exactly a polynomial in f: with a multi-index a over the
+feature components,
+    (g f.s + c0)^d = sum_{|a| <= d} d!/(a! (d - |a|)!) c0^(d - |a|) g^|a| f^a s^a,
+so the decision is sum_a W_a f^a + bias, W_a being that coefficient times
+sum_s coef_s s^a; linear is d = 1, g = 1, c0 = 0. `decision_forms` builds
+these forms. On the 1 or 2 features of a scalar_kl or dual_kl pair there are
+d + 1 or (d + 1)(d + 2)/2 monomials (6 for poly2 on 2 features), so a
+decision costs a handful of products instead of a sum over every support
+vector. `decision` and `decision_batch` run the kernel expansion itself, the
+only path for rbf.
 """
 
 from __future__ import annotations
@@ -17,6 +29,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from itertools import product
 from numbers import Integral, Real
 
 import numpy as np
@@ -330,6 +343,102 @@ def decision_batch(model: SvmModel, x) -> np.ndarray:
         )
     k = _kernel_of_dots(model.kernel, np.einsum("ij,kj->ik", x, sv), x, sv)
     return (k * model.coef).sum(axis=1) + model.bias
+
+
+@dataclass(frozen=True, eq=False)
+class DecisionForms(Record):
+    """The decisions of P SVMs as polynomials in their features: SVM p's
+    decision at f is bias[p] plus, over monomials m, weights[m, p] times the
+    product of f[j] ** exponents[m][j]."""
+
+    exponents: tuple  # one tuple of per-feature exponents per monomial
+    weights: np.ndarray  # (monomials, P)
+    bias: np.ndarray  # (P,)
+
+    ARRAYS = {"weights": float, "bias": float}
+
+
+def monomial_exponents(width: int, degree: int) -> tuple:
+    """Every exponent tuple of `width` features with total at most `degree`,
+    by total, then in descending lexicographic order."""
+    return tuple(
+        a
+        for total in range(degree + 1)
+        for a in product(range(total, -1, -1), repeat=width)
+        if sum(a) == total
+    )
+
+
+def monomials(x, exponents) -> list:
+    """The monomial of each exponent tuple at the rows x[..., :]: an array of
+    shape x.shape[:-1], or None for the constant monomial. Powers come from
+    repeated multiplication, so every value is a fixed sequence of
+    elementwise products whatever the shape of x."""
+    x = np.asarray(x, dtype=float)
+    top = max(max(a) for a in exponents)
+    powers = []
+    for j in range(x.shape[-1]):
+        col = x[..., j]
+        pw = [None, col]
+        for _ in range(2, top + 1):
+            pw.append(pw[-1] * col)
+        powers.append(pw)
+    out = []
+    for a in exponents:
+        term = None
+        for pw, k in zip(powers, a):
+            if k:
+                term = pw[k] if term is None else term * pw[k]
+        out.append(term)
+    return out
+
+
+def decision_forms(svms) -> DecisionForms:
+    """The `DecisionForms` of SVMs that share one linear or polynomial kernel
+    and feature width; see the module doc.
+
+    The monomials of every support vector come from one pass over all SVMs'
+    support vectors, then one sum per SVM. ValueError for an rbf kernel,
+    an unresolved gamma, or SVMs of different kernels or widths.
+    """
+    svms = list(svms)
+    kernels = {svm.kernel for svm in svms}
+    widths = {svm.support_vectors.shape[1] for svm in svms}
+    if len(kernels) != 1 or len(widths) != 1:
+        raise ValueError("decision forms need SVMs of one kernel and one feature width")
+    (spec,), (width,) = kernels, widths
+    if spec.kind == "rbf":
+        raise ValueError("an rbf kernel has no polynomial decision form")
+    if spec.kind == "linear":
+        degree, gamma, coef0 = 1, 1.0, 0.0
+    elif spec.gamma is None:
+        raise ValueError("gamma unresolved; call KernelSpec.resolve(dim) first")
+    else:
+        degree, gamma, coef0 = spec.degree, float(spec.gamma), float(spec.coef0)
+
+    exponents = monomial_exponents(width, degree)
+    coef = np.concatenate([svm.coef for svm in svms])
+    terms = np.stack([
+        coef if mono is None else coef * mono
+        for mono in monomials(np.concatenate([svm.support_vectors for svm in svms]), exponents)
+    ])
+    counts = np.array([svm.coef.size for svm in svms])
+    # A zero column after the last support vector keeps every start in range;
+    # an SVM without support vectors sums to zero.
+    starts = np.concatenate([[0], np.cumsum(counts[:-1])])
+    sums = np.add.reduceat(np.pad(terms, ((0, 0), (0, 1))), starts, axis=1)
+    sums[:, counts == 0] = 0.0
+    scale = [
+        math.factorial(degree)
+        // (math.prod(map(math.factorial, a)) * math.factorial(degree - sum(a)))
+        * coef0 ** (degree - sum(a)) * gamma ** sum(a)
+        for a in exponents
+    ]
+    return DecisionForms(
+        exponents=exponents,
+        weights=np.asarray(scale)[:, None] * sums,
+        bias=[svm.bias for svm in svms],
+    )
 
 
 # --- cross-validation -------------------------------------------------------

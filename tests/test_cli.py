@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -9,7 +10,9 @@ from cdfeat.cli import main
 from cdfeat.ingest import dump_sparse, load_sparse
 from cdfeat.model import CdfConfig, Dataset, model_from_json, model_to_json
 from cdfeat.report import fmt_float
+from cdfeat.svm import decision_batch
 
+import pair_loop_oracle
 from conftest import gaussian_blobs, gaussian_split
 
 
@@ -255,6 +258,37 @@ class TestEval:
         )
         assert rc == 0
         assert "error_rate=0" in capsys.readouterr().out
+
+    def test_pair_lines_count_each_pairs_wrong_votes(self, fixture_files, trained, tmp_path,
+                                                     capsys):
+        # Labels 0 and 1 swapped: pair (0, 1) votes against the label on every
+        # row of the two; each pair's counts follow its own decision signs.
+        test_ds = gaussian_split(n_train=25, n_test=15)[1]
+        swapped = Dataset.from_arrays(test_ds.samples, [(1, 0, 2)[c] for c in test_ds.labels])
+        data = tmp_path / "swapped.sparse"
+        data.write_text(dump_sparse(swapped))
+        rc = main(
+            [
+                "eval", "--format", "sparse", "--data", str(data), "--dim", "20",
+                "--model", str(trained["model"]),
+            ]
+        )
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        pair_lines = [ln for ln in lines if re.fullmatch(r"pair_\d+_\d+_(rows|wrong)=\d+", ln)]
+        assert lines.index(pair_lines[-1]) < lines.index("confusion_matrix:")
+        model = model_from_json(trained["model"].read_text())
+        truth = swapped.labels
+        want = []
+        feats = pair_loop_oracle.pair_features(model, swapped.samples)
+        for (ctx, svm), f in zip(model.pairs, feats):
+            x, y = ctx.class_x, ctx.class_y
+            mine = (truth == x) | (truth == y)
+            voted = np.where(decision_batch(svm, f) > 0, x, y)
+            want += [f"pair_{x}_{y}_rows={np.sum(mine)}",
+                     f"pair_{x}_{y}_wrong={np.sum(mine & (voted != truth))}"]
+        assert pair_lines == want
+        assert "pair_0_1_rows=30" in want and "pair_0_1_wrong=30" in want
 
     def test_unknown_label_rejected(self, trained, tmp_path, capsys):
         data = tmp_path / "alien.sparse"

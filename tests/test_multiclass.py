@@ -13,7 +13,9 @@ from cdfeat.multiclass import (
     resolve_winner,
     train,
 )
-from cdfeat.svm import KernelSpec, decision
+from cdfeat.svm import (
+    KernelSpec, SvmModel, decision, decision_batch, decision_forms, monomial_exponents,
+)
 
 import pair_loop_oracle
 import scalar_oracle
@@ -219,14 +221,18 @@ class TestPredictBatch:
         assert predict_batch(model, [sample]) == [predict(model, sample)]
         # Every row of a 10-class, 784-dim batch: winners and vote records,
         # margins included, must match one-sample predict exactly.
+        # The polynomial and linear kernels decide dual_kl and scalar_kl
+        # through the decision forms, rbf and elementwise_kl through the
+        # kernel expansion.
         x, y = gaussian_blobs(10, seed=11, dims=784, classes=10, shift=2.0)
         for mode in FEATURE_MODES:
-            cfg = CdfConfig(feature_mode=mode)
-            model = train(Dataset.from_arrays(x, y), cfg, kernel=POLY2)
-            batch = predict_batch(model, x)
-            assert len(batch) == x.shape[0]
-            for i, row in enumerate(x):
-                assert batch[i] == predict(model, row), f"{mode} row {i}"
+            for name, kernel in KERNELS.items():
+                cfg = CdfConfig(feature_mode=mode)
+                model = train(Dataset.from_arrays(x, y), cfg, kernel=kernel)
+                batch = predict_batch(model, x)
+                assert len(batch) == x.shape[0]
+                for i, row in enumerate(x):
+                    assert batch[i] == predict(model, row), f"{mode} {name} row {i}"
 
     def test_permutation_permutes_output(self):
         ds = two_class_dataset(seed=12)
@@ -265,10 +271,10 @@ class TestBatchAgainstScalarOracle:
         x, y = gaussian_blobs(10, seed=11, dims=784, classes=10, shift=2.0)
         ds = Dataset.from_arrays(x, y)
         models = {m: train(ds, CdfConfig(feature_mode=m), kernel=POLY2) for m in FEATURE_MODES}
-        return x, models
+        return x, models, ds
 
     def test_winners_match_per_row_oracle(self, blobs):
-        x, models = blobs
+        x, models, _ = blobs
         probes = np.vstack([x, np.random.default_rng(3).uniform(0, 4, size=(20, 784))])
         # Not elementwise_kl: the oracle normalizes each row with a 1-D sum, and
         # these small margins (1e-5) magnify that last-bit difference past 1e-9.
@@ -284,17 +290,21 @@ class TestBatchAgainstScalarOracle:
                 )
 
     def test_prefix_of_batch_is_unchanged(self, blobs):
-        x, models = blobs
+        x, models, _ = blobs
         for mode, model in models.items():
             full = predict_batch(model, x)
             for k in (1, 2, 3, 17, 64):
                 assert predict_batch(model, x[:k]) == full[:k], f"{mode} k={k}"
 
     def test_reloaded_model_votes_bit_identical(self, blobs):
-        x, models = blobs
-        for mode, model in models.items():
-            loaded = model_from_json(model_to_json(model))
-            assert predict_batch(loaded, x) == predict_batch(model, x), mode
+        x, poly_models, ds = blobs
+        for mode in FEATURE_MODES:
+            for name, kernel in KERNELS.items():
+                model = poly_models[mode] if kernel == POLY2 else train(
+                    ds, CdfConfig(feature_mode=mode), kernel=kernel
+                )
+                loaded = model_from_json(model_to_json(model))
+                assert predict_batch(loaded, x) == predict_batch(model, x), (mode, name)
 
 
 def oracle_dataset(classes, seed):
@@ -350,6 +360,85 @@ class TestPredictAgainstPairLoopOracle:
             want_feats = np.stack(pair_loop_oracle.pair_features(model, probes), axis=1)
             assert np.all(np.isfinite(want_feats))
             assert np.all(np.abs(feats - want_feats) <= 1e-12 * (1 + np.abs(want_feats)))
+
+
+FORM_KERNELS = [KernelSpec(kind="linear")] + [
+    KernelSpec(kind="polynomial", degree=d, gamma=g, coef0=c0)
+    for d in (1, 2, 3, 4) for g in (None, 0.25) for c0 in (0.0, 1.0, 2.5)
+]
+
+
+def expansion_decisions(model, x):
+    """Each pair's `decision_batch` on its dual_kl or scalar_kl features."""
+    feats = core.whole_kl_features(x, model.kl_weights).swapaxes(0, 1)
+    return np.stack([decision_batch(svm, f) for (_, svm), f in zip(model.pairs, feats)], axis=1)
+
+
+class TestDecisionForms:
+    @pytest.mark.parametrize("kernel", FORM_KERNELS, ids=repr)
+    @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
+    @pytest.mark.parametrize("classes", (2, 4))
+    def test_forms_match_the_kernel_expansion(self, classes, mode, kernel):
+        ds = oracle_dataset(classes, seed=31 + classes)
+        model = train(ds, CdfConfig(feature_mode=mode), kernel=kernel)
+        probes = oracle_probes(model, ds, seed=7)
+        want = expansion_decisions(model, probes)
+        got = multiclass.pair_decisions(model, probes)
+        assert model.decision_forms is not None
+        assert got.shape == want.shape == (probes.shape[0], len(model.pairs))
+        assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want)))
+        clear = np.abs(want) > 1e-9
+        np.testing.assert_array_equal(got[clear] > 0, want[clear] > 0)
+
+    @pytest.mark.parametrize("width, degree, count", [(1, 1, 2), (1, 4, 5), (2, 1, 3),
+                                                      (2, 2, 6), (2, 4, 15)])
+    def test_monomial_count(self, width, degree, count):
+        exponents = monomial_exponents(width, degree)
+        assert len(exponents) == len(set(exponents)) == count
+        assert all(len(a) == width and sum(a) <= degree for a in exponents)
+
+    def test_only_linear_and_polynomial_kl_models_have_forms(self):
+        ds = oracle_dataset(3, seed=41)
+        for mode in FEATURE_MODES:
+            for name, kernel in KERNELS.items():
+                model = train(ds, CdfConfig(feature_mode=mode), kernel=kernel)
+                has = name != "rbf" and mode != "elementwise_kl"
+                assert (model.decision_forms is not None) == has, (mode, name)
+
+    def test_built_on_first_predict_not_compared_not_serialized(self):
+        ds = oracle_dataset(3, seed=41)
+        model = train(ds, CdfConfig(), kernel=POLY2)
+        text = model_to_json(model)
+        loaded = model_from_json(text)
+        assert "decision_forms" not in vars(model) and "decision_forms" not in vars(loaded)
+        predict_batch(loaded, ds.samples)
+        assert "decision_forms" in vars(loaded)
+        assert loaded == model and model_to_json(loaded) == text
+
+    def test_svm_without_support_vectors_decides_its_bias(self):
+        spec = KernelSpec(kind="polynomial", degree=3, gamma=0.5)
+        fitted = SvmModel(support_vectors=np.array([[1.0, 2.0], [3.0, 1.0]]),
+                          coef=np.array([0.5, -0.5]), bias=0.25, kernel=spec, c=1.0,
+                          iterations=1, kkt_violation_max=0.0)
+        empty = SvmModel(support_vectors=np.empty((0, 2)), coef=np.empty(0), bias=-1.5,
+                         kernel=spec, c=1.0, iterations=0, kkt_violation_max=0.0)
+        forms = decision_forms([empty, fitted, empty])
+        np.testing.assert_array_equal(forms.weights[:, [0, 2]], 0.0)
+        np.testing.assert_array_equal(forms.bias, [-1.5, 0.25, -1.5])
+
+    def test_mixed_or_rbf_kernels_refused(self):
+        def svm(spec):
+            return SvmModel(support_vectors=np.ones((2, 1)), coef=np.array([1.0, -1.0]),
+                            bias=0.0, kernel=spec, c=1.0, iterations=1,
+                            kkt_violation_max=0.0)
+
+        poly = KernelSpec(kind="polynomial", gamma=1.0)
+        with pytest.raises(ValueError, match="one kernel"):
+            decision_forms([svm(poly), svm(KernelSpec(kind="linear"))])
+        with pytest.raises(ValueError, match="rbf"):
+            decision_forms([svm(KernelSpec(kind="rbf", gamma=1.0))])
+        with pytest.raises(ValueError, match="unresolved"):
+            decision_forms([svm(KernelSpec(kind="polynomial"))])
 
 
 def training_features(monkeypatch, *args, **kwargs):
