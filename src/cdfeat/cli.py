@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -82,9 +83,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--max-per-class", dest="max_per_class", type=_positive_int,
                            help="cap samples per class after loading")
             p.add_argument("--dim", type=int, help="vector length for sparse data")
-            p.add_argument("--min-df", dest="min_df", type=int, default=ingest.DEFAULT_MIN_DF,
+            p.add_argument("--min-df", dest="min_df", type=_positive_int,
+                           default=ingest.DEFAULT_MIN_DF,
                            help="vocabulary document-frequency threshold")
-            p.add_argument("--topics", type=int, default=ingest.DEFAULT_TOPICS,
+            p.add_argument("--topics", type=_positive_int, default=ingest.DEFAULT_TOPICS,
                            help="number of top topics kept as classes")
         if name == "train":
             p.add_argument("--b", type=float, default=CdfConfig.b)
@@ -113,7 +115,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            help="comma-separated b' grid for CV")
             p.add_argument("--seed", type=int, default=0,
                            help="seed of the cross-validation folds")
-            p.add_argument("--jobs", type=_positive_int, default=1)
         p.add_argument("--model", help="model file path")
         p.add_argument("--out", help="report/output file path")
         if name == "inspect":
@@ -179,6 +180,9 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise CliError(f"--{flag}: expected comma-separated numbers, got {text!r}")
     if not values:
         raise CliError(f"--{flag}: empty grid")
+    bad = [v for v in values if not (math.isfinite(v) and v > 0)]
+    if bad:
+        raise CliError(f"--{flag}: values must be finite reals > 0, got {bad[0]!r}")
     return values
 
 
@@ -269,7 +273,7 @@ def cmd_train(cfg: dict) -> int:
     base = CdfConfig(b=cfg["b"], b_prime=cfg["b_prime"], selection_mode=cfg["selection_mode"],
                      feature_mode=cfg["feature_mode"], smoothing_eps=cfg["smoothing_eps"])
     kernel = KernelSpec(cfg["kernel"], cfg["degree"], cfg["gamma"], cfg["coef0"])
-    seed, tol, max_passes, jobs = cfg["seed"], cfg["tol"], cfg["max_passes"], cfg["jobs"]
+    seed, tol, max_passes = cfg["seed"], cfg["tol"], cfg["max_passes"]
     c = cfg["c"]
     b, b_prime = base.b, base.b_prime
 
@@ -287,7 +291,7 @@ def cmd_train(cfg: dict) -> int:
             for gb in _parse_grid(cfg["grid_b"], "grid-b")
             for gbp in _parse_grid(cfg["grid_b_prime"], "grid-b-prime")
         ]
-        trainer = multiclass.pipeline_trainer(base, tol=tol, max_passes=max_passes, jobs=jobs)
+        trainer = multiclass.pipeline_trainer(base, tol=tol, max_passes=max_passes)
         result = cross_validate(
             dataset.matrix(), dataset.labels, grid, folds, seed, trainer
         )
@@ -306,7 +310,7 @@ def cmd_train(cfg: dict) -> int:
     t1 = time.perf_counter()
     model = multiclass.train(
         dataset, final_cfg, kernel=kernel, c=c, tol=tol,
-        max_passes=max_passes, jobs=jobs,
+        max_passes=max_passes,
     )
     t_train = time.perf_counter() - t1
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import re
 import struct
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,7 +51,10 @@ class IdxImages(Record):
 
 def _maybe_gunzip(data: bytes) -> bytes:
     if data[:2] == b"\x1f\x8b":
-        return gzip.decompress(data)
+        try:
+            return gzip.decompress(data)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxFormatError(f"corrupt or truncated gzip stream: {exc}") from exc
     return data
 
 
@@ -357,6 +361,8 @@ def top_topics(docs, k: int = DEFAULT_TOPICS) -> list[str]:
 
     Ties break lexicographically so the category list is deterministic.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     freq: dict[str, int] = {}
     for doc in docs:
         if doc.split_tag != SPLIT_TRAIN:

@@ -14,7 +14,6 @@ fully deterministic.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,7 +61,7 @@ def resolve_winner(votes, margin_sums) -> int:
     return best
 
 
-def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes, jobs=1) -> tuple:
+def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes) -> tuple:
     """(key, SvmModel) per class pair in order; pair_data(x, y) gives key, features, +/-1 labels.
 
     ValueError for bad SVM settings, before any pair is fitted."""
@@ -79,9 +78,6 @@ def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes, jobs=1) -> tup
         except Exception as exc:
             raise RuntimeError(f"training failed for pair ({x},{y}): {exc}") from exc
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return tuple(pool.map(fit, class_pairs(num_classes)))
     return tuple(map(fit, class_pairs(num_classes)))
 
 
@@ -103,7 +99,8 @@ def train(
     weights, so its training features are the bits `predict_batch` computes.
     elementwise_kl features are wider, so each pair's are computed with
     `core.kl_features` when its SVM is fitted. The solves use no randomness;
-    `seed` is accepted and unused.
+    `seed` is accepted and unused. The pair SVMs are fitted one after another;
+    `jobs` is accepted and unused.
     """
     problems = validate_dataset(dataset)
     if problems:
@@ -159,7 +156,7 @@ def train(
         max_passes=max_passes,
         label_names=dataset.label_names,
         profiles=tuple(profiles),
-        pairs=fit_pairs(m, pair_data, kernel, c, tol, max_passes, jobs),
+        pairs=fit_pairs(m, pair_data, kernel, c, tol, max_passes),
     )
     if weights is not None:
         # Fills the cached_property; frozen dataclasses refuse plain setattr.
@@ -257,7 +254,6 @@ def pipeline_trainer(
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
     seed: int = 0,
-    jobs: int = 1,
 ):
     """cross_validate trainer running the full pipeline per grid cell.
 
@@ -270,7 +266,7 @@ def pipeline_trainer(
         ds = Dataset.from_arrays(x_train, y_train)
         model = train(
             ds, cell_cfg, kernel=cell.kernel, c=cell.c, tol=tol,
-            max_passes=max_passes, jobs=jobs,
+            max_passes=max_passes,
         )
 
         def predict_labels(x_eval):

@@ -40,7 +40,8 @@ KERNEL_KINDS = ("linear", "polynomial", "rbf")
 
 # Full Gram matrix up to the largest sample count whose n x n float64 Gram
 # fits in DEFAULT_CACHE_BYTES (5792 rows), LRU row cache of at most
-# DEFAULT_CACHE_BYTES above it. Both are read at call time.
+# DEFAULT_CACHE_BYTES above it. Both are read at call time. Training runs one
+# solver at a time, so this also bounds the kernel memory of a whole training run.
 DEFAULT_CACHE_BYTES = 256 * 2**20
 FULL_GRAM_LIMIT = math.isqrt(DEFAULT_CACHE_BYTES // 8)
 

@@ -1,3 +1,4 @@
+import gzip
 import json
 import re
 import struct
@@ -66,7 +67,7 @@ class TestTrain:
     def test_report_echo_block(self, trained):
         # Every setting in parser order; input paths and output settings not.
         lines = trained["report"].read_text().splitlines()
-        assert lines[:27] == [
+        assert lines[:26] == [
             "command=train",
             "format=sparse",
             "split=",
@@ -92,7 +93,6 @@ class TestTrain:
             "grid_b=0.5,1.0,1.5,2.0",
             "grid_b_prime=0.5,1.0,1.5,2.0",
             "seed=42",
-            "jobs=1",
             "num_classes=3",
         ]
 
@@ -141,6 +141,27 @@ class TestTrain:
         assert "cv_cell_0=" in report and "cv_cell_1=" in report
         assert "cv_best=" in report
 
+    @pytest.mark.parametrize("flag, grid, bad", [
+        ("--grid-c", "1,0", "0.0"),
+        ("--grid-b", "1,-1", "-1.0"),
+        ("--grid-b-prime", "1,nan", "nan"),
+        ("--grid-c", "inf", "inf"),
+    ])
+    def test_bad_grid_value_exits_2_before_cv(self, fixture_files, tmp_path, capsys,
+                                              monkeypatch, flag, grid, bad):
+        def no_cv(*args):
+            raise AssertionError("cross-validation ran")
+
+        monkeypatch.setattr("cdfeat.cli.cross_validate", no_cv)
+        model_path = tmp_path / "m.json"
+        rc = main(train_args(fixture_files, model_path, tmp_path / "r",
+                             extra=["--folds", "2", f"{flag}={grid}"]))
+        assert rc == 2
+        assert f"error: {flag}: values must be finite reals > 0, got {bad}" in (
+            capsys.readouterr().err
+        )
+        assert not model_path.exists()
+
     def test_max_per_class_keeps_first_rows_of_each_class(self, fixture_files, tmp_path):
         model_path = tmp_path / "capped.json"
         report_path = tmp_path / "capped.report"
@@ -171,11 +192,12 @@ class TestTrain:
     @pytest.mark.parametrize("flag, value, message", [
         ("--folds", "1", "expected 0 (no CV) or an integer >= 2, got '1'"),
         ("--folds", "-2", "expected 0 (no CV) or an integer >= 2, got '-2'"),
-        ("--jobs", "0", "expected an integer >= 1, got '0'"),
-        ("--jobs", "-3", "expected an integer >= 1, got '-3'"),
+        ("--min-df", "0", "expected an integer >= 1, got '0'"),
+        ("--topics", "0", "expected an integer >= 1, got '0'"),
+        ("--topics", "-1", "expected an integer >= 1, got '-1'"),
     ])
-    def test_folds_and_jobs_out_of_range_exit_2(self, fixture_files, tmp_path, capsys,
-                                                flag, value, message):
+    def test_int_option_out_of_range_exits_2(self, fixture_files, tmp_path, capsys,
+                                             flag, value, message):
         model_path = tmp_path / "m.json"
         with pytest.raises(SystemExit) as exc:
             main(train_args(fixture_files, model_path, tmp_path / "r",
@@ -189,13 +211,14 @@ class TestTrain:
 # data options inspect never loads.
 SETTINGS = ["--b", "--b-prime", "--selection-mode", "--feature-mode", "--smoothing-eps",
             "--kernel", "--degree", "--gamma", "--coef0", "--c", "--tol", "--max-passes",
-            "--folds", "--grid-c", "--grid-b", "--grid-b-prime", "--seed", "--jobs"]
+            "--folds", "--grid-c", "--grid-b", "--grid-b-prime", "--seed"]
 DATA_OPTIONS = ["--format", "--images", "--labels", "--data", "--sgml-dir", "--split",
                 "--classes", "--max-per-class", "--dim", "--min-df", "--topics"]
 REMOVED = (
     [(cmd, flag) for cmd in ("eval", "predict", "inspect") for flag in SETTINGS]
     + [("inspect", flag) for flag in DATA_OPTIONS]
     + [(cmd, "--dump-masks") for cmd in ("train", "eval", "predict")]
+    + [(cmd, "--jobs") for cmd in ("train", "eval", "predict", "inspect")]
 )
 
 
@@ -543,6 +566,19 @@ class TestIdxEndToEnd:
         assert rc == 0
         assert "error_rate=0" in capsys.readouterr().out
 
+    def test_truncated_gzip_images_exit_1(self, tmp_path, capsys):
+        images = gzip.compress(struct.pack(">IIII", 0x00000803, 40, 4, 4) + bytes(640))
+        images_path = tmp_path / "images.gz"
+        images_path.write_bytes(images[:-20])
+        labels_path = tmp_path / "labels.idx"
+        labels_path.write_bytes(struct.pack(">II", 0x00000801, 40) + bytes([0, 1] * 20))
+        rc = main([
+            "train", "--format", "idx", "--images", str(images_path),
+            "--labels", str(labels_path), "--model", str(tmp_path / "m.json"),
+        ])
+        assert rc == 1
+        assert "error: corrupt or truncated gzip stream" in capsys.readouterr().err
+
 
 class TestReutersEndToEnd:
     def test_train_and_eval_on_synthetic_corpus(self, tmp_path, capsys):
@@ -718,6 +754,13 @@ class TestConfigFile:
         assert not [line for line in lines if line.startswith(("b=", "c=", "seed="))]
         assert main(["inspect", *common]) == 0
         assert "pair_0_1_mask=" in capsys.readouterr().out
+
+    def test_jobs_key_exits_2(self, tmp_path, capsys):
+        # Pair SVMs are fitted one after another; no setting picks threads.
+        config = tmp_path / "jobs.json"
+        config.write_text(json.dumps({"jobs": 2}))
+        assert main(["train", "--config", str(config), "--model", "m"]) == 2
+        assert "unknown keys ['jobs']" in capsys.readouterr().err
 
     def test_verbose_is_not_an_option(self, fixture_files, tmp_path, capsys):
         config = tmp_path / "verbose.json"

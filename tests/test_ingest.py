@@ -40,6 +40,15 @@ def label_bytes(values):
     return struct.pack(">II", IDX_LABEL_MAGIC, len(values)) + bytes(values)
 
 
+# A gzip body cut short (EOFError), with a wrong CRC (gzip.BadGzipFile) and
+# with an invalid deflate block (zlib.error).
+GZIP_DAMAGE = {
+    "truncated": lambda z: z[:-4],
+    "bad_crc": lambda z: z[:-8] + bytes([z[-8] ^ 1]) + z[-7:],
+    "bad_block": lambda z: z[:10] + b"\xff" * 20,
+}
+
+
 class TestIdxImages:
     def test_direct_layout(self):
         data = image_bytes(2, 2, 2, [0, 255, 1, 2, 3, 4, 5, 6])
@@ -72,6 +81,12 @@ class TestIdxImages:
         images = load_idx_images(gzip.compress(data))
         np.testing.assert_array_equal(images.pixels, [[9, 8]])
 
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    def test_damaged_gzip_is_a_format_error(self, damage):
+        data = GZIP_DAMAGE[damage](gzip.compress(image_bytes(1, 1, 2, [9, 8])))
+        with pytest.raises(IdxFormatError, match="gzip"):
+            load_idx_images(data)
+
     @needs_mnist
     def test_official_train_file_counts(self):
         files = mnist_files()
@@ -94,6 +109,12 @@ class TestIdxLabels:
     def test_truncated(self):
         data = struct.pack(">II", IDX_LABEL_MAGIC, 3) + b"\x00\x01"
         with pytest.raises(IdxFormatError, match="expected 3 label bytes, got 2"):
+            load_idx_labels(data)
+
+    @pytest.mark.parametrize("damage", GZIP_DAMAGE)
+    def test_damaged_gzip_is_a_format_error(self, damage):
+        data = GZIP_DAMAGE[damage](gzip.compress(label_bytes([7, 0, 9])))
+        with pytest.raises(IdxFormatError, match="gzip"):
             load_idx_labels(data)
 
     def test_round_trip(self):
@@ -384,3 +405,13 @@ class TestTopTopics:
             doc("b", topics=("acq",), doc_id="2"),
         ]
         assert top_topics(docs, k=5) == ["acq"]
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused(self, k):
+        docs = [
+            doc("a", topics=("earn",), doc_id="1"),
+            doc("b", topics=("acq",), doc_id="2"),
+            doc("c", topics=("acq",), doc_id="3"),
+        ]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            top_topics(docs, k=k)

@@ -95,13 +95,6 @@ class TestTrain:
         with pytest.raises(ValueError, match=next(iter(settings))):
             train(two_class_dataset(), CdfConfig(), kernel=POLY2, **settings)
 
-    def test_jobs_match_sequential(self):
-        x, y = gaussian_blobs(10, seed=3, dims=12, classes=3)
-        ds = Dataset.from_arrays(x, y)
-        sequential = train(ds, CdfConfig(), kernel=POLY2, seed=1, jobs=1)
-        threaded = train(ds, CdfConfig(), kernel=POLY2, seed=1, jobs=4)
-        assert sequential == threaded
-
     def test_train_then_predict_separable_zero_errors(self):
         x, y = gaussian_blobs(30, seed=4, dims=20, classes=3)
         ds = Dataset.from_arrays(x, y)
@@ -495,14 +488,6 @@ class TestTrainAgainstPairLoopOracle:
             rows = np.concatenate([ds.class_matrix(ctx.class_x), ds.class_matrix(ctx.class_y)])
             want = core.whole_kl_features(rows, model.kl_weights)[:, j]
             np.testing.assert_array_equal(seen[ctx.class_x, ctx.class_y][0], want)
-
-    @pytest.mark.parametrize("mode", FEATURE_MODES)
-    def test_jobs_do_not_change_the_model(self, mode):
-        ds = oracle_dataset(4, seed=35)
-        cfg = CdfConfig(feature_mode=mode)
-        one = train(ds, cfg, kernel=POLY2, jobs=1)
-        two = train(ds, cfg, kernel=POLY2, jobs=2)
-        assert two == one and model_to_json(two) == model_to_json(one)
 
 
 class TestSelectPairWeights:
