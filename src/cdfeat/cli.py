@@ -82,7 +82,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--classes", help="comma-separated raw labels to keep (idx format)")
             p.add_argument("--max-per-class", dest="max_per_class", type=_positive_int,
                            help="cap samples per class after loading")
-            p.add_argument("--dim", type=int, help="vector length for sparse data")
+            p.add_argument("--dim", type=_positive_int, help="vector length for sparse data")
             p.add_argument("--min-df", dest="min_df", type=_positive_int,
                            default=ingest.DEFAULT_MIN_DF,
                            help="vocabulary document-frequency threshold")
@@ -186,15 +186,23 @@ def _parse_grid(text: str, flag: str) -> list[float]:
     return values
 
 
+def _parse_classes(text: str) -> list[int]:
+    keep = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            keep.append(int(tok))
+        except ValueError:
+            raise CliError(f"--classes: expected comma-separated integers, got {tok!r}")
+    return keep
+
+
 def _load_dataset(cfg: dict, default_split: str) -> Dataset:
     fmt = cfg.get("format")
     if fmt == "idx":
         _require_paths(cfg, ["images", "labels"])
         images = ingest.load_idx_images(Path(cfg["images"]).read_bytes())
         labels = ingest.load_idx_labels(Path(cfg["labels"]).read_bytes())
-        keep = None
-        if cfg.get("classes"):
-            keep = [int(tok) for tok in cfg["classes"].split(",") if tok.strip()]
+        keep = _parse_classes(cfg["classes"]) if cfg.get("classes") else None
         dataset = ingest.idx_dataset(images, labels, keep_classes=keep)
     elif fmt == "sparse":
         _require_paths(cfg, ["data"])

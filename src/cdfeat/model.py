@@ -289,7 +289,11 @@ class CdfModel(Record):
     def __post_init__(self):
         super().__post_init__()
         _check_classes(self.label_names, self.profiles, len(self.pairs))
-        for ctx, _ in self.pairs:
+        for (ctx, _), pair in zip(self.pairs, class_pairs(self.num_classes)):
+            if (ctx.class_x, ctx.class_y) != pair:
+                raise ValueError(
+                    f"pair ({ctx.class_x},{ctx.class_y}) is out of order, expected {pair}"
+                )
             if np.any(ctx.mask >= self.dim):
                 raise ValueError(
                     f"pair ({ctx.class_x},{ctx.class_y}) mask exceeds dim {self.dim}"
@@ -305,13 +309,14 @@ class CdfModel(Record):
         return self.profiles[0].sum_vec.size
 
     @cached_property
-    def kl_weights(self) -> tuple:
-        """`core.pair_kl_weights` of this model's pair contexts.
+    def kl_weights(self):
+        """`core.pair_kl_weights` of this model's pair contexts, a `core.KlWeights`.
 
         Training seeds it with the weights it extracted its features with; a
         loaded model builds it on first use. Derived from frozen fields, so it
         is not part of `==` and not serialized. Used by dual_kl and scalar_kl
-        prediction only.
+        prediction only; its transposed copy `wt` is built by the first
+        sparse row (see `core.whole_kl_features`).
         """
         from . import core  # core imports this module
 

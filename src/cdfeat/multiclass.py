@@ -15,6 +15,7 @@ fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -230,21 +231,30 @@ def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
     return vote(pair_decisions(model, samples), pair_classes(model), model.num_classes)
 
 
-def pair_classes(model: CdfModel) -> list[tuple[int, int]]:
-    """The (class_x, class_y) of each pair, in the model's pair order."""
-    return [(ctx.class_x, ctx.class_y) for ctx, _ in model.pairs]
+def pair_classes(model: CdfModel) -> np.ndarray:
+    """The (class_x, class_y) of each pair, in the model's pair order, as a
+    read-only (pairs, 2) array shared by every model of as many classes."""
+    return _class_pair_array(model.num_classes)
+
+
+@cache
+def _class_pair_array(num_classes: int) -> np.ndarray:
+    pairs = np.array(class_pairs(num_classes), dtype=np.int64)
+    pairs.setflags(write=False)
+    return pairs
 
 
 def vote(decisions, classes, num_classes: int) -> list[tuple[int, VoteRecord]]:
     """(winner, VoteRecord) per decision row; pair k votes classes[k][0] if d > 0, else [1]."""
     classes = np.asarray(classes)
+    n = len(decisions)
     voted = np.where(decisions > 0, classes[:, 0], classes[:, 1])
-    rows = np.arange(len(decisions))[:, None]
-    # np.add.at adds in index order, row by row and within a row in pair order.
-    votes = np.zeros((len(decisions), num_classes), dtype=np.int64)
-    np.add.at(votes, (rows, voted), 1)
-    margins = np.zeros((len(decisions), num_classes))
-    np.add.at(margins, (rows, voted), np.abs(decisions))
+    # Each row's vote goes to cell row * num_classes + class. bincount adds in
+    # input order, row by row and within a row in pair order.
+    cells = (voted + num_classes * np.arange(n)[:, None]).ravel()
+    size = n * num_classes
+    votes = np.bincount(cells, minlength=size).reshape(n, num_classes)
+    margins = np.bincount(cells, np.abs(decisions).ravel(), size).reshape(n, num_classes)
     records = [VoteRecord(tuple(v), tuple(s)) for v, s in zip(votes.tolist(), margins.tolist())]
     return [(record.winner, record) for record in records]
 

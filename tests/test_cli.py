@@ -195,6 +195,8 @@ class TestTrain:
         ("--min-df", "0", "expected an integer >= 1, got '0'"),
         ("--topics", "0", "expected an integer >= 1, got '0'"),
         ("--topics", "-1", "expected an integer >= 1, got '-1'"),
+        ("--dim", "0", "expected an integer >= 1, got '0'"),
+        ("--dim", "-5", "expected an integer >= 1, got '-5'"),
     ])
     def test_int_option_out_of_range_exits_2(self, fixture_files, tmp_path, capsys,
                                              flag, value, message):
@@ -566,6 +568,22 @@ class TestIdxEndToEnd:
         assert rc == 0
         assert "error_rate=0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("classes, token", [("1,x", "x"), ("0, 2.5", "2.5")])
+    def test_bad_classes_token_exits_2(self, tmp_path, capsys, classes, token):
+        images_path = tmp_path / "images.idx"
+        images_path.write_bytes(struct.pack(">IIII", 0x00000803, 4, 2, 2) + bytes(16))
+        labels_path = tmp_path / "labels.idx"
+        labels_path.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([0, 1, 2, 1]))
+        model_path = tmp_path / "m.json"
+        rc = main([
+            "train", "--format", "idx", "--images", str(images_path),
+            "--labels", str(labels_path), "--classes", classes, "--model", str(model_path),
+        ])
+        assert rc == 2
+        assert (f"error: --classes: expected comma-separated integers, got {token!r}"
+                in capsys.readouterr().err)
+        assert not model_path.exists()
+
     def test_truncated_gzip_images_exit_1(self, tmp_path, capsys):
         images = gzip.compress(struct.pack(">IIII", 0x00000803, 40, 4, 4) + bytes(640))
         images_path = tmp_path / "images.gz"
@@ -691,6 +709,7 @@ class TestConfigFile:
         ({"max_passes": 2.5}, "argument --max-passes: invalid int value: '2.5'"),
         ({"seed": 1.7}, "argument --seed: invalid int value: '1.7'"),
         ({"folds": True}, "argument --folds: invalid int value: 'True'"),
+        ({"dim": 0}, "argument --dim: expected an integer >= 1, got '0'"),
         ({"kernel": "sigmoid"}, "argument --kernel: invalid choice: 'sigmoid'"),
         ({"dump_masks": "yes"}, "argument --dump-masks: ignored explicit argument 'yes'"),
     ])

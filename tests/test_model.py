@@ -132,6 +132,13 @@ class TestSerializationRoundTrip:
         assert back == model
         assert model_to_json(back) == text
 
+    def test_pairs_out_of_order_refused(self):
+        # Votes name each pair's classes by its place in `class_pairs` order.
+        model = self._tiny_model(1, classes=3)
+        swapped = (model.pairs[1], model.pairs[0], model.pairs[2])
+        with pytest.raises(ValueError, match=r"pair \(0,2\) is out of order, expected \(0, 1\)"):
+            replace(model, pairs=swapped)
+
     def test_negative_zero_round_trips(self):
         # SMO can return a bias or KKT gap of -0.0; the file keeps its sign.
         model = self._tiny_model(0)

@@ -312,6 +312,21 @@ def oracle_dataset(classes, seed):
     return Dataset.from_arrays(x, y)
 
 
+def sparse_dataset(classes, seed, dim=320):
+    """Bag-of-words-like counts: each row has 1 to dim / 8 nonzero components,
+    most of them in its class's own block of terms, so every row takes the
+    sparse path of `core.whole_kl_features`."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat(np.arange(classes), 12)
+    x = np.zeros((y.size, dim))
+    block = np.arange(dim) // (dim // classes)
+    for row, c in zip(x, y):
+        p = np.where(block == c, 8.0, 1.0)
+        k = rng.integers(1, dim // 8 + 1)
+        row[rng.choice(dim, size=k, replace=False, p=p / p.sum())] = rng.integers(1, 6, size=k)
+    return Dataset.from_arrays(x, y)
+
+
 def oracle_probes(model, ds, seed):
     """Training rows plus rows that stress the whole-divergence features:
     zero rows, rows zero on one pair's mask, tiny rows, and components up
@@ -481,25 +496,115 @@ class TestTrainAgainstPairLoopOracle:
     @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
     @pytest.mark.parametrize("classes", (2, 4))
     def test_features_are_the_predict_features(self, monkeypatch, classes, mode):
-        ds = oracle_dataset(classes, seed=31 + classes)
-        model, seen = training_features(monkeypatch, ds, CdfConfig(feature_mode=mode),
-                                        kernel=POLY2)
-        for j, (ctx, _) in enumerate(model.pairs):
-            rows = np.concatenate([ds.class_matrix(ctx.class_x), ds.class_matrix(ctx.class_y)])
-            want = core.whole_kl_features(rows, model.kl_weights)[:, j]
-            np.testing.assert_array_equal(seen[ctx.class_x, ctx.class_y][0], want)
+        # Dense rows, then rows that all take the sparse path.
+        for ds in (oracle_dataset(classes, seed=31 + classes), sparse_dataset(classes, seed=31)):
+            model, seen = training_features(monkeypatch, ds, CdfConfig(feature_mode=mode),
+                                            kernel=POLY2)
+            for j, (ctx, _) in enumerate(model.pairs):
+                rows = np.concatenate([ds.class_matrix(ctx.class_x),
+                                       ds.class_matrix(ctx.class_y)])
+                want = core.whole_kl_features(rows, model.kl_weights)[:, j]
+                np.testing.assert_array_equal(seen[ctx.class_x, ctx.class_y][0], want)
 
 
 class TestSelectPairWeights:
     @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
     def test_selected_pairs_give_the_same_bits(self, mode):
-        ds = oracle_dataset(4, seed=35)
-        model = train(ds, CdfConfig(feature_mode=mode), kernel=POLY2)
-        whole = core.whole_kl_features(ds.samples, model.kl_weights)
-        for js in ([0], [5, 1, 3], list(range(len(model.pairs)))):
-            got = core.whole_kl_features(ds.samples[3:9],
-                                         core.select_pair_weights(model.kl_weights, js))
-            np.testing.assert_array_equal(got, whole[3:9, js])
+        # Dense rows, then rows that all take the sparse path.
+        for ds in (oracle_dataset(4, seed=35), sparse_dataset(4, seed=35)):
+            model = train(ds, CdfConfig(feature_mode=mode), kernel=POLY2)
+            whole = core.whole_kl_features(ds.samples, model.kl_weights)
+            for js in ([0], [5, 1, 3], list(range(len(model.pairs)))):
+                got = core.whole_kl_features(ds.samples[3:],
+                                             core.select_pair_weights(model.kl_weights, js))
+                np.testing.assert_array_equal(got, whole[3:, js])
+
+
+def path_rows(monkeypatch):
+    """The number of rows each path of `core.whole_kl_features` computes."""
+    seen = {"sparse": 0, "dense": 0}
+    for name in seen:
+        def spy(x, *args, name=name, sums=getattr(core, f"_{name}_sums")):
+            seen[name] += len(x)
+            return sums(x, *args)
+
+        monkeypatch.setattr(core, f"_{name}_sums", spy)
+    return seen
+
+
+def mixed_rows(dim, seed):
+    """Dense rows, sparse rows up to dim / 8 nonzeros, zero rows and rows of
+    one nonzero, as they are, at 1e300 and at multiples of 5e-324."""
+    rng = np.random.default_rng(seed)
+    dense = rng.uniform(0, 8, size=(4, dim))
+    sparse = np.zeros((4, dim))
+    for row, k in zip(sparse, (2, 5, dim // 8 - 1, dim // 8)):
+        row[rng.choice(dim, size=k, replace=False)] = rng.integers(1, 9, size=k)
+    one = np.zeros((3, dim))
+    one[np.arange(3), [0, rng.integers(1, dim - 1), dim - 1]] = [1.0, 3.0, 7.0]
+    counts = np.vstack([np.floor(dense), sparse, np.zeros((2, dim)), one])
+    return np.vstack([dense, sparse, np.zeros((2, dim)), one, counts * 1e300, counts * 5e-324])
+
+
+class TestRowPaths:
+    """`core.whole_kl_features` computes a row of at most dim / 8 nonzeros from
+    its nonzeros and any other row from all components."""
+
+    @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
+    def test_row_bits_do_not_depend_on_the_batch(self, monkeypatch, mode):
+        model = train(sparse_dataset(4, seed=61), CdfConfig(feature_mode=mode), kernel=POLY2)
+        x = mixed_rows(model.dim, seed=62)
+        seen = path_rows(monkeypatch)
+        feats = core.whole_kl_features(x, model.kl_weights)
+        assert seen["sparse"] > 0 and seen["dense"] > 0
+        for i in range(len(x)):
+            np.testing.assert_array_equal(
+                core.whole_kl_features(x[i:i + 1], model.kl_weights)[0], feats[i], f"row {i}"
+            )
+        perm = np.random.default_rng(63).permutation(len(x))
+        np.testing.assert_array_equal(core.whole_kl_features(x[perm], model.kl_weights),
+                                      feats[perm])
+        batch = predict_batch(model, x)
+        assert batch == [predict(model, row) for row in x]
+        assert predict_batch(model, x[perm]) == [batch[i] for i in perm]
+
+    @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
+    def test_sparse_features_match_kl_features(self, mode):
+        cfg = CdfConfig(feature_mode=mode)
+        ds = sparse_dataset(4, seed=64)
+        model = train(ds, cfg, kernel=POLY2)
+        x = np.vstack([ds.samples, mixed_rows(model.dim, seed=65)])
+        feats = core.whole_kl_features(x, model.kl_weights)
+        for j, (ctx, _) in enumerate(model.pairs):
+            want = core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, cfg.smoothing_eps)
+            assert np.all(np.abs(feats[:, j] - want) <= 1e-12 * (1 + np.abs(want))), ctx
+
+    def test_rows_at_the_threshold(self, monkeypatch):
+        model = train(sparse_dataset(3, seed=66), CdfConfig(), kernel=POLY2)
+        dim = model.dim
+        assert dim % 8 == 0
+        rng = np.random.default_rng(67)
+        x = np.zeros((2, dim))
+        for row, k in zip(x, (dim // 8, dim // 8 + 1)):
+            row[rng.choice(dim, size=k, replace=False)] = rng.integers(1, 9, size=k)
+        seen = path_rows(monkeypatch)
+        at = core.whole_kl_features(x[:1], model.kl_weights)
+        assert seen == {"sparse": 1, "dense": 0}
+        above = core.whole_kl_features(x[1:], model.kl_weights)
+        assert seen == {"sparse": 1, "dense": 1}
+        got, eps = np.concatenate([at, above]), model.config.smoothing_eps
+        for j, (ctx, _) in enumerate(model.pairs):
+            want = core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, "dual_kl", eps)
+            assert np.all(np.abs(got[:, j] - want) <= 1e-12 * (1 + np.abs(want)))
+
+    def test_transposed_weights_are_built_by_the_first_sparse_row(self):
+        ds = oracle_dataset(3, seed=68)
+        model = train(ds, CdfConfig(), kernel=POLY2)
+        assert np.all(np.count_nonzero(ds.samples, axis=1) > model.dim / 8)
+        predict_batch(model, ds.samples)
+        assert "wt" not in vars(model.kl_weights)
+        predict(model, np.eye(model.dim)[0])
+        np.testing.assert_array_equal(vars(model.kl_weights)["wt"], model.kl_weights.w.T)
 
 
 class TestCachedWeights:
@@ -509,13 +614,10 @@ class TestCachedWeights:
         text = model_to_json(model)
         fresh = model_from_json(text)
         # Training seeds the cache with the weights it extracted features with.
-        w, empty = vars(model)["kl_weights"]
         cfg = model.config
-        want_w, want_empty = core.pair_kl_weights(
+        assert vars(model)["kl_weights"] == core.pair_kl_weights(
             [ctx for ctx, _ in model.pairs], model.dim, cfg.feature_mode, cfg.smoothing_eps
         )
-        np.testing.assert_array_equal(w, want_w)
-        np.testing.assert_array_equal(empty, want_empty)
         # A loaded model builds it on its first predict.
         assert "kl_weights" not in vars(fresh)
         assert predict_batch(fresh, x) == predict_batch(model, x)
