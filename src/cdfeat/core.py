@@ -333,14 +333,13 @@ def build_pair_context(
     profile_x: ClassProfile, profile_y: ClassProfile, cfg: CdfConfig
 ) -> PairContext:
     """Ratio means, thresholds, mask and masked references for one class pair."""
-    b, b_prime = cfg.multipliers(profile_x.class_id, profile_y.class_id)
     mu_xy = pair_mean(pair_ratios(profile_x.mean_vec, profile_y.mean_vec, cfg.smoothing_eps))
     mu_yx = pair_mean(pair_ratios(profile_y.mean_vec, profile_x.mean_vec, cfg.smoothing_eps))
     mask, fallback = select_indices(
         profile_x.mean_vec,
         profile_y.mean_vec,
-        b * mu_xy,
-        b_prime * mu_yx,
+        cfg.b * mu_xy,
+        cfg.b_prime * mu_yx,
         mode=cfg.selection_mode,
         eps=cfg.smoothing_eps,
     )
@@ -352,8 +351,8 @@ def build_pair_context(
         mu_xy=mu_xy,
         mu_yx=mu_yx,
         mask=mask,
-        b=b,
-        b_prime=b_prime,
+        b=cfg.b,
+        b_prime=cfg.b_prime,
         fallback=fallback,
         ref_x=ref_x,
         ref_y=ref_y,

@@ -8,6 +8,7 @@ values land as given, and SGML text is decoded but never re-tokenized here.
 from __future__ import annotations
 
 import gzip
+import math
 import re
 import struct
 import zlib
@@ -147,6 +148,8 @@ def load_sparse(text: str, dim: int | None = None) -> Dataset:
             label = float(tokens[0])
         except ValueError:
             raise SparseFormatError(f"line {lineno}: non-numeric token {tokens[0]!r}")
+        if not math.isfinite(label):
+            raise SparseFormatError(f"line {lineno}: label {tokens[0]!r} is not finite")
         entries = []
         prev = 0
         for tok in tokens[1:]:
@@ -156,10 +159,14 @@ def load_sparse(text: str, dim: int | None = None) -> Dataset:
                 val = float(val_s)
             except ValueError:
                 raise SparseFormatError(f"line {lineno}: non-numeric token {tok!r}")
+            if idx < 1:
+                raise SparseFormatError(f"line {lineno}: index {idx}; indices are 1-based")
             if idx <= prev:
                 raise SparseFormatError(
                     f"line {lineno}: non-increasing index {idx} after {prev}"
                 )
+            if not math.isfinite(val):
+                raise SparseFormatError(f"line {lineno}: value in {tok!r} is not finite")
             if val < 0:
                 raise SparseFormatError(f"line {lineno}: negative value {val!r}")
             entries.append((idx, val))
@@ -239,7 +246,10 @@ def _decode_entities(text: str) -> str:
             return ">"
         if name == "amp":
             return "&"
-        return chr(int(name[1:]))
+        code = int(name[1:])
+        if code > 0x10FFFF:
+            raise SgmlFormatError(f"entity &{name}; is beyond U+10FFFF")
+        return chr(code)
 
     return _ENTITY_RE.sub(sub, text)
 

@@ -6,16 +6,17 @@ numpy arrays are records (`record.Record`): each names its array fields once,
 keeps read-only views of them (the caller's arrays stay writable), compares
 field by field with arrays by shape and content, and is unhashable.
 `CdfConfig` is a plain frozen dataclass. Model serialization is a
-versioned JSON document ("cdf-model/4") written by `json.dumps`: reals in
+versioned JSON document ("cdf-model/5") written by `json.dumps`: reals in
 Python's shortest round-trip text and a class's sums as integers when all are
 integral, so save/load round-trips are exact. It stores each fact once: the
 config and SVM settings, the label names, each class's sum vector and
 cardinality, and each pair's SVM. The class count is the number of label
 names, the dimension the length of a sum vector, and the pairs come in
-`class_pairs` order. Loading rebuilds every pair context (mask, masked
-references, ratio means) and each SVM's resolved kernel and C exactly as
-training computed them. Documents in the older "cdf-model/1" to
-"cdf-model/3" formats are refused; retrain to get a /4 file.
+`class_pairs` order. Every pair selects with the config's one (b, b_prime).
+Loading rebuilds every pair context (mask, masked references, ratio means)
+and each SVM's resolved kernel and C exactly as training computed them.
+Documents in the older "cdf-model/1" to "cdf-model/4" formats are refused;
+retrain to get a /5 file.
 
 Records store independent facts only; what follows from them is a property
 or a cache (`ClassProfile.mean_vec`, `CdfModel.kl_weights`,
@@ -30,7 +31,7 @@ built by the first predict, neither by training nor by loading.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -41,8 +42,8 @@ from .svm import (
     KernelSpec, SvmModel, check_svm_settings, decision_forms, is_finite_real, is_integer,
 )
 
-MODEL_FORMAT = "cdf-model/4"
-RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2", "cdf-model/3")
+MODEL_FORMAT = "cdf-model/5"
+RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4")
 
 SELECTION_MODES = ("ratio", "literal")
 FEATURE_MODES = ("dual_kl", "scalar_kl", "elementwise_kl")
@@ -53,8 +54,7 @@ class CdfConfig:
     """Knobs of the class-dependent feature pipeline.
 
     `b` and `b_prime` scale the pair-ratio means into the two selection
-    thresholds. `pair_overrides` optionally maps a canonical class pair
-    (x, y) to its own (b, b_prime).
+    thresholds of every class pair.
     """
 
     b: float = 1.0
@@ -62,8 +62,6 @@ class CdfConfig:
     selection_mode: str = "ratio"
     feature_mode: str = "dual_kl"
     smoothing_eps: float = 1e-9
-    # Unhashable, so it takes part in == but not in hash().
-    pair_overrides: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         for name in ("b", "b_prime", "smoothing_eps"):
@@ -74,17 +72,6 @@ class CdfConfig:
             raise ValueError(f"unknown selection_mode {self.selection_mode!r}")
         if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
-        for (x, y), (b, bp) in self.pair_overrides.items():
-            if not x < y:
-                raise ValueError(f"override pair ({x},{y}) not in canonical order")
-            if not all(is_finite_real(v) and v > 0 for v in (b, bp)):
-                raise ValueError(
-                    f"override for pair ({x},{y}) must have finite real b, b_prime > 0"
-                )
-
-    def multipliers(self, class_x: int, class_y: int) -> tuple[float, float]:
-        """The (b, b_prime) in effect for a pair, honoring overrides."""
-        return self.pair_overrides.get((class_x, class_y), (self.b, self.b_prime))
 
 
 def feature_width(feature_mode: str, ctx: "PairContext") -> int:
@@ -171,6 +158,8 @@ def validate_dataset(dataset: Dataset) -> list[str]:
     ]
     counts = np.bincount(y[(y >= 0) & (y < m)], minlength=m)
     violations += [f"class {c} has no samples" for c in np.flatnonzero(counts == 0)]
+    if len(set(dataset.label_names)) < m:
+        violations.append(f"label names {list(dataset.label_names)!r} are not distinct")
     return violations
 
 
@@ -206,9 +195,8 @@ class PairContext(Record):
 
     `ref_x` / `ref_y` are the two class mean profiles restricted to the mask
     and normalized to probability vectors; prediction reuses them so train
-    and predict see identical references. `b` / `b_prime` are the threshold
-    multipliers actually used for this pair (global config or per-pair
-    override).
+    and predict see identical references. `b` / `b_prime` are the config's
+    threshold multipliers, which every pair uses.
     """
 
     class_x: int
@@ -245,12 +233,14 @@ class PairContext(Record):
 
 
 def _check_classes(label_names, profiles, num_pairs: int) -> None:
-    """ValueError unless there are at least two classes, one profile per
-    label name, sums of one length in every profile, and one pair per class
-    pair."""
+    """ValueError unless there are at least two classes with distinct label
+    names, one profile per label name, sums of one length in every profile,
+    and one pair per class pair."""
     m = len(label_names)
     if m < 2:
         raise ValueError(f"a model needs at least two classes, got {m} label names")
+    if len(set(label_names)) < m:
+        raise ValueError(f"label names must be distinct, got {list(label_names)!r}")
     if len(profiles) != m:
         raise ValueError(f"{m} label names but {len(profiles)} class profiles")
     dim = profiles[0].sum_vec.size
@@ -358,7 +348,7 @@ def _kernel_from(doc: dict) -> KernelSpec:
 
 
 def model_to_json(model: CdfModel) -> str:
-    """Serialize a trained model to the cdf-model/4 JSON document.
+    """Serialize a trained model to the cdf-model/5 JSON document.
 
     ValueError if a real is not finite.
     """
@@ -371,10 +361,6 @@ def model_to_json(model: CdfModel) -> str:
             "selection_mode": cfg.selection_mode,
             "feature_mode": cfg.feature_mode,
             "smoothing_eps": float(cfg.smoothing_eps),
-            "pair_overrides": [
-                [int(x), int(y), float(b), float(bp)]
-                for (x, y), (b, bp) in sorted(cfg.pair_overrides.items())
-            ],
         },
         "kernel": _kernel_doc(model.kernel),
         "c": float(model.c),
@@ -400,7 +386,7 @@ def model_to_json(model: CdfModel) -> str:
 
 
 def model_from_json(text: str) -> CdfModel:
-    """Parse a cdf-model/4 JSON document and rebuild what training derived.
+    """Parse a cdf-model/5 JSON document and rebuild what training derived.
 
     Pair contexts and each SVM's kernel and C are recomputed
     the way `multiclass.train` computes them, so a loaded model equals the
@@ -425,10 +411,6 @@ def model_from_json(text: str) -> CdfModel:
         selection_mode=cdoc["selection_mode"],
         feature_mode=cdoc["feature_mode"],
         smoothing_eps=cdoc["smoothing_eps"],
-        pair_overrides={
-            (int(x), int(y)): (float(b), float(bp))
-            for x, y, b, bp in cdoc["pair_overrides"]
-        },
     )
     kernel = _kernel_from(doc["kernel"])
     label_names = tuple(doc["label_names"])

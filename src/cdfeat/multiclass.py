@@ -267,7 +267,7 @@ def pipeline_trainer(
 ):
     """cross_validate trainer running the full pipeline per grid cell.
 
-    The cell's b/b_prime replace the config's global multipliers and the
+    The cell's b/b_prime replace the config's multipliers and the
     cell's C and kernel drive the pair SVMs. `seed` is accepted and unused.
     """
 

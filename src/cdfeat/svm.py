@@ -476,13 +476,11 @@ def stratified_folds(y, folds: int, seed: int) -> list[np.ndarray]:
             f"folds={folds} exceeds the smallest class size {smallest}"
         )
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(folds)]
-    for cls in classes:
-        idx = np.flatnonzero(y == cls)
-        rng.shuffle(idx)
-        for k, sample in enumerate(idx):
-            buckets[k % folds].append(int(sample))
-    return [np.asarray(sorted(b), dtype=np.int64) for b in buckets]
+    shuffled = [rng.permutation(np.flatnonzero(y == cls)) for cls in classes]
+    return [
+        np.sort(np.concatenate([idx[k::folds] for idx in shuffled])).astype(np.int64)
+        for k in range(folds)
+    ]
 
 
 def cross_validate(x, y, grid, folds: int, seed: int, trainer) -> CvResult:

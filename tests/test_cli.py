@@ -508,6 +508,8 @@ class TestInspect:
             lambda d: d["profiles"][0].update(cardinality=60.5),
             lambda d: d["pairs"][0].update(iterations="5"),
             lambda d: d.update(label_names=list(range(len(d["label_names"])))),
+            # eval would score every class against the last one's id.
+            lambda d: d.update(label_names=["0"] * len(d["label_names"])),
             lambda d: d["kernel"].update(coef0="1"),
             lambda d: d["kernel"].update(degree=2.5),
             lambda d: d["kernel"].update(degree=True),
@@ -526,6 +528,19 @@ class TestInspect:
             rc = main(["inspect", "--model", str(bad)])
             assert rc == 2
             assert "unreadable model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["inspect", "eval", "predict"])
+    def test_retired_format_refused_by_name(self, fixture_files, trained, tmp_path, capsys,
+                                            command):
+        old = tmp_path / "v4.json"
+        old.write_text(trained["model"].read_text().replace(
+            '"format":"cdf-model/5"', '"format":"cdf-model/4"', 1))
+        data = [] if command == "inspect" else [
+            "--format", "sparse", "--data", str(fixture_files["test"]), "--dim", "20"]
+        assert main([command, "--model", str(old), *data]) == 2
+        err = capsys.readouterr().err
+        assert "unreadable model" in err
+        assert "'cdf-model/4' is no longer read; retrain to write 'cdf-model/5'" in err
 
 
 class TestIdxEndToEnd:
@@ -639,6 +654,22 @@ class TestReutersEndToEnd:
         )
         assert rc == 0
         assert "error_rate=0" in capsys.readouterr().out
+
+    def test_entity_beyond_unicode_exits_1(self, tmp_path, capsys):
+        sgml_dir = tmp_path / "sgml"
+        sgml_dir.mkdir()
+        (sgml_dir / "reut2-000.sgm").write_text(
+            '<REUTERS TOPICS="YES" LEWISSPLIT="TRAIN" NEWID="1">\n'
+            "<TOPICS><D>earn</D></TOPICS>\n"
+            "<TEXT>\n<BODY>net &#99999999999999999999; rose</BODY>\n</TEXT>\n</REUTERS>\n"
+        )
+        rc = main([
+            "train", "--format", "reuters", "--sgml-dir", str(sgml_dir),
+            "--model", str(tmp_path / "m.json"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: entity &#99999999999999999999; is beyond U+10FFFF\n"
 
 
 class TestConfigFile:

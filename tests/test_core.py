@@ -345,14 +345,6 @@ class TestBuildPairContext:
         assert abs(float(np.sum(ctx.ref_x)) - 1.0) <= 1e-12
         assert abs(float(np.sum(ctx.ref_y)) - 1.0) <= 1e-12
 
-    def test_pair_override_applies(self):
-        p_x = profile_from([4.0, 0.0, 1.0], class_id=0)
-        p_y = profile_from([1.0, 3.0, 1.0], class_id=1)
-        cfg = CdfConfig(b=1.0, b_prime=1.0, pair_overrides={(0, 1): (2.0, 3.0)})
-        ctx = build_pair_context(p_x, p_y, cfg)
-        assert ctx.b == 2.0 and ctx.b_prime == 3.0
-        assert ctx.tau == 2.0 * ctx.mu_xy
-
 
 class TestSampleFeatureConsistency:
     def test_extract_and_sample_feature_agree(self):

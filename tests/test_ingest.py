@@ -186,6 +186,22 @@ class TestSparse:
         with pytest.raises(SparseFormatError, match="negative"):
             load_sparse("1 1:-2.0")
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "NaN"])
+    def test_label_not_finite(self, label):
+        # Two "nan" rows would otherwise become two classes, both named nan.
+        with pytest.raises(SparseFormatError, match=f"line 2: label '{label}' is not finite"):
+            load_sparse(f"1 1:1\n{label} 1:1\n{label} 2:1\n")
+
+    @pytest.mark.parametrize("token", ["1:nan", "1:inf", "1:-inf"])
+    def test_value_not_finite(self, token):
+        with pytest.raises(SparseFormatError, match=f"line 3: value in '{token}' is not finite"):
+            load_sparse(f"1 1:1\n# note\n0 {token} 2:1\n")
+
+    @pytest.mark.parametrize("index", ["0", "-2"])
+    def test_index_below_one(self, index):
+        with pytest.raises(SparseFormatError, match=f"line 1: index {index}; indices are 1-based"):
+            load_sparse(f"1 {index}:1 3:1\n")
+
     def test_non_numeric_tokens(self):
         with pytest.raises(SparseFormatError, match="non-numeric"):
             load_sparse("x 1:1.0")
@@ -261,6 +277,15 @@ class TestReutersSgml:
             "net profit rose", "a &lt;b&gt; c &amp;d &#65;"
         )
         assert parse_reuters_sgml(text)[0].body_text == "a <b> c &d A"
+
+    @pytest.mark.parametrize("entity", ["&#1114112;", "&#99999999999999999999;"])
+    def test_entity_beyond_unicode(self, entity):
+        # chr() raised a bare ValueError for the first and OverflowError for the second.
+        text = MINIMAL_SGML.replace("net profit rose", f"net {entity} rose")
+        with pytest.raises(SgmlFormatError, match=f"entity {entity} is beyond U\\+10FFFF"):
+            parse_reuters_sgml(text)
+        last = MINIMAL_SGML.replace("net profit rose", "&#1114111;")
+        assert parse_reuters_sgml(last)[0].body_text == "\U0010ffff"
 
     def test_split_tags(self):
         for raw, want in (("TRAIN", "train"), ("TEST", "test"), ("NOT-USED", "not_used")):

@@ -73,6 +73,14 @@ class TestValidateDataset:
         bad = replace(small_dataset(), labels=[0, 0, 0, 0])
         assert any("class 1 has no samples" in v for v in validate_dataset(bad))
 
+    def test_duplicate_label_names_reported(self):
+        # Names map eval's truth onto model ids, so two classes must not share one.
+        x, y = small_dataset().samples, [0, 1, 2, 1]
+        bad = Dataset.from_arrays(x, y, label_names=["a", "b", "a"])
+        assert validate_dataset(bad) == ["label names ['a', 'b', 'a'] are not distinct"]
+        with pytest.raises(ValueError, match="not distinct"):
+            train(bad)
+
     def test_randomized_single_field_corruption(self):
         # Corrupt one aspect of a valid dataset; at least one violation each time.
         rng = np.random.default_rng(7)
@@ -119,7 +127,6 @@ class TestSerializationRoundTrip:
             b=0.5 + (seed % 3) * 0.5,
             feature_mode=feature_mode,
             selection_mode=selection_mode,
-            pair_overrides={(0, 1): (1.25, 0.75)} if seed % 5 == 0 else {},
         )
         return train(ds, cfg, kernel=KernelSpec(kind="polynomial", degree=2), c=5.0)
 
@@ -157,17 +164,25 @@ class TestSerializationRoundTrip:
         with pytest.raises(ValueError, match="format"):
             model_from_json(text)
 
-    @pytest.mark.parametrize("old", ["cdf-model/1", "cdf-model/2", "cdf-model/3"])
+    @pytest.mark.parametrize("old", ["cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4"])
     def test_older_formats_refused(self, old):
         doc = json.loads(model_to_json(self._tiny_model(0)))
         doc["format"] = old
         with pytest.raises(ValueError, match=f"{old}.*retrain"):
             model_from_json(json.dumps(doc))
 
+    def test_duplicate_label_names_refused(self):
+        doc = json.loads(model_to_json(self._tiny_model(1, classes=3)))
+        doc["label_names"] = ["a", "b", "a"]
+        with pytest.raises(ValueError, match=r"label names must be distinct, got \['a', 'b', 'a'\]"):
+            model_from_json(json.dumps(doc))
+
     def test_pairs_store_no_derivable_fields(self):
         doc = json.loads(model_to_json(self._tiny_model(2, feature_mode="elementwise_kl")))
         assert set(doc) == {"format", "config", "kernel", "c", "tol", "max_passes",
                             "label_names", "profiles", "pairs"}
+        assert set(doc["config"]) == {"b", "b_prime", "selection_mode", "feature_mode",
+                                      "smoothing_eps"}
         for e in doc["pairs"]:
             assert set(e) == {"support_vectors", "coef", "bias", "iterations",
                               "kkt_violation_max"}
@@ -341,7 +356,7 @@ class TestDatasetHelpers:
         px = np.ones((1, 4))
         assert (IdxImages(px, 2, 2) == IdxImages(px.copy(), 2, 2)) is True
         assert (IdxImages(px, 2, 2) == IdxImages(2 * px, 2, 2)) is False
-        cfg = CdfConfig(b=0.5, pair_overrides={(0, 1): (1.0, 2.0)})
-        same = CdfConfig(b=0.5, pair_overrides={(0, 1): (1.0, 2.0)})
+        cfg = CdfConfig(b=0.5, b_prime=2.0)
+        same = CdfConfig(b=0.5, b_prime=2.0)
         assert cfg == same and hash(cfg) == hash(same)
-        assert cfg != replace(cfg, pair_overrides={}) and cfg != "cfg"
+        assert cfg != replace(cfg, b_prime=1.0) and cfg != "cfg"

@@ -110,16 +110,6 @@ class TestTrain:
         preds = [predict(model, s)[0] for s in ds.samples]
         assert preds == list(ds.labels)
 
-    def test_pair_override_reaches_contexts(self):
-        x, y = gaussian_blobs(15, seed=15, dims=12, classes=3)
-        ds = Dataset.from_arrays(x, y)
-        cfg = CdfConfig(b=1.0, b_prime=1.0, pair_overrides={(0, 2): (1.5, 0.5)})
-        model = train(ds, cfg, kernel=POLY2)
-        contexts = {(ctx.class_x, ctx.class_y): ctx for ctx, _ in model.pairs}
-        ctx_01, ctx_02 = contexts[0, 1], contexts[0, 2]
-        assert (ctx_01.b, ctx_01.b_prime) == (1.0, 1.0)
-        assert (ctx_02.b, ctx_02.b_prime) == (1.5, 0.5)
-
 
 class TestPredict:
     def test_two_votes_beat_one(self):

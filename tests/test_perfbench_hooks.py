@@ -1,0 +1,59 @@
+"""The names `perfbench/spans.py` wraps exist, and its hooks run on them.
+
+The bench skips a hook whose target is gone and then just omits the metrics
+that need it, so a renamed function or a dropped attribute (say `ctx.b`)
+would otherwise show only as missing per-layer numbers.
+"""
+
+from pathlib import Path
+
+from cdfeat import svm
+from cdfeat.model import CdfConfig, Dataset, model_from_json, model_to_json
+from cdfeat.multiclass import predict, predict_batch, train
+from cdfeat.svm import KernelSpec
+
+from conftest import gaussian_blobs
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+# HOOKS entries for names these modules no longer import: baseline fits its
+# pairs through `multiclass.fit_pairs`, and multiclass decides through
+# `decision_batch` and the decision forms. Nothing calls through them, so no
+# span is lost; the install skips them.
+UNUSED_HOOKS = {"cdfeat.baseline.smo_train", "cdfeat.multiclass.decision"}
+
+
+def test_every_hook_is_installed_and_runs(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    missing = {f"{owner.__name__}.{attr}"
+               for owner, attr, _ in spans.HOOKS if attr not in owner.__dict__}
+    assert missing <= UNUSED_HOOKS
+    assert isinstance(svm.FULL_GRAM_LIMIT, int)
+
+    x, y = gaussian_blobs(8, seed=23, dims=10, classes=3)
+    originals = [owner.__dict__.get(attr) for owner, attr, _ in spans.HOOKS]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        model = train(Dataset.from_arrays(x, y), CdfConfig(b=0.75),
+                      kernel=KernelSpec(kind="polynomial", degree=2))
+        back = model_from_json(model_to_json(model))
+        batch = predict_batch(back, x)
+        one = predict(back, x[0])
+        metrics = tracer.layer_metrics()
+    finally:
+        tracer.remove()
+
+    assert tracer.installed == {name for _, _, name in spans.HOOKS}
+    assert one == batch[0]
+    # `_on_extract_pair_features` read each pair's context and multipliers.
+    assert tracer.counts["feature_rows"] > 0
+    assert {key[2:4] for key in tracer.feature_keys} == {(0.75, 1.0)}
+    assert {key[:2] for key in tracer.feature_keys} == {(0, 1), (0, 2), (1, 2)}
+    assert metrics["svm.smo_calls"] == 3 and "svm.gram_bytes_max" in metrics
+    for name in ("core.context_s", "core.features_s", "model.to_json_s",
+                 "model.from_json_s", "multiclass.predict_self_s"):
+        assert name in metrics, name
+    # remove() put every original back.
+    assert [owner.__dict__.get(attr) for owner, attr, _ in spans.HOOKS] == originals
