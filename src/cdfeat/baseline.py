@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import class_pairs
 from .multiclass import DEFAULT_C, fit_pairs, vote
 from .record import Record
 from .svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, KernelSpec, decision
@@ -64,8 +65,15 @@ def transform(model: TfIdfModel, vectors) -> np.ndarray:
 class OvoSvmModel:
     """One-vs-one SVMs trained directly on (weighted) feature vectors."""
 
-    pairs: tuple  # ((class_x, class_y, SvmModel), ...)
+    pairs: tuple  # ((class_x, class_y, SvmModel), ...) in `class_pairs` order
     num_classes: int
+
+    def __post_init__(self):
+        got = [(cx, cy) for cx, cy, _ in self.pairs]
+        if got != class_pairs(self.num_classes):
+            raise ValueError(
+                f"pairs {got} are not the class pairs of {self.num_classes} classes in order"
+            )
 
 
 def train_ovo(
@@ -101,4 +109,4 @@ def predict_ovo(model: OvoSvmModel, sample) -> int:
     """Vote the pair SVMs on one row; scalar `decision` is faster than a
     one-row `decision_batch` here."""
     d = np.asarray([[decision(svm, sample) for _, _, svm in model.pairs]])
-    return vote(d, [(cx, cy) for cx, cy, _ in model.pairs], model.num_classes)[0][0]
+    return vote(d, model.num_classes)[0][0]

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import ingest, metrics, multiclass
 from .model import (
-    FEATURE_MODES, SELECTION_MODES, CdfConfig, CdfModel, Dataset, model_from_json, model_to_json,
+    FEATURE_MODES, SELECTION_MODES, CdfConfig, CdfModel, Dataset, class_pairs, model_from_json,
+    model_to_json,
 )
 from .report import fmt_float
 from .svm import (
@@ -369,8 +370,7 @@ def cmd_eval(cfg: dict) -> int:
 
     t0 = time.perf_counter()
     decisions = multiclass.pair_decisions(model, dataset.samples)
-    classes = multiclass.pair_classes(model)
-    preds = [winner for winner, _ in multiclass.vote(decisions, classes, model.num_classes)]
+    preds = [winner for winner, _ in multiclass.vote(decisions, model.num_classes)]
     t_eval = time.perf_counter() - t0
 
     truth = _align_truth(model, dataset)
@@ -380,7 +380,7 @@ def cmd_eval(cfg: dict) -> int:
     # Per pair: the rows of its two classes, and those on which it voted for
     # the other one of the two (pair (x, y) votes x when its decision is > 0).
     truth = np.asarray(truth, dtype=np.int64)
-    for (x, y), d in zip(classes, decisions.T):
+    for (x, y), d in zip(class_pairs(model.num_classes), decisions.T):
         is_x, is_y = truth == x, truth == y
         wrong = np.count_nonzero(is_x & (d <= 0)) + np.count_nonzero(is_y & (d > 0))
         report.append(f"pair_{x}_{y}_rows={np.count_nonzero(is_x | is_y)}")

@@ -313,16 +313,9 @@ _TOKEN_RE = re.compile(r"[A-Za-z]+")
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Term index fit on the training split; document frequencies included."""
+    """Term index fit on the training split."""
 
     index_to_term: tuple
-    document_frequency: tuple
-
-    def __post_init__(self):
-        if len(self.index_to_term) != len(self.document_frequency):
-            raise ValueError("one document frequency per term required")
-        if any(df < 1 for df in self.document_frequency):
-            raise ValueError("retained terms must have document frequency >= 1")
 
     def __len__(self) -> int:
         return len(self.index_to_term)
@@ -350,10 +343,7 @@ def build_vocabulary(docs, min_df: int = DEFAULT_MIN_DF) -> Vocabulary:
         for term in set(tokenize(doc.body_text)):
             df[term] = df.get(term, 0) + 1
     kept = sorted(term for term, count in df.items() if count >= min_df)
-    return Vocabulary(
-        index_to_term=tuple(kept),
-        document_frequency=tuple(df[term] for term in kept),
-    )
+    return Vocabulary(index_to_term=tuple(kept))
 
 
 def count_vector(doc: RawDocument, vocab: Vocabulary) -> np.ndarray:

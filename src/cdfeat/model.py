@@ -413,9 +413,10 @@ def model_from_json(text: str) -> CdfModel:
         smoothing_eps=cdoc["smoothing_eps"],
     )
     kernel = _kernel_from(doc["kernel"])
-    label_names = tuple(doc["label_names"])
-    if not all(isinstance(name, str) for name in label_names):
-        raise ValueError(f"label names must be strings, got {list(label_names)!r}")
+    label_names = doc["label_names"]
+    if not (isinstance(label_names, list) and all(isinstance(n, str) for n in label_names)):
+        raise ValueError(f"label names must be a list of strings, got {label_names!r}")
+    label_names = tuple(label_names)
     profiles = [
         ClassProfile(
             class_id=cid,
@@ -431,6 +432,8 @@ def model_from_json(text: str) -> CdfModel:
         ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
         width = feature_width(cfg.feature_mode, ctx)
         sv = np.asarray(s["support_vectors"], dtype=float)
+        if sv.shape == (0,):  # an SVM without support vectors is written as []
+            sv = sv.reshape(0, width)
         if sv.ndim != 2 or sv.shape[1] != width:
             raise ValueError(f"pair ({x},{y}): support vectors must be rows of {width} features")
         if not np.all(np.isfinite(sv)):

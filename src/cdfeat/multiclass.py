@@ -228,25 +228,21 @@ def predict_batch(model: CdfModel, samples) -> list[tuple[int, VoteRecord]]:
     Votes and margin sums accumulate over `pair_decisions` in pair order, so
     a row's result is the same whatever the number of rows.
     """
-    return vote(pair_decisions(model, samples), pair_classes(model), model.num_classes)
-
-
-def pair_classes(model: CdfModel) -> np.ndarray:
-    """The (class_x, class_y) of each pair, in the model's pair order, as a
-    read-only (pairs, 2) array shared by every model of as many classes."""
-    return _class_pair_array(model.num_classes)
+    return vote(pair_decisions(model, samples), model.num_classes)
 
 
 @cache
 def _class_pair_array(num_classes: int) -> np.ndarray:
+    """`class_pairs(num_classes)` as a read-only (pairs, 2) array, built once per class count."""
     pairs = np.array(class_pairs(num_classes), dtype=np.int64)
     pairs.setflags(write=False)
     return pairs
 
 
-def vote(decisions, classes, num_classes: int) -> list[tuple[int, VoteRecord]]:
-    """(winner, VoteRecord) per decision row; pair k votes classes[k][0] if d > 0, else [1]."""
-    classes = np.asarray(classes)
+def vote(decisions, num_classes: int) -> list[tuple[int, VoteRecord]]:
+    """(winner, VoteRecord) per row of an (n, pairs) decision matrix whose
+    columns are in `class_pairs` order; pair (x, y) votes x if d > 0, else y."""
+    classes = _class_pair_array(num_classes)
     n = len(decisions)
     voted = np.where(decisions > 0, classes[:, 0], classes[:, 1])
     # Each row's vote goes to cell row * num_classes + class. bincount adds in

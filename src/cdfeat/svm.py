@@ -27,8 +27,8 @@ only path for rbf.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 from numbers import Integral, Real
 
@@ -38,9 +38,14 @@ from .record import Record
 
 KERNEL_KINDS = ("linear", "polynomial", "rbf")
 
-# Full Gram matrix up to the largest sample count whose n x n float64 Gram
-# fits in DEFAULT_CACHE_BYTES (5792 rows), LRU row cache of at most
-# DEFAULT_CACHE_BYTES above it. Both are read at call time. Training runs one
+# The solver reads kernel rows through one accessor, `_kernel_rows`, with two
+# stores: one full Gram matrix up to the largest sample count whose n x n
+# float64 Gram fits in DEFAULT_CACHE_BYTES (5792 rows), an LRU row cache of
+# at most DEFAULT_CACHE_BYTES above it. Both are read at call time. The full
+# Gram is one matrix product where the cache makes one per row: forcing the
+# cache on every solve (FULL_GRAM_LIMIT = 0) slowed the TF-IDF baseline's
+# pair training from 53 to 130 ms on the benchmark's digits draw and from 113
+# to 288 ms on its news draw (median of 7, 2-vCPU Xeon). Training runs one
 # solver at a time, so this also bounds the kernel memory of a whole training run.
 DEFAULT_CACHE_BYTES = 256 * 2**20
 FULL_GRAM_LIMIT = math.isqrt(DEFAULT_CACHE_BYTES // 8)
@@ -124,33 +129,22 @@ def _kernel_of_dots(spec: KernelSpec, dots, a: np.ndarray, b: np.ndarray) -> np.
     return np.exp(-spec.gamma * np.maximum(sq, 0.0))
 
 
-class _KernelRows:
-    """Row access to the training Gram matrix, dense or LRU-cached."""
+def _kernel_rows(spec: KernelSpec, x: np.ndarray):
+    """row(i), the kernel values of training row i against every row of x.
 
-    def __init__(self, spec: KernelSpec, x: np.ndarray):
-        self.spec = spec
-        self.x = x
-        n = x.shape[0]
-        if n <= FULL_GRAM_LIMIT:
-            self.full = kernel_matrix(spec, x, x)
-            self.rows = None
-        else:
-            self.full = None
-            self.rows: OrderedDict[int, np.ndarray] = OrderedDict()
-            self.max_rows = max(2, DEFAULT_CACHE_BYTES // (8 * n))
+    Up to FULL_GRAM_LIMIT rows the rows are views of one full Gram matrix;
+    above it each row is computed on first use and kept in an LRU cache of
+    max(2, DEFAULT_CACHE_BYTES // (8 * n)) rows.
+    """
+    n = x.shape[0]
+    if n <= FULL_GRAM_LIMIT:
+        return kernel_matrix(spec, x, x).__getitem__
 
-    def row(self, i: int) -> np.ndarray:
-        if self.full is not None:
-            return self.full[i]
-        cached = self.rows.get(i)
-        if cached is not None:
-            self.rows.move_to_end(i)
-            return cached
-        r = kernel_matrix(self.spec, self.x[i : i + 1], self.x)[0]
-        self.rows[i] = r
-        if len(self.rows) > self.max_rows:
-            self.rows.popitem(last=False)
-        return r
+    @lru_cache(maxsize=max(2, DEFAULT_CACHE_BYTES // (8 * n)))
+    def row(i: int) -> np.ndarray:
+        return kernel_matrix(spec, x[i : i + 1], x)[0]
+
+    return row
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +206,7 @@ def smo_train(
 
     n = x.shape[0]
     spec = spec.resolve(x.shape[1])
-    kern = _KernelRows(spec, x)
-    gram = kern.full
+    row = _kernel_rows(spec, x)
 
     c, tol = float(c), float(tol)
     ys = yv.tolist()
@@ -238,10 +231,7 @@ def smo_train(
         if s_i + neg_s_j <= tol:
             break
 
-        if gram is None:
-            ki, kj = kern.row(i), kern.row(j)
-        else:
-            ki, kj = gram[i], gram[j]
+        ki, kj = row(i), row(j)
         quad = ki.item(i) + kj.item(j) - 2.0 * ki.item(j)
         if quad <= 0:
             quad = 1e-12

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cdfeat.svm import KernelSpec, SvmModel, _KernelRows
+from cdfeat.svm import KernelSpec, SvmModel, _kernel_rows
 
 
 def smo_train(
@@ -38,7 +38,7 @@ def smo_train(
 
     n = x.shape[0]
     spec = spec.resolve(x.shape[1])
-    kern = _KernelRows(spec, x)
+    row = _kernel_rows(spec, x)
 
     alpha = np.zeros(n)
     grad = np.full(n, -1.0)  # gradient of the dual objective at alpha = 0
@@ -58,8 +58,8 @@ def smo_train(
         if gap <= tol:
             break
 
-        ki = kern.row(i)
-        kj = kern.row(j)
+        ki = row(i)
+        kj = row(j)
         quad = ki[i] + kj[j] - 2.0 * ki[j]
         if quad <= 0:
             quad = 1e-12

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,14 @@ class TestOvoBaselinePath:
         assert [(cx, cy) for cx, cy, _ in model.pairs] == [
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
         ]
+
+    def test_pairs_out_of_order_refused(self):
+        # predict_ovo votes pair k for the classes of class_pairs(m)[k].
+        x, y = gaussian_blobs(6, seed=62, dims=8, classes=3)
+        model = train_ovo(x, y, 3, kernel=KernelSpec(kind="linear"))
+        for pairs in (model.pairs[::-1], model.pairs[:2], ((1, 0, model.pairs[0][2]),)):
+            with pytest.raises(ValueError, match="not the class pairs of 3 classes in order"):
+                replace(model, pairs=pairs)
 
 
 def svm_bits(svm):

@@ -497,6 +497,18 @@ class TestInspect:
             assert (float(lines["pair_0_1_kkt_violation_max"]) > 1e-3) == (converged == "0")
             assert lines["pair_0_1_converged"] == converged
 
+    def test_svm_without_support_vectors(self, fixture_files, tmp_path, capsys):
+        # tol 5 is above the KKT gap of 2 at alpha = 0: every pair SVM is
+        # written with "support_vectors":[] and must load again.
+        model_path = tmp_path / "no-sv.json"
+        assert main(train_args(fixture_files, model_path, tmp_path / "r", ["--tol", "5"])) == 0
+        assert model_path.read_text().count('"support_vectors":[]') == 3
+        assert main(["inspect", "--model", str(model_path)]) == 0
+        assert "pair_0_1_support_vectors=0" in capsys.readouterr().out.splitlines()
+        data = ["--format", "sparse", "--data", str(fixture_files["test"]), "--dim", "20"]
+        for command in ("eval", "predict"):
+            assert main([command, "--model", str(model_path), *data]) == 0, command
+
     def test_unreadable_model(self, trained, tmp_path, capsys):
         # A mistyped field (cardinality "3") must not escape as a TypeError.
         doc = json.loads(trained["model"].read_text())
@@ -510,6 +522,9 @@ class TestInspect:
             lambda d: d.update(label_names=list(range(len(d["label_names"])))),
             # eval would score every class against the last one's id.
             lambda d: d.update(label_names=["0"] * len(d["label_names"])),
+            # Not lists: tuple() would read both as the names.
+            lambda d: d.update(label_names="".join(d["label_names"])),
+            lambda d: d.update(label_names=dict.fromkeys(d["label_names"], 1)),
             lambda d: d["kernel"].update(coef0="1"),
             lambda d: d["kernel"].update(degree=2.5),
             lambda d: d["kernel"].update(degree=True),

@@ -346,7 +346,8 @@ class TestVocabulary:
         ]
         vocab = build_vocabulary(docs, min_df=1)
         assert vocab.index_to_term == ("profit",)
-        assert vocab.document_frequency == (1,)
+        # One train document holds "profit" (twice): a document frequency of 1.
+        assert len(build_vocabulary(docs, min_df=2)) == 0
 
     def test_tokenizer_rules(self):
         assert tokenize("Ab1cd EF-gh i") == ["ab", "cd", "ef", "gh"]

@@ -177,6 +177,25 @@ class TestSerializationRoundTrip:
         with pytest.raises(ValueError, match=r"label names must be distinct, got \['a', 'b', 'a'\]"):
             model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("names", ["012", {"0": 1, "1": 2, "2": 3}])
+    def test_label_names_must_be_a_list(self, names):
+        # tuple() would read both as the names ('0', '1', '2').
+        doc = json.loads(model_to_json(self._tiny_model(1, classes=3)))
+        doc["label_names"] = names
+        with pytest.raises(ValueError, match="label names must be a list of strings"):
+            model_from_json(json.dumps(doc))
+
+    def test_svm_without_support_vectors_round_trips(self):
+        # tol 5 is above the KKT gap of 2 at alpha = 0: no SMO step is taken.
+        x, y = gaussian_blobs(6, seed=3, dims=8, classes=3)
+        model = train(Dataset.from_arrays(x, y), tol=5.0)
+        assert all(svm.support_vectors.shape == (0, 2) for _, svm in model.pairs)
+        text = model_to_json(model)
+        assert text.count('"support_vectors":[]') == 3
+        back = model_from_json(text)
+        assert back == model
+        assert model_to_json(back) == text
+
     def test_pairs_store_no_derivable_fields(self):
         doc = json.loads(model_to_json(self._tiny_model(2, feature_mode="elementwise_kl")))
         assert set(doc) == {"format", "config", "kernel", "c", "tol", "max_passes",

@@ -252,6 +252,48 @@ class TestSmoProperties:
         limit, budget = svm_mod.FULL_GRAM_LIMIT, svm_mod.DEFAULT_CACHE_BYTES
         assert limit**2 * 8 <= budget < (limit + 1) ** 2 * 8
 
+    def test_row_cache_holds_at_most_its_budget(self, monkeypatch):
+        import cdfeat.svm as svm_mod
+
+        accessors = []
+        kernel_rows = svm_mod._kernel_rows
+
+        def recording(spec, x):
+            accessors.append(kernel_rows(spec, x))
+            return accessors[-1]
+
+        monkeypatch.setattr(svm_mod, "_kernel_rows", recording)
+        monkeypatch.setattr(svm_mod, "FULL_GRAM_LIMIT", 8)
+        rng = np.random.default_rng(19)
+        x, y = self._random_problem(rng, n=40, separate=1.0)
+        for budget in (8 * 40 * 5, 8 * 40 * 5 + 8 * 39, 8):
+            monkeypatch.setattr(svm_mod, "DEFAULT_CACHE_BYTES", budget)
+            model = smo_train(x, y, c=10.0, spec=LINEAR, max_passes=100)
+            info = accessors[-1].cache_info()
+            assert info.maxsize == max(2, budget // (8 * 40)), budget
+            assert model.iterations > info.maxsize
+            assert 0 < info.currsize <= info.maxsize
+            assert info.misses > info.maxsize  # rows were evicted and computed again
+
+    def test_full_gram_computed_once_per_solve(self, monkeypatch):
+        import cdfeat.svm as svm_mod
+
+        shapes = []
+
+        def counting(spec, a, b):
+            shapes.append((a.shape, b.shape))
+            return kernel_matrix(spec, a, b)
+
+        monkeypatch.setattr(svm_mod, "kernel_matrix", counting)
+        rng = np.random.default_rng(20)
+        x, y = self._random_problem(rng, n=40, separate=1.0)
+        for limit in (40, svm_mod.FULL_GRAM_LIMIT):
+            monkeypatch.setattr(svm_mod, "FULL_GRAM_LIMIT", limit)
+            shapes.clear()
+            model = smo_train(x, y, c=10.0, spec=LINEAR, max_passes=100)
+            assert model.iterations > 1
+            assert shapes == [((40, 3), (40, 3))]
+
 
 class TestSmoAgainstOracle:
     """smo_train must return the oracle's model bit for bit, capped solves too."""
