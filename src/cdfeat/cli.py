@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,17 +40,25 @@ class CliError(Exception):
     """User-facing command error; message printed to stderr, exit nonzero."""
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return int(text)
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+def _int_at_least(minimum: int):
+    """The argparse type of an integer option that refuses values below `minimum`."""
+    def convert(text: str) -> int:
+        value = _int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return convert
 
 
 def _folds(text: str) -> int:
-    try:
-        folds = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    folds = _int(text)
     if folds == 1 or folds < 0:
         raise argparse.ArgumentTypeError(f"expected 0 (no CV) or an integer >= 2, got {text!r}")
     return folds
@@ -81,13 +89,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--split", choices=["train", "test"],
                            help="corpus split to load (reuters format)")
             p.add_argument("--classes", help="comma-separated raw labels to keep (idx format)")
-            p.add_argument("--max-per-class", dest="max_per_class", type=_positive_int,
+            p.add_argument("--max-per-class", dest="max_per_class", type=_int_at_least(1),
                            help="cap samples per class after loading")
-            p.add_argument("--dim", type=_positive_int, help="vector length for sparse data")
-            p.add_argument("--min-df", dest="min_df", type=_positive_int,
+            p.add_argument("--dim", type=_int_at_least(1), help="vector length for sparse data")
+            p.add_argument("--min-df", dest="min_df", type=_int_at_least(1),
                            default=ingest.DEFAULT_MIN_DF,
                            help="vocabulary document-frequency threshold")
-            p.add_argument("--topics", type=_positive_int, default=ingest.DEFAULT_TOPICS,
+            p.add_argument("--topics", type=_int_at_least(1), default=ingest.DEFAULT_TOPICS,
                            help="number of top topics kept as classes")
         if name == "train":
             p.add_argument("--b", type=float, default=CdfConfig.b)
@@ -114,7 +122,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            help="comma-separated b grid for CV")
             p.add_argument("--grid-b-prime", dest="grid_b_prime", default="0.5,1.0,1.5,2.0",
                            help="comma-separated b' grid for CV")
-            p.add_argument("--seed", type=int, default=0,
+            p.add_argument("--seed", type=_int_at_least(0), default=0,
                            help="seed of the cross-validation folds")
         p.add_argument("--model", help="model file path")
         p.add_argument("--out", help="report/output file path")
@@ -279,8 +287,7 @@ def cmd_train(cfg: dict) -> int:
     dataset = _load_dataset(cfg, default_split="train")
     if not cfg.get("model"):
         raise CliError("--model output path is required for train")
-    base = CdfConfig(b=cfg["b"], b_prime=cfg["b_prime"], selection_mode=cfg["selection_mode"],
-                     feature_mode=cfg["feature_mode"], smoothing_eps=cfg["smoothing_eps"])
+    base = CdfConfig(**{f.name: cfg[f.name] for f in fields(CdfConfig)})
     kernel = KernelSpec(cfg["kernel"], cfg["degree"], cfg["gamma"], cfg["coef0"])
     seed, tol, max_passes = cfg["seed"], cfg["tol"], cfg["max_passes"]
     c = cfg["c"]

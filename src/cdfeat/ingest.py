@@ -59,42 +59,35 @@ def _maybe_gunzip(data: bytes) -> bytes:
     return data
 
 
-def load_idx_images(data: bytes) -> IdxImages:
-    """Parse an IDX image container (magic 0x00000803) into pixel vectors."""
+def _idx_payload(data: bytes, magic: int, ndims: int, what: str) -> tuple[list[int], bytes]:
+    """The dimensions and the payload bytes of an IDX container of unsigned
+    bytes, gunzipped if need be; IdxFormatError for a short header, another
+    magic or a payload whose length is not the product of the dimensions."""
     data = _maybe_gunzip(bytes(data))
-    if len(data) < 16:
-        raise IdxFormatError(f"header truncated: {len(data)} bytes, need 16")
-    magic, count, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"malformed magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-        )
-    expected = count * rows * cols
-    payload = data[16:]
+    need = 4 * (1 + ndims)
+    if len(data) < need:
+        raise IdxFormatError(f"header truncated: {len(data)} bytes, need {need}")
+    found, *dims = struct.unpack(f">{1 + ndims}I", data[:need])
+    if found != magic:
+        raise IdxFormatError(f"malformed magic 0x{found:08x}, expected 0x{magic:08x}")
+    payload, expected = data[need:], math.prod(dims)
     if len(payload) != expected:
         raise IdxFormatError(
-            f"truncated payload: expected {expected} pixel bytes, got {len(payload)}"
+            f"truncated payload: expected {expected} {what} bytes, got {len(payload)}"
         )
+    return dims, payload
+
+
+def load_idx_images(data: bytes) -> IdxImages:
+    """Parse an IDX image container (magic 0x00000803) into pixel vectors."""
+    (count, rows, cols), payload = _idx_payload(data, IDX_IMAGE_MAGIC, 3, "pixel")
     pixels = np.frombuffer(payload, dtype=np.uint8).astype(float)
     return IdxImages(pixels=pixels.reshape(count, rows * cols), rows=rows, cols=cols)
 
 
 def load_idx_labels(data: bytes) -> list[int]:
     """Parse an IDX label container (magic 0x00000801) into class ids."""
-    data = _maybe_gunzip(bytes(data))
-    if len(data) < 8:
-        raise IdxFormatError(f"header truncated: {len(data)} bytes, need 8")
-    magic, count = struct.unpack(">II", data[:8])
-    if magic != IDX_LABEL_MAGIC:
-        raise IdxFormatError(
-            f"malformed magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-        )
-    payload = data[8:]
-    if len(payload) != count:
-        raise IdxFormatError(
-            f"truncated payload: expected {count} label bytes, got {len(payload)}"
-        )
-    return list(payload)
+    return list(_idx_payload(data, IDX_LABEL_MAGIC, 1, "label")[1])
 
 
 def dump_idx_images(images: IdxImages) -> bytes:
@@ -165,6 +158,8 @@ def load_sparse(text: str, dim: int | None = None) -> Dataset:
                 raise SparseFormatError(
                     f"line {lineno}: non-increasing index {idx} after {prev}"
                 )
+            if dim is not None and idx > dim:
+                raise SparseFormatError(f"line {lineno}: index {idx} exceeds dimension {dim}")
             if not math.isfinite(val):
                 raise SparseFormatError(f"line {lineno}: value in {tok!r} is not finite")
             if val < 0:
@@ -183,8 +178,6 @@ def load_sparse(text: str, dim: int | None = None) -> Dataset:
     x = np.zeros((len(rows), n))
     for r, (_, entries) in enumerate(rows):
         for idx, val in entries:
-            if idx > n:
-                raise SparseFormatError(f"index {idx} exceeds dimension {n}")
             x[r, idx - 1] = val
 
     raw_labels = sorted({label for label, _ in rows})

@@ -5,12 +5,15 @@ construction, so they are safe to share across threads. The ones holding
 numpy arrays are records (`record.Record`): each names its array fields once,
 keeps read-only views of them (the caller's arrays stay writable), compares
 field by field with arrays by shape and content, and is unhashable.
-`CdfConfig` is a plain frozen dataclass. Model serialization is a
-versioned JSON document ("cdf-model/5") written by `json.dumps`: reals in
-Python's shortest round-trip text and a class's sums as integers when all are
-integral, so save/load round-trips are exact. It stores each fact once: the
-config and SVM settings, the label names, each class's sum vector and
-cardinality, and each pair's SVM. The class count is the number of label
+`CdfConfig` is a plain frozen dataclass that, like `svm.KernelSpec`, stores
+its numbers as Python float/int whatever numeric type it was given. Model
+serialization is a versioned JSON document ("cdf-model/5") written by
+`json.dumps`: reals in Python's shortest round-trip text and a class's sums
+as integers when all are integral, so save/load round-trips are exact. It
+stores each fact once: the config and SVM settings, the label names, each
+class's sum vector and cardinality, and each pair's SVM. The config and
+kernel documents are the `asdict` of their dataclasses, and loading refuses
+one that does not hold exactly its dataclass's fields. The class count is the number of label
 names, the dimension the length of a sum vector, and the pairs come in
 `class_pairs` order. Every pair selects with the config's one (b, b_prime).
 Loading rebuilds every pair context (mask, masked references, ratio means)
@@ -31,7 +34,7 @@ built by the first predict, neither by training nor by loading.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import combinations
 
@@ -68,6 +71,7 @@ class CdfConfig:
             value = getattr(self, name)
             if not (is_finite_real(value) and value > 0):
                 raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection_mode {self.selection_mode!r}")
         if self.feature_mode not in FEATURE_MODES:
@@ -336,15 +340,14 @@ def _sums_doc(sum_vec: np.ndarray) -> list:
     return sum_vec.tolist()
 
 
-def _kernel_doc(k: KernelSpec) -> dict:
-    gamma = None if k.gamma is None else float(k.gamma)
-    return {"kind": k.kind, "degree": int(k.degree), "gamma": gamma, "coef0": float(k.coef0)}
-
-
-def _kernel_from(doc: dict) -> KernelSpec:
-    return KernelSpec(
-        kind=doc["kind"], degree=doc["degree"], gamma=doc["gamma"], coef0=doc["coef0"]
-    )
+def _settings(cls, doc):
+    """`cls(**doc)`; ValueError unless `doc` is an object holding exactly the
+    fields of the dataclass `cls`."""
+    names = [f.name for f in fields(cls)]
+    if not (isinstance(doc, dict) and set(doc) == set(names)):
+        raise ValueError(f"{cls.__name__} document must be an object with keys {names}, "
+                         f"got {doc!r}")
+    return cls(**doc)
 
 
 def model_to_json(model: CdfModel) -> str:
@@ -352,17 +355,10 @@ def model_to_json(model: CdfModel) -> str:
 
     ValueError if a real is not finite.
     """
-    cfg = model.config
     doc = {
         "format": MODEL_FORMAT,
-        "config": {
-            "b": float(cfg.b),
-            "b_prime": float(cfg.b_prime),
-            "selection_mode": cfg.selection_mode,
-            "feature_mode": cfg.feature_mode,
-            "smoothing_eps": float(cfg.smoothing_eps),
-        },
-        "kernel": _kernel_doc(model.kernel),
+        "config": asdict(model.config),
+        "kernel": asdict(model.kernel),
         "c": float(model.c),
         "tol": float(model.tol),
         "max_passes": int(model.max_passes),
@@ -404,15 +400,8 @@ def model_from_json(text: str) -> CdfModel:
         )
     if fmt != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {fmt!r}")
-    cdoc = doc["config"]
-    cfg = CdfConfig(
-        b=cdoc["b"],
-        b_prime=cdoc["b_prime"],
-        selection_mode=cdoc["selection_mode"],
-        feature_mode=cdoc["feature_mode"],
-        smoothing_eps=cdoc["smoothing_eps"],
-    )
-    kernel = _kernel_from(doc["kernel"])
+    cfg = _settings(CdfConfig, doc["config"])
+    kernel = _settings(KernelSpec, doc["kernel"])
     label_names = doc["label_names"]
     if not (isinstance(label_names, list) and all(isinstance(n, str) for n in label_names)):
         raise ValueError(f"label names must be a list of strings, got {label_names!r}")

@@ -96,6 +96,10 @@ class KernelSpec:
             raise ValueError(f"gamma must be a finite real > 0 when given, got {self.gamma!r}")
         if not is_finite_real(self.coef0):
             raise ValueError(f"coef0 must be a finite real, got {self.coef0!r}")
+        object.__setattr__(self, "degree", int(self.degree))
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "coef0", float(self.coef0))
 
     def resolve(self, dim: int) -> "KernelSpec":
         """Fill in gamma = 1/dim when left unset."""
@@ -164,8 +168,8 @@ class SvmModel(Record):
     def __post_init__(self):
         super().__post_init__()
         co = self.coef
-        if not (math.isfinite(self.bias) and math.isfinite(self.kkt_violation_max)):
-            raise ValueError("bias and kkt_violation_max must be finite")
+        if not (is_finite_real(self.bias) and is_finite_real(self.kkt_violation_max)):
+            raise ValueError("bias and kkt_violation_max must be finite reals")
         if co.shape != self.support_vectors.shape[:1]:
             raise ValueError("one coefficient per support vector required")
         # Written as "not <=" so that a NaN or infinite coefficient fails too.
@@ -458,6 +462,8 @@ def stratified_folds(y, folds: int, seed: int) -> list[np.ndarray]:
     y = np.asarray(y)
     if folds < 2:
         raise ValueError("folds must be >= 2")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     classes = np.unique(y)
     counts = [int(np.sum(y == cls)) for cls in classes]
     smallest = min(counts)

@@ -197,6 +197,7 @@ class TestTrain:
         ("--topics", "-1", "expected an integer >= 1, got '-1'"),
         ("--dim", "0", "expected an integer >= 1, got '0'"),
         ("--dim", "-5", "expected an integer >= 1, got '-5'"),
+        ("--seed", "-1", "expected an integer >= 0, got '-1'"),
     ])
     def test_int_option_out_of_range_exits_2(self, fixture_files, tmp_path, capsys,
                                              flag, value, message):
@@ -754,6 +755,7 @@ class TestConfigFile:
         ({"c": {}}, "argument --c: invalid float value: '{}'"),
         ({"max_passes": 2.5}, "argument --max-passes: invalid int value: '2.5'"),
         ({"seed": 1.7}, "argument --seed: invalid int value: '1.7'"),
+        ({"seed": -1}, "argument --seed: expected an integer >= 0, got '-1'"),
         ({"folds": True}, "argument --folds: invalid int value: 'True'"),
         ({"dim": 0}, "argument --dim: expected an integer >= 1, got '0'"),
         ({"kernel": "sigmoid"}, "argument --kernel: invalid choice: 'sigmoid'"),

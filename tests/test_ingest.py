@@ -61,6 +61,21 @@ class TestIdxImages:
         with pytest.raises(IdxFormatError, match="expected 8 pixel bytes, got 7"):
             load_idx_images(data)
 
+    @pytest.mark.parametrize("data, message", [
+        (b"", "header truncated: 0 bytes, need 16"),
+        (image_bytes(1, 1, 1, [0])[:15], "header truncated: 15 bytes, need 16"),
+        (gzip.compress(image_bytes(1, 1, 1, [0])[:12]), "header truncated: 12 bytes, need 16"),
+        (image_bytes(2, 2, 2, [0] * 7), "truncated payload: expected 8 pixel bytes, got 7"),
+        (image_bytes(2, 2, 2, [0] * 9), "truncated payload: expected 8 pixel bytes, got 9"),
+        (struct.pack(">IIII", IDX_LABEL_MAGIC, 1, 1, 1) + b"\x00",
+         "malformed magic 0x00000801, expected 0x00000803"),
+    ], ids=["empty", "short-header", "gzip-short-header", "short-payload", "long-payload",
+            "label-magic"])
+    def test_format_error_messages(self, data, message):
+        with pytest.raises(IdxFormatError) as exc:
+            load_idx_images(data)
+        assert str(exc.value) == message
+
     def test_malformed_magic(self):
         data = struct.pack(">IIII", 0x00000801, 1, 1, 1) + b"\x00"
         with pytest.raises(IdxFormatError, match="malformed magic"):
@@ -100,6 +115,20 @@ class TestIdxImages:
 class TestIdxLabels:
     def test_direct_layout(self):
         assert load_idx_labels(label_bytes([7, 0, 9])) == [7, 0, 9]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "header truncated: 0 bytes, need 8"),
+        (label_bytes([1])[:7], "header truncated: 7 bytes, need 8"),
+        (gzip.compress(label_bytes([1])[:4]), "header truncated: 4 bytes, need 8"),
+        (label_bytes([1, 2, 3])[:-1], "truncated payload: expected 3 label bytes, got 2"),
+        (label_bytes([1, 2]) + b"\x00", "truncated payload: expected 2 label bytes, got 3"),
+        (image_bytes(1, 1, 1, [0]), "malformed magic 0x00000803, expected 0x00000801"),
+    ], ids=["empty", "short-header", "gzip-short-header", "short-payload", "long-payload",
+            "image-magic"])
+    def test_format_error_messages(self, data, message):
+        with pytest.raises(IdxFormatError) as exc:
+            load_idx_labels(data)
+        assert str(exc.value) == message
 
     def test_image_magic_rejected(self):
         data = struct.pack(">II", IDX_IMAGE_MAGIC, 1) + b"\x00"
@@ -220,6 +249,11 @@ class TestSparse:
     def test_index_beyond_dim(self):
         with pytest.raises(SparseFormatError, match="exceeds"):
             load_sparse("0 4:1.0\n1 1:2.0", dim=3)
+
+    def test_index_beyond_dim_names_its_line(self):
+        with pytest.raises(SparseFormatError) as exc:
+            load_sparse("1 1:1\n2 5:2\n", dim=3)
+        assert str(exc.value) == "line 2: index 5 exceeds dimension 3"
 
     def test_dump_round_trip(self):
         text = "1 1:0.5 3:2.0\n0 2:1.0"

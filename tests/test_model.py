@@ -262,6 +262,12 @@ class TestSerializationRoundTrip:
         lambda doc: doc["config"].update(b=True),
         lambda doc: doc["config"].update(b_prime="1"),
         lambda doc: doc["config"].update(smoothing_eps=float("inf")),
+        lambda doc: doc["pairs"][0].update(bias=True),
+        lambda doc: doc["pairs"][0].update(kkt_violation_max=True),
+        lambda doc: doc["config"].pop("smoothing_eps"),
+        lambda doc: doc["config"].update(seed=0),
+        lambda doc: doc["kernel"].pop("coef0"),
+        lambda doc: doc.update(kernel=[]),
         # A string is the whole document, one that is not a JSON object.
         "[]", "null", '"x"',
     ], ids=["truncated", "negative", "null", "nan-string", "cardinality-0",
@@ -270,7 +276,9 @@ class TestSerializationRoundTrip:
             "tol-string", "tol-0", "tol-nan", "tol-bool", "max-passes-0", "max-passes-real",
             "c-0", "c-negative", "cardinality-real", "iterations-string", "names-int",
             "coef-scalar", "coef0-string", "gamma-string", "degree-real", "degree-bool",
-            "b-bool", "b-prime-string", "eps-inf", "doc-list", "doc-null", "doc-string"])
+            "b-bool", "b-prime-string", "eps-inf", "bias-bool", "kkt-bool",
+            "config-without-eps", "config-extra-key", "kernel-without-coef0", "kernel-list",
+            "doc-list", "doc-null", "doc-string"])
     def test_corrupt_document_fails_at_load(self, corrupt, tmp_path, capsys):
         if isinstance(corrupt, str):
             text = corrupt
@@ -314,6 +322,31 @@ class TestSerializationRoundTrip:
         nan_model = replace(model, pairs=((ctx, replace(svm, support_vectors=nan_sv)),))
         with pytest.raises(ValueError, match="Out of range float"):
             model_to_json(nan_model)
+
+    @pytest.mark.parametrize("given, plain", [
+        ((CdfConfig(b=np.float32(1.5), b_prime=2),
+          KernelSpec("polynomial", degree=np.int64(3), coef0=1)),
+         (CdfConfig(b=1.5, b_prime=2.0), KernelSpec("polynomial", degree=3, coef0=1.0))),
+        ((CdfConfig(b=1, smoothing_eps=np.float64(1e-6)),
+          KernelSpec("rbf", degree=np.int32(2), gamma=np.float16(0.5), coef0=np.int8(0))),
+         (CdfConfig(b=1.0, smoothing_eps=1e-6), KernelSpec("rbf", gamma=0.5, coef0=0.0))),
+    ], ids=["numpy-poly", "int-rbf"])
+    def test_settings_stored_as_python_numbers(self, given, plain):
+        # Settings given as ints or numpy scalars hold the equal Python
+        # float/int, so the model writes the text of the plain settings.
+        (cfg, kernel), (plain_cfg, plain_kernel) = given, plain
+        assert (cfg, kernel) == (plain_cfg, plain_kernel)
+        reals = [cfg.b, cfg.b_prime, cfg.smoothing_eps, kernel.coef0]
+        if kernel.gamma is not None:
+            reals.append(kernel.gamma)
+        assert all(type(v) is float for v in reals) and type(kernel.degree) is int
+        x, y = gaussian_blobs(6, seed=4, dims=8, classes=3)
+        ds = Dataset.from_arrays(x, y)
+        model = train(ds, cfg, kernel=kernel, c=5.0)
+        text = model_to_json(model)
+        assert text == model_to_json(train(ds, plain_cfg, kernel=plain_kernel, c=5.0))
+        back = model_from_json(text)
+        assert back == model and model_to_json(back) == text
 
     def test_round_trip_many_seeds(self):
         # Serialization stability across a spread of random models.

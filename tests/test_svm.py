@@ -405,6 +405,13 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="smallest class"):
             stratified_folds(y, 3, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        y = np.asarray([0] * 4 + [1] * 4)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            stratified_folds(y, 2, seed=seed)
+        assert len(stratified_folds(y, 2, seed=np.int64(0))) == 2
+
     def test_seed_determinism(self):
         y = np.asarray([0] * 10 + [1] * 10)
         a = stratified_folds(y, 4, seed=9)
