@@ -23,8 +23,7 @@ import numpy as np
 
 from . import ingest, metrics, multiclass
 from .model import (
-    FEATURE_MODES, SELECTION_MODES, CdfConfig, CdfModel, Dataset, class_pairs, model_from_json,
-    model_to_json,
+    FEATURE_MODES, CdfConfig, CdfModel, Dataset, class_pairs, model_from_json, model_to_json,
 )
 from .report import fmt_float
 from .svm import (
@@ -55,6 +54,17 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
         return value
     return convert
+
+
+def _positive_real(text: str) -> float:
+    """The argparse type of a real option that must be finite and > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite real > 0, got {text!r}")
+    return value
 
 
 def _folds(text: str) -> int:
@@ -98,21 +108,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--topics", type=_int_at_least(1), default=ingest.DEFAULT_TOPICS,
                            help="number of top topics kept as classes")
         if name == "train":
-            p.add_argument("--b", type=float, default=CdfConfig.b)
-            p.add_argument("--b-prime", dest="b_prime", type=float, default=CdfConfig.b_prime)
-            p.add_argument("--selection-mode", dest="selection_mode", choices=SELECTION_MODES,
-                           default=CdfConfig.selection_mode)
+            p.add_argument("--b", type=_positive_real, default=CdfConfig.b)
+            p.add_argument("--b-prime", dest="b_prime", type=_positive_real,
+                           default=CdfConfig.b_prime)
             p.add_argument("--feature-mode", dest="feature_mode", choices=FEATURE_MODES,
                            default=CdfConfig.feature_mode)
-            p.add_argument("--smoothing-eps", dest="smoothing_eps", type=float,
+            p.add_argument("--smoothing-eps", dest="smoothing_eps", type=_positive_real,
                            default=CdfConfig.smoothing_eps)
             p.add_argument("--kernel", choices=KERNEL_KINDS, default=kernel.kind)
-            p.add_argument("--degree", type=int, default=kernel.degree)
-            p.add_argument("--gamma", type=float, default=kernel.gamma)
+            p.add_argument("--degree", type=_int_at_least(1), default=kernel.degree)
+            p.add_argument("--gamma", type=_positive_real, default=kernel.gamma)
             p.add_argument("--coef0", type=float, default=kernel.coef0)
-            p.add_argument("--c", type=float, default=multiclass.DEFAULT_C)
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-            p.add_argument("--max-passes", dest="max_passes", type=int,
+            p.add_argument("--c", type=_positive_real, default=multiclass.DEFAULT_C)
+            p.add_argument("--tol", type=_positive_real, default=DEFAULT_TOL)
+            p.add_argument("--max-passes", dest="max_passes", type=_int_at_least(1),
                            default=DEFAULT_MAX_PASSES)
             p.add_argument("--folds", type=_folds, default=0,
                            help="cross-validation folds; 0 skips CV")

@@ -77,32 +77,25 @@ def select_indices(
     t_y,
     tau: float,
     tau_prime: float,
-    mode: str = CdfConfig.selection_mode,
     eps: float = CdfConfig.smoothing_eps,
 ) -> tuple[np.ndarray, bool]:
     """Indices retained for a class pair, plus a fallback flag.
 
-    ratio mode keeps index i when either smoothed profile ratio exceeds its
-    threshold; literal mode compares the raw profile values against both
-    thresholds. An empty selection falls back to the single index with the
-    largest |t_x - t_y| (lowest index on ties) and sets the flag.
+    Index i is kept when either smoothed profile ratio (`pair_ratios`)
+    exceeds its threshold: t_x/t_y above `tau` or t_y/t_x above `tau_prime`.
+    An empty selection falls back to the single index with the largest
+    |t_x - t_y| (lowest index on ties) and sets the flag.
     """
-    t_x = np.asarray(t_x, dtype=float)
-    t_y = np.asarray(t_y, dtype=float)
-    if t_x.shape != t_y.shape:
-        raise ValueError("profiles differ in length")
-    if mode == "ratio":
-        r_xy = (t_x + eps) / (t_y + eps)
-        r_yx = (t_y + eps) / (t_x + eps)
-        keep = (r_xy > tau) | (r_yx > tau_prime)
-    elif mode == "literal":
-        keep = (t_x > tau) | (t_x > tau_prime) | (t_y > tau) | (t_y > tau_prime)
-    else:
-        raise ValueError(f"unknown selection mode {mode!r}")
-    idx = np.flatnonzero(keep)
+    r_xy, r_yx = pair_ratios(t_x, t_y, eps), pair_ratios(t_y, t_x, eps)
+    return _threshold(r_xy, r_yx, tau, tau_prime, np.subtract(t_x, t_y))
+
+
+def _threshold(r_xy, r_yx, tau, tau_prime, diff) -> tuple[np.ndarray, bool]:
+    """`select_indices` on the two ratio vectors and the profile difference."""
+    idx = np.flatnonzero((r_xy > tau) | (r_yx > tau_prime))
     if idx.size:
         return idx.astype(np.int64), False
-    return np.asarray([int(np.argmax(np.abs(t_x - t_y)))], dtype=np.int64), True
+    return np.asarray([int(np.argmax(np.abs(diff)))], dtype=np.int64), True
 
 
 def restrict_normalize(sample, mask) -> tuple[np.ndarray, bool]:
@@ -333,18 +326,12 @@ def build_pair_context(
     profile_x: ClassProfile, profile_y: ClassProfile, cfg: CdfConfig
 ) -> PairContext:
     """Ratio means, thresholds, mask and masked references for one class pair."""
-    mu_xy = pair_mean(pair_ratios(profile_x.mean_vec, profile_y.mean_vec, cfg.smoothing_eps))
-    mu_yx = pair_mean(pair_ratios(profile_y.mean_vec, profile_x.mean_vec, cfg.smoothing_eps))
-    mask, fallback = select_indices(
-        profile_x.mean_vec,
-        profile_y.mean_vec,
-        cfg.b * mu_xy,
-        cfg.b_prime * mu_yx,
-        mode=cfg.selection_mode,
-        eps=cfg.smoothing_eps,
-    )
-    ref_x, _ = restrict_normalize(profile_x.mean_vec, mask)
-    ref_y, _ = restrict_normalize(profile_y.mean_vec, mask)
+    t_x, t_y = profile_x.mean_vec, profile_y.mean_vec
+    r_xy, r_yx = pair_ratios(t_x, t_y, cfg.smoothing_eps), pair_ratios(t_y, t_x, cfg.smoothing_eps)
+    mu_xy, mu_yx = pair_mean(r_xy), pair_mean(r_yx)
+    mask, fallback = _threshold(r_xy, r_yx, cfg.b * mu_xy, cfg.b_prime * mu_yx, t_x - t_y)
+    ref_x, _ = restrict_normalize(t_x, mask)
+    ref_y, _ = restrict_normalize(t_y, mask)
     return PairContext(
         class_x=profile_x.class_id,
         class_y=profile_y.class_id,

@@ -7,7 +7,7 @@ keeps read-only views of them (the caller's arrays stay writable), compares
 field by field with arrays by shape and content, and is unhashable.
 `CdfConfig` is a plain frozen dataclass that, like `svm.KernelSpec`, stores
 its numbers as Python float/int whatever numeric type it was given. Model
-serialization is a versioned JSON document ("cdf-model/5") written by
+serialization is a versioned JSON document ("cdf-model/6") written by
 `json.dumps`: reals in Python's shortest round-trip text and a class's sums
 as integers when all are integral, so save/load round-trips are exact. It
 stores each fact once: the config and SVM settings, the label names, each
@@ -18,8 +18,8 @@ names, the dimension the length of a sum vector, and the pairs come in
 `class_pairs` order. Every pair selects with the config's one (b, b_prime).
 Loading rebuilds every pair context (mask, masked references, ratio means)
 and each SVM's resolved kernel and C exactly as training computed them.
-Documents in the older "cdf-model/1" to "cdf-model/4" formats are refused;
-retrain to get a /5 file.
+Documents in the older "cdf-model/1" to "cdf-model/5" formats are refused;
+retrain to get a /6 file.
 
 Records store independent facts only; what follows from them is a property
 or a cache (`ClassProfile.mean_vec`, `CdfModel.kl_weights`,
@@ -45,10 +45,9 @@ from .svm import (
     KernelSpec, SvmModel, check_svm_settings, decision_forms, is_finite_real, is_integer,
 )
 
-MODEL_FORMAT = "cdf-model/5"
-RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4")
+MODEL_FORMAT = "cdf-model/6"
+RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4", "cdf-model/5")
 
-SELECTION_MODES = ("ratio", "literal")
 FEATURE_MODES = ("dual_kl", "scalar_kl", "elementwise_kl")
 
 
@@ -62,7 +61,6 @@ class CdfConfig:
 
     b: float = 1.0
     b_prime: float = 1.0
-    selection_mode: str = "ratio"
     feature_mode: str = "dual_kl"
     smoothing_eps: float = 1e-9
 
@@ -72,8 +70,6 @@ class CdfConfig:
             if not (is_finite_real(value) and value > 0):
                 raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
             object.__setattr__(self, name, float(value))
-        if self.selection_mode not in SELECTION_MODES:
-            raise ValueError(f"unknown selection_mode {self.selection_mode!r}")
         if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
 
@@ -351,7 +347,7 @@ def _settings(cls, doc):
 
 
 def model_to_json(model: CdfModel) -> str:
-    """Serialize a trained model to the cdf-model/5 JSON document.
+    """Serialize a trained model to the cdf-model/6 JSON document.
 
     ValueError if a real is not finite.
     """
@@ -382,15 +378,22 @@ def model_to_json(model: CdfModel) -> str:
 
 
 def model_from_json(text: str) -> CdfModel:
-    """Parse a cdf-model/5 JSON document and rebuild what training derived.
+    """Parse a cdf-model/6 JSON document and rebuild what training derived.
 
     Pair contexts and each SVM's kernel and C are recomputed
     the way `multiclass.train` computes them, so a loaded model equals the
-    trained one. Older formats and malformed documents raise ValueError.
+    trained one. Older formats and malformed documents raise ValueError,
+    as does an integer beyond float range where a real is read.
     """
+    try:
+        return _model_from_doc(json.loads(text))
+    except OverflowError as exc:
+        raise ValueError(f"a number in the model document is out of range: {exc}")
+
+
+def _model_from_doc(doc) -> CdfModel:
     from . import core  # core imports this module
 
-    doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"a model file holds a JSON object, not {type(doc).__name__}")
     fmt = doc.get("format")

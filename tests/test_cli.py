@@ -67,7 +67,7 @@ class TestTrain:
     def test_report_echo_block(self, trained):
         # Every setting in parser order; input paths and output settings not.
         lines = trained["report"].read_text().splitlines()
-        assert lines[:26] == [
+        assert lines[:25] == [
             "command=train",
             "format=sparse",
             "split=",
@@ -78,7 +78,6 @@ class TestTrain:
             "topics=10",
             "b=1",
             "b_prime=1",
-            "selection_mode=ratio",
             "feature_mode=dual_kl",
             "smoothing_eps=1.0000000000000001e-09",
             "kernel=polynomial",
@@ -210,9 +209,38 @@ class TestTrain:
         assert not model_path.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("flag, value", [
+    ("--max-passes", 0), ("--degree", 0), ("--c", 0.0), ("--tol", -1.0), ("--b", 0.0),
+    ("--b-prime", 0.0), ("--smoothing-eps", -1.0), ("--gamma", 0.0), ("--c", float("nan")),
+    ("--b", float("inf")),
+])
+def test_bad_setting_exits_2_before_loading(fixture_files, tmp_path, capsys, monkeypatch,
+                                            flag, value, source):
+    # A config value goes through its flag's conversion, so both are refused
+    # at parse time, naming the flag, before any data is read.
+    def no_load(*args):
+        raise AssertionError("data loaded")
+
+    monkeypatch.setattr("cdfeat.cli._load_dataset", no_load)
+    if source == "flag":
+        extra = [f"{flag}={value}"]
+    else:
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({flag[2:].replace("-", "_"): value}))
+        extra = ["--config", str(config)]
+    model_path = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as exc:
+        main(train_args(fixture_files, model_path, tmp_path / "r", extra))
+    assert exc.value.code == 2
+    expected = "an integer >= 1" if isinstance(value, int) else "a finite real > 0"
+    assert f"argument {flag}: expected {expected}, got '{value}'" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
 # The settings eval, predict and inspect read from the model file, and the
 # data options inspect never loads.
-SETTINGS = ["--b", "--b-prime", "--selection-mode", "--feature-mode", "--smoothing-eps",
+SETTINGS = ["--b", "--b-prime", "--feature-mode", "--smoothing-eps",
             "--kernel", "--degree", "--gamma", "--coef0", "--c", "--tol", "--max-passes",
             "--folds", "--grid-c", "--grid-b", "--grid-b-prime", "--seed"]
 DATA_OPTIONS = ["--format", "--images", "--labels", "--data", "--sgml-dir", "--split",
@@ -221,14 +249,15 @@ REMOVED = (
     [(cmd, flag) for cmd in ("eval", "predict", "inspect") for flag in SETTINGS]
     + [("inspect", flag) for flag in DATA_OPTIONS]
     + [(cmd, "--dump-masks") for cmd in ("train", "eval", "predict")]
-    + [(cmd, "--jobs") for cmd in ("train", "eval", "predict", "inspect")]
+    + [(cmd, flag) for cmd in ("train", "eval", "predict", "inspect")
+       for flag in ("--jobs", "--selection-mode")]
 )
 
 
 @pytest.mark.parametrize("command, flag", REMOVED)
 def test_option_of_another_command_exits_2(trained, tmp_path, capsys, command, flag):
     # Abbreviations are off, so no removed flag is read as a prefix of a kept one.
-    value = [] if flag == "--dump-masks" else ["1"]
+    value = {"--dump-masks": [], "--selection-mode": ["ratio"]}.get(flag, ["1"])
     with pytest.raises(SystemExit) as exc:
         main([command, "--model", str(trained["model"]), "--out", str(tmp_path / "r"),
               flag, *value])
@@ -530,6 +559,11 @@ class TestInspect:
             lambda d: d["kernel"].update(degree=2.5),
             lambda d: d["kernel"].update(degree=True),
             lambda d: d["config"].update(b=True),
+            # Integers beyond float range where reals are read.
+            lambda d: d.update(c=10**400),
+            lambda d: d["pairs"][0].update(bias=10**400),
+            lambda d: d["profiles"][0].update(cardinality=10**400),
+            lambda d: d["profiles"][0]["sum_vec"].__setitem__(0, 10**400),
         ):
             bad_doc = json.loads(trained["model"].read_text())
             corrupt(bad_doc)
@@ -548,15 +582,15 @@ class TestInspect:
     @pytest.mark.parametrize("command", ["inspect", "eval", "predict"])
     def test_retired_format_refused_by_name(self, fixture_files, trained, tmp_path, capsys,
                                             command):
-        old = tmp_path / "v4.json"
+        old = tmp_path / "v5.json"
         old.write_text(trained["model"].read_text().replace(
-            '"format":"cdf-model/5"', '"format":"cdf-model/4"', 1))
+            '"format":"cdf-model/6"', '"format":"cdf-model/5"', 1))
         data = [] if command == "inspect" else [
             "--format", "sparse", "--data", str(fixture_files["test"]), "--dim", "20"]
         assert main([command, "--model", str(old), *data]) == 2
         err = capsys.readouterr().err
         assert "unreadable model" in err
-        assert "'cdf-model/4' is no longer read; retrain to write 'cdf-model/5'" in err
+        assert "'cdf-model/5' is no longer read; retrain to write 'cdf-model/6'" in err
 
 
 class TestIdxEndToEnd:

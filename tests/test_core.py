@@ -129,34 +129,26 @@ class TestPairMeanAndThresholds:
 
 class TestSelectIndices:
     def test_ratio_rule_hand_case(self):
-        idx, fallback = select_indices([10, 1, 1], [1, 1, 10], 2.0, 2.0, mode="ratio")
+        idx, fallback = select_indices([10, 1, 1], [1, 1, 10], 2.0, 2.0)
         assert list(idx) == [0, 2]
         assert not fallback
 
     def test_equal_profiles_trigger_fallback(self):
         v = np.asarray([1.0, 2.0, 3.0])
-        idx, fallback = select_indices(v, v, 1.0 + 1e-9, 1.0 + 1e-9, mode="ratio")
+        idx, fallback = select_indices(v, v, 1.0 + 1e-9, 1.0 + 1e-9)
         assert fallback
         assert idx.size == 1
 
     def test_tiny_thresholds_select_everything(self):
-        idx, fallback = select_indices([1, 2, 3], [3, 2, 1], 1e-12, 1e-12, mode="ratio")
+        idx, fallback = select_indices([1, 2, 3], [3, 2, 1], 1e-12, 1e-12)
         assert list(idx) == [0, 1, 2]
         assert not fallback
 
     def test_fallback_tie_takes_lowest_index(self):
         t_x = np.asarray([2.0, 2.0])
         t_y = np.asarray([1.0, 1.0])
-        idx, fallback = select_indices(t_x, t_y, 100.0, 100.0, mode="ratio")
+        idx, fallback = select_indices(t_x, t_y, 100.0, 100.0)
         assert fallback and list(idx) == [0]
-
-    def test_literal_mode_compares_raw_values(self):
-        t_x = np.asarray([5.0, 0.1, 0.1])
-        t_y = np.asarray([0.1, 0.1, 4.0])
-        idx, fallback = select_indices(t_x, t_y, 3.0, 6.0, mode="literal")
-        # t_x > 3 at 0; t_y > 3 at 2; nothing beats 6.
-        assert list(idx) == [0, 2]
-        assert not fallback
 
     def test_mask_monotone_in_b(self):
         rng = np.random.default_rng(31)

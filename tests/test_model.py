@@ -120,14 +120,10 @@ class TestClassProfile:
 
 
 class TestSerializationRoundTrip:
-    def _tiny_model(self, seed, feature_mode="dual_kl", selection_mode="ratio", classes=2):
+    def _tiny_model(self, seed, feature_mode="dual_kl", classes=2):
         x, y = gaussian_blobs(6, seed=seed, dims=8, classes=classes)
         ds = Dataset.from_arrays(x, y)
-        cfg = CdfConfig(
-            b=0.5 + (seed % 3) * 0.5,
-            feature_mode=feature_mode,
-            selection_mode=selection_mode,
-        )
+        cfg = CdfConfig(b=0.5 + (seed % 3) * 0.5, feature_mode=feature_mode)
         return train(ds, cfg, kernel=KernelSpec(kind="polynomial", degree=2), c=5.0)
 
     @pytest.mark.parametrize("seed", range(0, 12))
@@ -164,11 +160,32 @@ class TestSerializationRoundTrip:
         with pytest.raises(ValueError, match="format"):
             model_from_json(text)
 
-    @pytest.mark.parametrize("old", ["cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4"])
+    @pytest.mark.parametrize("old", [
+        "cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4", "cdf-model/5",
+    ])
     def test_older_formats_refused(self, old):
         doc = json.loads(model_to_json(self._tiny_model(0)))
         doc["format"] = old
         with pytest.raises(ValueError, match=f"{old}.*retrain"):
+            model_from_json(json.dumps(doc))
+
+    def test_config_with_selection_mode_refused(self):
+        # The ratio rule is the only selection rule; the key is not read.
+        doc = json.loads(model_to_json(self._tiny_model(0)))
+        doc["config"]["selection_mode"] = "ratio"
+        with pytest.raises(ValueError, match="CdfConfig document must be an object with keys"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d.update(c=10**400),
+        lambda d: d["pairs"][0].update(bias=10**400),
+        lambda d: d["profiles"][0].update(cardinality=10**400),
+        lambda d: d["profiles"][0]["sum_vec"].__setitem__(0, 10**400),
+    ], ids=["c", "bias", "cardinality", "sum_vec"])
+    def test_integer_beyond_float_range_refused(self, corrupt):
+        doc = json.loads(model_to_json(self._tiny_model(0)))
+        corrupt(doc)
+        with pytest.raises(ValueError):
             model_from_json(json.dumps(doc))
 
     def test_duplicate_label_names_refused(self):
@@ -200,8 +217,7 @@ class TestSerializationRoundTrip:
         doc = json.loads(model_to_json(self._tiny_model(2, feature_mode="elementwise_kl")))
         assert set(doc) == {"format", "config", "kernel", "c", "tol", "max_passes",
                             "label_names", "profiles", "pairs"}
-        assert set(doc["config"]) == {"b", "b_prime", "selection_mode", "feature_mode",
-                                      "smoothing_eps"}
+        assert set(doc["config"]) == {"b", "b_prime", "feature_mode", "smoothing_eps"}
         for e in doc["pairs"]:
             assert set(e) == {"support_vectors", "coef", "bias", "iterations",
                               "kkt_violation_max"}

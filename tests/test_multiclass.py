@@ -102,14 +102,6 @@ class TestTrain:
         preds = [predict(model, s)[0] for s in ds.samples]
         assert preds == list(ds.labels)
 
-    def test_literal_selection_mode_trains(self):
-        x, y = gaussian_blobs(30, seed=14, dims=20, classes=3)
-        ds = Dataset.from_arrays(x, y)
-        model = train(ds, CdfConfig(selection_mode="literal"), kernel=POLY2)
-        assert model.config.selection_mode == "literal"
-        preds = [predict(model, s)[0] for s in ds.samples]
-        assert preds == list(ds.labels)
-
 
 class TestPredict:
     def test_two_votes_beat_one(self):
