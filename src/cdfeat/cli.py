@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import fields, replace
@@ -27,7 +26,8 @@ from .model import (
 )
 from .report import fmt_float
 from .svm import (
-    DEFAULT_MAX_PASSES, DEFAULT_TOL, KERNEL_KINDS, GridCell, KernelSpec, cross_validate,
+    DEFAULT_MAX_PASSES, DEFAULT_TOL, KERNEL_KINDS, MAX_DEGREE, GridCell, KernelSpec,
+    cross_validate, integer, real,
 )
 
 # Options that name input files or shape the output. Every other option is a
@@ -39,38 +39,28 @@ class CliError(Exception):
     """User-facing command error; message printed to stderr, exit nonzero."""
 
 
-def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+def _number(parse, *bounds):
+    """The argparse type of a number option: `parse` (int or float) reads the
+    text, then the library's checker (`svm.integer` or `svm.real`) decides the
+    value with `bounds`, so the CLI refuses exactly what the library refuses."""
+    check = integer if parse is int else real
 
-
-def _int_at_least(minimum: int):
-    """The argparse type of an integer option that refuses values below `minimum`."""
-    def convert(text: str) -> int:
-        value = _int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
-        return value
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}")
+        try:
+            return check("value", value, *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     return convert
 
 
-def _positive_real(text: str) -> float:
-    """The argparse type of a real option that must be finite and > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite real > 0, got {text!r}")
-    return value
-
-
 def _folds(text: str) -> int:
-    folds = _int(text)
-    if folds == 1 or folds < 0:
-        raise argparse.ArgumentTypeError(f"expected 0 (no CV) or an integer >= 2, got {text!r}")
+    folds = _number(int, 0)(text)
+    if folds == 1:
+        raise argparse.ArgumentTypeError(f"expected 0 (no CV) or an integer >= 2, got {folds}")
     return folds
 
 
@@ -99,29 +89,30 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--split", choices=["train", "test"],
                            help="corpus split to load (reuters format)")
             p.add_argument("--classes", help="comma-separated raw labels to keep (idx format)")
-            p.add_argument("--max-per-class", dest="max_per_class", type=_int_at_least(1),
+            p.add_argument("--max-per-class", dest="max_per_class", type=_number(int, 1),
                            help="cap samples per class after loading")
-            p.add_argument("--dim", type=_int_at_least(1), help="vector length for sparse data")
-            p.add_argument("--min-df", dest="min_df", type=_int_at_least(1),
+            p.add_argument("--dim", type=_number(int, 1), help="vector length for sparse data")
+            p.add_argument("--min-df", dest="min_df", type=_number(int, 1),
                            default=ingest.DEFAULT_MIN_DF,
                            help="vocabulary document-frequency threshold")
-            p.add_argument("--topics", type=_int_at_least(1), default=ingest.DEFAULT_TOPICS,
+            p.add_argument("--topics", type=_number(int, 1), default=ingest.DEFAULT_TOPICS,
                            help="number of top topics kept as classes")
         if name == "train":
-            p.add_argument("--b", type=_positive_real, default=CdfConfig.b)
-            p.add_argument("--b-prime", dest="b_prime", type=_positive_real,
+            p.add_argument("--b", type=_number(float, 0), default=CdfConfig.b)
+            p.add_argument("--b-prime", dest="b_prime", type=_number(float, 0),
                            default=CdfConfig.b_prime)
             p.add_argument("--feature-mode", dest="feature_mode", choices=FEATURE_MODES,
                            default=CdfConfig.feature_mode)
-            p.add_argument("--smoothing-eps", dest="smoothing_eps", type=_positive_real,
+            p.add_argument("--smoothing-eps", dest="smoothing_eps", type=_number(float, 0),
                            default=CdfConfig.smoothing_eps)
             p.add_argument("--kernel", choices=KERNEL_KINDS, default=kernel.kind)
-            p.add_argument("--degree", type=_int_at_least(1), default=kernel.degree)
-            p.add_argument("--gamma", type=_positive_real, default=kernel.gamma)
-            p.add_argument("--coef0", type=float, default=kernel.coef0)
-            p.add_argument("--c", type=_positive_real, default=multiclass.DEFAULT_C)
-            p.add_argument("--tol", type=_positive_real, default=DEFAULT_TOL)
-            p.add_argument("--max-passes", dest="max_passes", type=_int_at_least(1),
+            p.add_argument("--degree", type=_number(int, 1, MAX_DEGREE),
+                           default=kernel.degree)
+            p.add_argument("--gamma", type=_number(float, 0), default=kernel.gamma)
+            p.add_argument("--coef0", type=_number(float), default=kernel.coef0)
+            p.add_argument("--c", type=_number(float, 0), default=multiclass.DEFAULT_C)
+            p.add_argument("--tol", type=_number(float, 0), default=DEFAULT_TOL)
+            p.add_argument("--max-passes", dest="max_passes", type=_number(int, 1),
                            default=DEFAULT_MAX_PASSES)
             p.add_argument("--folds", type=_folds, default=0,
                            help="cross-validation folds; 0 skips CV")
@@ -131,7 +122,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            help="comma-separated b grid for CV")
             p.add_argument("--grid-b-prime", dest="grid_b_prime", default="0.5,1.0,1.5,2.0",
                            help="comma-separated b' grid for CV")
-            p.add_argument("--seed", type=_int_at_least(0), default=0,
+            p.add_argument("--seed", type=_number(int, 0), default=0,
                            help="seed of the cross-validation folds")
         p.add_argument("--model", help="model file path")
         p.add_argument("--out", help="report/output file path")
@@ -198,10 +189,10 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise CliError(f"--{flag}: expected comma-separated numbers, got {text!r}")
     if not values:
         raise CliError(f"--{flag}: empty grid")
-    bad = [v for v in values if not (math.isfinite(v) and v > 0)]
-    if bad:
-        raise CliError(f"--{flag}: values must be finite reals > 0, got {bad[0]!r}")
-    return values
+    try:
+        return [real("value", v, 0) for v in values]
+    except ValueError as exc:
+        raise CliError(f"--{flag}: {exc}")
 
 
 def _parse_classes(text: str) -> list[int]:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .model import Dataset
 from .record import Record
+from .svm import integer
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -130,6 +131,8 @@ def load_sparse(text: str, dim: int | None = None) -> Dataset:
     `dim` fixes the vector length; None infers it from the largest index.
     Blank lines and lines starting with `#` are skipped.
     """
+    if dim is not None:
+        integer("dim", dim, 1)
     rows = []
     max_index = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -183,7 +186,7 @@ def load_sparse(text: str, dim: int | None = None) -> Dataset:
     raw_labels = sorted({label for label, _ in rows})
     remap = {lab: dense for dense, lab in enumerate(raw_labels)}
     y = [remap[label] for label, _ in rows]
-    names = [str(int(lab)) if float(lab).is_integer() else str(lab) for lab in raw_labels]
+    names = [str(int(lab)) if lab == int(lab) else str(lab) for lab in raw_labels]
     return Dataset.from_arrays(x, y, label_names=names)
 
 
@@ -327,8 +330,7 @@ def build_vocabulary(docs, min_df: int = DEFAULT_MIN_DF) -> Vocabulary:
     """Terms with train-split document frequency >= min_df, indexed in term order."""
     if not docs:
         raise ValueError("build_vocabulary needs at least one document")
-    if min_df < 1:
-        raise ValueError("min_df must be >= 1")
+    integer("min_df", min_df, 1)
     df: dict[str, int] = {}
     for doc in docs:
         if doc.split_tag != SPLIT_TRAIN:
@@ -354,8 +356,7 @@ def top_topics(docs, k: int = DEFAULT_TOPICS) -> list[str]:
 
     Ties break lexicographically so the category list is deterministic.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    integer("k", k, 1)
     freq: dict[str, int] = {}
     for doc in docs:
         if doc.split_tag != SPLIT_TRAIN:

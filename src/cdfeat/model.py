@@ -41,9 +41,7 @@ from itertools import combinations
 import numpy as np
 
 from .record import Record
-from .svm import (
-    KernelSpec, SvmModel, check_svm_settings, decision_forms, is_finite_real, is_integer,
-)
+from .svm import KernelSpec, SvmModel, check_svm_settings, decision_forms, integer, real
 
 MODEL_FORMAT = "cdf-model/6"
 RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4", "cdf-model/5")
@@ -66,10 +64,7 @@ class CdfConfig:
 
     def __post_init__(self):
         for name in ("b", "b_prime", "smoothing_eps"):
-            value = getattr(self, name)
-            if not (is_finite_real(value) and value > 0):
-                raise ValueError(f"{name} must be a finite real > 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, real(name, getattr(self, name), 0))
         if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
 
@@ -175,7 +170,7 @@ class ClassProfile(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        _integer(self.cardinality, "cardinality", 1)
+        integer("cardinality", self.cardinality, 1)
         if not np.all(np.isfinite(self.sum_vec)) or np.any(self.sum_vec < 0):
             raise ValueError("sum_vec entries must be finite and >= 0")
 
@@ -249,13 +244,6 @@ def _check_classes(label_names, profiles, num_pairs: int) -> None:
     expected = m * (m - 1) // 2
     if num_pairs != expected:
         raise ValueError(f"expected {expected} pairs for {m} classes, got {num_pairs}")
-
-
-def _integer(value, what: str, minimum: int) -> int:
-    """`value` if it is an integer >= `minimum`; ValueError otherwise."""
-    if not is_integer(value) or value < minimum:
-        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -436,7 +424,7 @@ def _model_from_doc(doc) -> CdfModel:
             bias=s["bias"],
             kernel=kernel.resolve(width),
             c=doc["c"],
-            iterations=_integer(s["iterations"], f"pair ({x},{y}) iterations", 0),
+            iterations=integer(f"pair ({x},{y}) iterations", s["iterations"], 0),
             kkt_violation_max=s["kkt_violation_max"],
         )
         pairs.append((ctx, svm))

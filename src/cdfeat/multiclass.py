@@ -65,7 +65,8 @@ def resolve_winner(votes, margin_sums) -> int:
 def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes) -> tuple:
     """(key, SvmModel) per class pair in order; pair_data(x, y) gives key, features, +/-1 labels.
 
-    ValueError for bad SVM settings, before any pair is fitted."""
+    ValueError for bad SVM settings, before any pair is fitted, and ValueError
+    naming the pair for any failure of a pair's fit."""
     check_svm_settings(c, tol, max_passes)
 
     def fit(pair):
@@ -77,7 +78,7 @@ def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes) -> tuple:
                 tol=tol, max_passes=max_passes,
             )
         except Exception as exc:
-            raise RuntimeError(f"training failed for pair ({x},{y}): {exc}") from exc
+            raise ValueError(f"training failed for pair ({x},{y}): {exc}") from exc
 
     return tuple(map(fit, class_pairs(num_classes)))
 

@@ -156,7 +156,7 @@ class TestSharedEngine:
 
     def test_pair_with_one_class_names_the_pair(self):
         x, y = gaussian_blobs(5, seed=72, dims=6, classes=2)
-        with pytest.raises(RuntimeError, match=r"training failed for pair \(0,2\)"):
+        with pytest.raises(ValueError, match=r"training failed for pair \(0,2\)"):
             train_ovo(x, y, 3, KernelSpec(kind="linear"))
 
     @pytest.mark.parametrize("bad", [2, -1])

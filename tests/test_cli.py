@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from cdfeat import multiclass
-from cdfeat.cli import main
+from cdfeat.cli import _parse_args, main
 from cdfeat.ingest import dump_sparse, load_sparse
 from cdfeat.model import CdfConfig, Dataset, model_from_json, model_to_json
 from cdfeat.report import fmt_float
-from cdfeat.svm import decision_batch
+from cdfeat.svm import MAX_DEGREE, decision_batch
 
 import pair_loop_oracle
 from conftest import gaussian_blobs, gaussian_split
@@ -156,10 +156,30 @@ class TestTrain:
         rc = main(train_args(fixture_files, model_path, tmp_path / "r",
                              extra=["--folds", "2", f"{flag}={grid}"]))
         assert rc == 2
-        assert f"error: {flag}: values must be finite reals > 0, got {bad}" in (
+        assert f"error: {flag}: value must be a finite real > 0, got {bad}" in (
             capsys.readouterr().err
         )
         assert not model_path.exists()
+
+    @pytest.mark.parametrize("setting", [["--gamma", "1e200"], ["--coef0", "1e200"]])
+    def test_failed_pair_solve_prints_one_error_line(self, fixture_files, tmp_path, capsys,
+                                                     setting):
+        # The kernel values overflow, so the first pair's SVM gets a NaN bias.
+        model_path = tmp_path / "m.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(train_args(fixture_files, model_path, tmp_path / "r", setting))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: training failed for pair (0,1): bias must be a finite real, got nan"
+        ]
+        assert "Traceback" not in err
+        assert not model_path.exists()
+
+    def test_degree_at_the_limit_is_accepted(self, fixture_files, tmp_path):
+        argv = train_args(fixture_files, tmp_path / "m.json", tmp_path / "r",
+                          ["--degree", str(MAX_DEGREE)])
+        assert _parse_args(argv)["degree"] == MAX_DEGREE
 
     def test_max_per_class_keeps_first_rows_of_each_class(self, fixture_files, tmp_path):
         model_path = tmp_path / "capped.json"
@@ -183,20 +203,20 @@ class TestTrain:
             main(train_args(fixture_files, model_path, tmp_path / "r",
                             extra=[f"--max-per-class={cap}"]))
         assert exc.value.code == 2
-        assert f"argument --max-per-class: expected an integer >= 1, got '{cap}'" in (
+        assert f"argument --max-per-class: value must be an integer >= 1, got {cap}" in (
             capsys.readouterr().err
         )
         assert not model_path.exists()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--folds", "1", "expected 0 (no CV) or an integer >= 2, got '1'"),
-        ("--folds", "-2", "expected 0 (no CV) or an integer >= 2, got '-2'"),
-        ("--min-df", "0", "expected an integer >= 1, got '0'"),
-        ("--topics", "0", "expected an integer >= 1, got '0'"),
-        ("--topics", "-1", "expected an integer >= 1, got '-1'"),
-        ("--dim", "0", "expected an integer >= 1, got '0'"),
-        ("--dim", "-5", "expected an integer >= 1, got '-5'"),
-        ("--seed", "-1", "expected an integer >= 0, got '-1'"),
+        ("--folds", "1", "expected 0 (no CV) or an integer >= 2, got 1"),
+        ("--folds", "-2", "value must be an integer >= 0, got -2"),
+        ("--min-df", "0", "value must be an integer >= 1, got 0"),
+        ("--topics", "0", "value must be an integer >= 1, got 0"),
+        ("--topics", "-1", "value must be an integer >= 1, got -1"),
+        ("--dim", "0", "value must be an integer >= 1, got 0"),
+        ("--dim", "-5", "value must be an integer >= 1, got -5"),
+        ("--seed", "-1", "value must be an integer >= 0, got -1"),
     ])
     def test_int_option_out_of_range_exits_2(self, fixture_files, tmp_path, capsys,
                                              flag, value, message):
@@ -213,7 +233,8 @@ class TestTrain:
 @pytest.mark.parametrize("flag, value", [
     ("--max-passes", 0), ("--degree", 0), ("--c", 0.0), ("--tol", -1.0), ("--b", 0.0),
     ("--b-prime", 0.0), ("--smoothing-eps", -1.0), ("--gamma", 0.0), ("--c", float("nan")),
-    ("--b", float("inf")),
+    ("--b", float("inf")), ("--coef0", float("nan")), ("--coef0", float("inf")),
+    ("--degree", MAX_DEGREE + 1),
 ])
 def test_bad_setting_exits_2_before_loading(fixture_files, tmp_path, capsys, monkeypatch,
                                             flag, value, source):
@@ -233,8 +254,9 @@ def test_bad_setting_exits_2_before_loading(fixture_files, tmp_path, capsys, mon
     with pytest.raises(SystemExit) as exc:
         main(train_args(fixture_files, model_path, tmp_path / "r", extra))
     assert exc.value.code == 2
-    expected = "an integer >= 1" if isinstance(value, int) else "a finite real > 0"
-    assert f"argument {flag}: expected {expected}, got '{value}'" in capsys.readouterr().err
+    rule = {"--max-passes": "an integer >= 1", "--degree": f"an integer >= 1 and <= {MAX_DEGREE}",
+            "--coef0": "a finite real"}.get(flag, "a finite real > 0")
+    assert f"argument {flag}: value must be {rule}, got {value!r}" in capsys.readouterr().err
     assert not model_path.exists()
 
 
@@ -633,6 +655,28 @@ class TestIdxEndToEnd:
         assert rc == 0
         assert "error_rate=0" in capsys.readouterr().out
 
+    def test_classes_keep_two_of_three_labels(self, tmp_path, capsys):
+        # Raw labels 3, 5 and 7; rows of 5 are dropped at train and at eval.
+        rng = np.random.default_rng(27)
+        raw = [3, 5, 7] * 8
+        pixels = rng.integers(0, 40, size=(len(raw), 16), dtype=np.uint8)
+        for i, label in enumerate(raw):
+            start = {3: 0, 5: 5, 7: 10}[label]
+            pixels[i, start:start + 6] += 200
+        images_path = tmp_path / "images.idx"
+        images_path.write_bytes(struct.pack(">IIII", 0x00000803, len(raw), 4, 4)
+                                + pixels.tobytes())
+        labels_path = tmp_path / "labels.idx"
+        labels_path.write_bytes(struct.pack(">II", 0x00000801, len(raw)) + bytes(raw))
+        model_path = tmp_path / "m.json"
+        data = ["--format", "idx", "--images", str(images_path), "--labels", str(labels_path),
+                "--classes", "7, 3"]
+        assert main(["train", *data, "--model", str(model_path),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert model_from_json(model_path.read_text()).label_names == ("3", "7")
+        assert main(["eval", *data, "--model", str(model_path)]) == 0
+        assert f"samples={raw.count(3) + raw.count(7)}" in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize("classes, token", [("1,x", "x"), ("0, 2.5", "2.5")])
     def test_bad_classes_token_exits_2(self, tmp_path, capsys, classes, token):
         images_path = tmp_path / "images.idx"
@@ -789,9 +833,9 @@ class TestConfigFile:
         ({"c": {}}, "argument --c: invalid float value: '{}'"),
         ({"max_passes": 2.5}, "argument --max-passes: invalid int value: '2.5'"),
         ({"seed": 1.7}, "argument --seed: invalid int value: '1.7'"),
-        ({"seed": -1}, "argument --seed: expected an integer >= 0, got '-1'"),
+        ({"seed": -1}, "argument --seed: value must be an integer >= 0, got -1"),
         ({"folds": True}, "argument --folds: invalid int value: 'True'"),
-        ({"dim": 0}, "argument --dim: expected an integer >= 1, got '0'"),
+        ({"dim": 0}, "argument --dim: value must be an integer >= 1, got 0"),
         ({"kernel": "sigmoid"}, "argument --kernel: invalid choice: 'sigmoid'"),
         ({"dump_masks": "yes"}, "argument --dump-masks: ignored explicit argument 'yes'"),
     ])

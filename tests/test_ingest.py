@@ -246,6 +246,11 @@ class TestSparse:
         ds = load_sparse("0 1:1.0\n1 2:1.0", dim=5)
         assert ds.dim == 5
 
+    @pytest.mark.parametrize("dim", [0, 2.5, True])
+    def test_dim_must_be_an_integer_of_at_least_one(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+            load_sparse("1 1:1\n2 2:1\n", dim=dim)
+
     def test_index_beyond_dim(self):
         with pytest.raises(SparseFormatError, match="exceeds"):
             load_sparse("0 4:1.0\n1 1:2.0", dim=3)
@@ -383,6 +388,11 @@ class TestVocabulary:
         # One train document holds "profit" (twice): a document frequency of 1.
         assert len(build_vocabulary(docs, min_df=2)) == 0
 
+    @pytest.mark.parametrize("min_df", [0, 1.5, True])
+    def test_min_df_must_be_an_integer_of_at_least_one(self, min_df):
+        with pytest.raises(ValueError, match="min_df must be an integer >= 1"):
+            build_vocabulary([doc("profit", doc_id="1")], min_df=min_df)
+
     def test_tokenizer_rules(self):
         assert tokenize("Ab1cd EF-gh i") == ["ab", "cd", "ef", "gh"]
 
@@ -473,5 +483,10 @@ class TestTopTopics:
             doc("b", topics=("acq",), doc_id="2"),
             doc("c", topics=("acq",), doc_id="3"),
         ]
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
             top_topics(docs, k=k)
+
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            top_topics([doc("a", topics=("earn",), doc_id="1")], k=k)

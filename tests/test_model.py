@@ -19,7 +19,7 @@ from cdfeat.model import (
     validate_dataset,
 )
 from cdfeat.multiclass import train
-from cdfeat.svm import KernelSpec
+from cdfeat.svm import MAX_DEGREE, KernelSpec
 
 from conftest import gaussian_blobs
 
@@ -275,6 +275,8 @@ class TestSerializationRoundTrip:
         lambda doc: doc["kernel"].update(gamma="0.5"),
         lambda doc: doc["kernel"].update(degree=2.5),
         lambda doc: doc["kernel"].update(degree=True),
+        lambda doc: doc["kernel"].update(degree=MAX_DEGREE + 1),
+        lambda doc: doc["kernel"].update(degree=1000000),
         lambda doc: doc["config"].update(b=True),
         lambda doc: doc["config"].update(b_prime="1"),
         lambda doc: doc["config"].update(smoothing_eps=float("inf")),
@@ -292,6 +294,7 @@ class TestSerializationRoundTrip:
             "tol-string", "tol-0", "tol-nan", "tol-bool", "max-passes-0", "max-passes-real",
             "c-0", "c-negative", "cardinality-real", "iterations-string", "names-int",
             "coef-scalar", "coef0-string", "gamma-string", "degree-real", "degree-bool",
+            "degree-above-max", "degree-million",
             "b-bool", "b-prime-string", "eps-inf", "bias-bool", "kkt-bool",
             "config-without-eps", "config-extra-key", "kernel-without-coef0", "kernel-list",
             "doc-list", "doc-null", "doc-string"])
@@ -310,6 +313,16 @@ class TestSerializationRoundTrip:
         path.write_text(text)
         assert main(["inspect", "--model", str(path)]) == 2
         assert "unreadable model" in capsys.readouterr().err
+
+    def test_degree_at_the_limit_loads(self):
+        doc = json.loads(model_to_json(self._tiny_model(3, feature_mode="scalar_kl", classes=3)))
+        doc["kernel"]["degree"] = MAX_DEGREE
+        assert model_from_json(json.dumps(doc)).kernel.degree == MAX_DEGREE
+
+    @pytest.mark.parametrize("name", ["b", "b_prime", "smoothing_eps"])
+    def test_config_refuses_int_beyond_float_range(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real > 0, got 1000"):
+            CdfConfig(**{name: 10**400})
 
     def test_special_values_round_trip_exactly(self):
         # Sums at and past 2**53 stay reals; the other values are features.

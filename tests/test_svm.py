@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from cdfeat.svm import (
+    KERNEL_KINDS,
+    MAX_DEGREE,
     GridCell,
     KernelSpec,
     SvmModel,
+    check_svm_settings,
     cross_validate,
     decision,
     decision_batch,
+    integer,
     kernel_matrix,
+    real,
     smo_train,
     stratified_folds,
 )
@@ -89,6 +94,21 @@ class TestKernels:
     def test_mistyped_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             KernelSpec(kind="polynomial", **{field: value})
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_degree_bounds_hold_for_every_kind(self, kind):
+        assert KernelSpec(kind=kind, degree=MAX_DEGREE).degree == MAX_DEGREE
+        for degree in (0, MAX_DEGREE + 1):
+            with pytest.raises(ValueError, match=f"degree must be an integer >= 1 and <= "
+                                                 f"{MAX_DEGREE}, got {degree}"):
+                KernelSpec(kind=kind, degree=degree)
+
+    def test_int_beyond_float_range_refused(self):
+        # float(10**400) raises OverflowError; the checker reports it as not finite.
+        with pytest.raises(ValueError, match="coef0 must be a finite real"):
+            KernelSpec("polynomial", coef0=10**400)
+        with pytest.raises(ValueError, match="c must be a finite real > 0"):
+            check_svm_settings(10**400, 1e-3, 10)
 
     def test_numpy_scalars_accepted(self):
         spec = KernelSpec(kind="polynomial", degree=np.int64(3), gamma=np.float32(0.5),
@@ -405,6 +425,12 @@ class TestStratifiedFolds:
         with pytest.raises(ValueError, match="smallest class"):
             stratified_folds(y, 3, seed=0)
 
+    @pytest.mark.parametrize("folds", [2.5, 1, True, "2"])
+    def test_folds_must_be_an_integer_of_at_least_two(self, folds):
+        y = np.asarray([0] * 4 + [1] * 4)
+        with pytest.raises(ValueError, match="folds must be an integer >= 2"):
+            stratified_folds(y, folds, 0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, None, "3"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
         y = np.asarray([0] * 4 + [1] * 4)
@@ -535,3 +561,36 @@ class TestSvmModelInvariants:
         assert sv.flags.writeable and co.flags.writeable
         assert not model.support_vectors.flags.writeable
         assert not model.coef.flags.writeable
+
+
+class TestCheckers:
+    @pytest.mark.parametrize("value", [3, np.float32(0.5), np.int64(-2), 2**1000, 1e-300])
+    def test_real_returns_the_python_float(self, value):
+        got = real("x", value)
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value", [10**400, -10**400, float("nan"), float("-inf"),
+                                       np.float64("inf"), True, np.True_, "1", None, 1j])
+    def test_real_refuses_what_is_not_a_finite_real(self, value):
+        with pytest.raises(ValueError, match=r"^x must be a finite real, got "):
+            real("x", value)
+
+    def test_real_bound_is_strict(self):
+        assert real("x", 1e-300, 0) == 1e-300
+        for value in (0, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^x must be a finite real > 0, got {value!r}$"):
+                real("x", value, 0)
+
+    def test_integer_returns_the_python_int(self):
+        for value in (np.int64(3), np.uint8(3), 3):
+            got = integer("n", value, 1, 3)
+            assert type(got) is int and got == 3
+        assert integer("n", 10**400, 0) == 10**400
+
+    @pytest.mark.parametrize("value", [0, 4, 2.0, 2.5, True, np.bool_(True), "2", None])
+    def test_integer_refuses_what_is_not_an_integer_in_range(self, value):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1 and <= 3, got "):
+            integer("n", value, 1, 3)
+        if not isinstance(value, int) or isinstance(value, bool):
+            with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+                integer("n", value, 1)
