@@ -431,7 +431,7 @@ def cmd_inspect(cfg: dict) -> int:
         report.append(f"{key}_b={fmt_float(ctx.b)}")
         report.append(f"{key}_b_prime={fmt_float(ctx.b_prime)}")
         report.append(f"{key}_fallback={int(ctx.fallback)}")
-        report.append(f"{key}_support_vectors={svm.support_vectors.shape[0]}")
+        report.append(f"{key}_support_vectors={svm.support_count}")
         report.append(f"{key}_iterations={svm.iterations}")
         report.append(f"{key}_kkt_violation_max={fmt_float(svm.kkt_violation_max)}")
         report.append(f"{key}_converged={int(_converged(svm, model.tol))}")

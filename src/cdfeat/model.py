@@ -7,7 +7,7 @@ keeps read-only views of them (the caller's arrays stay writable), compares
 field by field with arrays by shape and content, and is unhashable.
 `CdfConfig` is a plain frozen dataclass that, like `svm.KernelSpec`, stores
 its numbers as Python float/int whatever numeric type it was given. Model
-serialization is a versioned JSON document ("cdf-model/6") written by
+serialization is a versioned JSON document ("cdf-model/7") written by
 `json.dumps`: reals in Python's shortest round-trip text and a class's sums
 as integers when all are integral, so save/load round-trips are exact. It
 stores each fact once: the config and SVM settings, the label names, each
@@ -16,19 +16,28 @@ kernel documents are the `asdict` of their dataclasses, and loading refuses
 one that does not hold exactly its dataclass's fields. The class count is the number of label
 names, the dimension the length of a sum vector, and the pairs come in
 `class_pairs` order. Every pair selects with the config's one (b, b_prime).
-Loading rebuilds every pair context (mask, masked references, ratio means)
-and each SVM's resolved kernel and C exactly as training computed them.
-Documents in the older "cdf-model/1" to "cdf-model/5" formats are refused;
-retrain to get a /6 file.
+
+What a pair holds depends on the kernel and feature mode (`stores_forms`).
+Under a linear or polynomial kernel with dual_kl or scalar_kl features, a
+pair SVM's decision is a polynomial in its 2 or 1 features, and the pair
+holds that polynomial, an `svm.SvmForm`: its weights, one per monomial
+(`CdfModel.form_exponents`), its bias, and the solve's support-vector count,
+iterations and KKT gap. `multiclass.train` builds the forms of all pairs
+from one `svm.decision_forms` call; the support vectors are not kept. Under
+an rbf kernel, or with elementwise_kl features, a pair holds its
+`svm.SvmModel`: support vectors, coefficients, bias, iterations and KKT gap.
+A document pair holds exactly the keys of its kind, and loading refuses any
+other. Loading rebuilds every pair context (mask, masked references, ratio
+means) and each SvmModel's resolved kernel and C exactly as training
+computed them. Documents in the older "cdf-model/1" to "cdf-model/6" formats
+are refused; retrain to get a /7 file.
 
 Records store independent facts only; what follows from them is a property
 or a cache (`ClassProfile.mean_vec`, `CdfModel.kl_weights`,
 `CdfModel.decision_forms`) built on first use from frozen fields, so threads
 that race to build one at worst build it twice. `multiclass.train` seeds
-`kl_weights` with its dual_kl/scalar_kl weights. `decision_forms`, each pair
-SVM's decision as a polynomial in its 1 or 2 features (`svm.decision_forms`),
-exists for linear and polynomial kernels under dual_kl and scalar_kl; it is
-built by the first predict, neither by training nor by loading.
+`kl_weights` with its dual_kl/scalar_kl weights. `decision_forms` stacks the
+stored pair forms into one matrix for `multiclass.pair_decisions`.
 """
 
 from __future__ import annotations
@@ -41,10 +50,13 @@ from itertools import combinations
 import numpy as np
 
 from .record import Record
-from .svm import KernelSpec, SvmModel, check_svm_settings, decision_forms, integer, real
+from .svm import (
+    DecisionForms, KernelSpec, SvmForm, SvmModel, check_svm_settings, integer,
+    monomial_exponents, real,
+)
 
-MODEL_FORMAT = "cdf-model/6"
-RETIRED_FORMATS = ("cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4", "cdf-model/5")
+MODEL_FORMAT = "cdf-model/7"
+RETIRED_FORMATS = tuple(f"cdf-model/{v}" for v in range(1, 7))
 
 FEATURE_MODES = ("dual_kl", "scalar_kl", "elementwise_kl")
 
@@ -73,6 +85,13 @@ def feature_width(feature_mode: str, ctx: "PairContext") -> int:
     """The number of features a pair's SVM sees: 2 in dual_kl, 1 in
     scalar_kl, and one per mask index in elementwise_kl."""
     return {"dual_kl": 2, "scalar_kl": 1}.get(feature_mode, ctx.mask.size)
+
+
+def stores_forms(kernel: KernelSpec, feature_mode: str) -> bool:
+    """Whether a model keeps each pair SVM as its decision polynomial (an
+    `svm.SvmForm`): under a linear or polynomial kernel with dual_kl or
+    scalar_kl features. Otherwise it keeps the `svm.SvmModel`."""
+    return kernel.kind != "rbf" and feature_mode != "elementwise_kl"
 
 
 def class_pairs(num_classes: int) -> list[tuple[int, int]]:
@@ -251,8 +270,10 @@ class CdfModel(Record):
     """The serializable artifact of training: per-pair contexts plus SVMs.
 
     The class count is `len(label_names)` and the dimension the length of
-    each profile's sums; construction refuses a model whose profiles, pairs
-    or SVM settings do not fit them.
+    each profile's sums. Each pair SVM is an `svm.SvmForm` with one weight
+    per monomial of the kernel's form when `stores_forms`, an `svm.SvmModel`
+    otherwise. Construction refuses a model whose profiles, pairs or SVM
+    settings do not fit these.
     """
 
     config: CdfConfig
@@ -262,20 +283,25 @@ class CdfModel(Record):
     max_passes: int
     label_names: tuple
     profiles: tuple
-    pairs: tuple  # ((PairContext, SvmModel), ...) in (x, y) lexicographic order
+    pairs: tuple  # ((PairContext, SvmForm or SvmModel), ...) in (x, y) lexicographic order
 
     def __post_init__(self):
         super().__post_init__()
         _check_classes(self.label_names, self.profiles, len(self.pairs))
-        for (ctx, _), pair in zip(self.pairs, class_pairs(self.num_classes)):
+        forms = stores_forms(self.kernel, self.config.feature_mode)
+        size = len(self.form_exponents) if forms else None
+        for (ctx, svm), pair in zip(self.pairs, class_pairs(self.num_classes)):
+            name = f"pair ({ctx.class_x},{ctx.class_y})"
             if (ctx.class_x, ctx.class_y) != pair:
-                raise ValueError(
-                    f"pair ({ctx.class_x},{ctx.class_y}) is out of order, expected {pair}"
-                )
+                raise ValueError(f"{name} is out of order, expected {pair}")
             if np.any(ctx.mask >= self.dim):
-                raise ValueError(
-                    f"pair ({ctx.class_x},{ctx.class_y}) mask exceeds dim {self.dim}"
-                )
+                raise ValueError(f"{name} mask exceeds dim {self.dim}")
+            if not isinstance(svm, SvmForm if forms else SvmModel):
+                kind = "a form" if forms else "support vectors"
+                raise ValueError(f"{name} must hold {kind} under this kernel and feature mode")
+            if forms and svm.weights.size != size:
+                raise ValueError(f"{name} form must hold {size} weights for this kernel "
+                                 f"and feature mode, got {svm.weights.size}")
         check_svm_settings(self.c, self.tol, self.max_passes)
 
     @property
@@ -302,16 +328,30 @@ class CdfModel(Record):
         contexts = [ctx for ctx, _ in self.pairs]
         return core.pair_kl_weights(contexts, self.dim, cfg.feature_mode, cfg.smoothing_eps)
 
+    @property
+    def form_exponents(self) -> tuple:
+        """The exponents of the monomials of every pair's form when
+        `stores_forms`: the kernel's degree (1 when linear) over the 1 or 2
+        features of the pair."""
+        degree = 1 if self.kernel.kind == "linear" else self.kernel.degree
+        width = feature_width(self.config.feature_mode, self.pairs[0][0])
+        return monomial_exponents(width, degree)
+
     @cached_property
     def decision_forms(self):
-        """`svm.decision_forms` of the pair SVMs, or None for an rbf kernel or
-        elementwise_kl features, whose pairs `predict` runs through the kernel
-        expansion. Derived from frozen fields, so it is not part of `==` and
-        not serialized.
+        """The stored pair forms as one `svm.DecisionForms`, weight columns
+        and biases in pair order, or None for an rbf kernel or elementwise_kl
+        features, whose pairs `predict` runs through the kernel expansion.
+        Stacked on first use from frozen fields, so it is not part of `==`
+        and not serialized.
         """
-        if self.kernel.kind == "rbf" or self.config.feature_mode == "elementwise_kl":
+        if not stores_forms(self.kernel, self.config.feature_mode):
             return None
-        return decision_forms(svm for _, svm in self.pairs)
+        return DecisionForms(
+            exponents=self.form_exponents,
+            weights=np.stack([form.weights for _, form in self.pairs], axis=1),
+            bias=[form.bias for _, form in self.pairs],
+        )
 
 
 # --- serialization ---------------------------------------------------------
@@ -334,8 +374,20 @@ def _settings(cls, doc):
     return cls(**doc)
 
 
+def _pair_doc(svm) -> dict:
+    """A pair's document: its form, or its support vectors and coefficients."""
+    if isinstance(svm, SvmForm):
+        doc = {"weights": svm.weights.tolist(), "bias": float(svm.bias),
+               "support_count": int(svm.support_count)}
+    else:
+        doc = {"support_vectors": svm.support_vectors.tolist(), "coef": svm.coef.tolist(),
+               "bias": float(svm.bias)}
+    doc.update(iterations=int(svm.iterations), kkt_violation_max=float(svm.kkt_violation_max))
+    return doc
+
+
 def model_to_json(model: CdfModel) -> str:
-    """Serialize a trained model to the cdf-model/6 JSON document.
+    """Serialize a trained model to the cdf-model/7 JSON document.
 
     ValueError if a real is not finite.
     """
@@ -351,22 +403,13 @@ def model_to_json(model: CdfModel) -> str:
             {"cardinality": int(p.cardinality), "sum_vec": _sums_doc(p.sum_vec)}
             for p in model.profiles
         ],
-        "pairs": [
-            {
-                "support_vectors": svm.support_vectors.tolist(),
-                "coef": svm.coef.tolist(),
-                "bias": float(svm.bias),
-                "iterations": int(svm.iterations),
-                "kkt_violation_max": float(svm.kkt_violation_max),
-            }
-            for _, svm in model.pairs
-        ],
+        "pairs": [_pair_doc(svm) for _, svm in model.pairs],
     }
     return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def model_from_json(text: str) -> CdfModel:
-    """Parse a cdf-model/6 JSON document and rebuild what training derived.
+    """Parse a cdf-model/7 JSON document and rebuild what training derived.
 
     Pair contexts and each SVM's kernel and C are recomputed
     the way `multiclass.train` computes them, so a loaded model equals the
@@ -407,34 +450,63 @@ def _model_from_doc(doc) -> CdfModel:
     ]
     # Checked before the pair contexts are built from the profiles.
     _check_classes(label_names, profiles, len(doc["pairs"]))
+    c = real("c", doc["c"], 0)
+    forms = stores_forms(kernel, cfg.feature_mode)
+    keys = {"bias", "iterations", "kkt_violation_max"} | (
+        {"weights", "support_count"} if forms else {"support_vectors", "coef"}
+    )
     pairs = []
     for (x, y), s in zip(class_pairs(len(label_names)), doc["pairs"]):
+        if not (isinstance(s, dict) and set(s) == keys):
+            got = sorted(s) if isinstance(s, dict) else type(s).__name__
+            raise ValueError(f"pair ({x},{y}) must be an object with keys {sorted(keys)} "
+                             f"under this kernel and feature mode, got {got}")
         ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
-        width = feature_width(cfg.feature_mode, ctx)
-        sv = np.asarray(s["support_vectors"], dtype=float)
-        if sv.shape == (0,):  # an SVM without support vectors is written as []
-            sv = sv.reshape(0, width)
-        if sv.ndim != 2 or sv.shape[1] != width:
-            raise ValueError(f"pair ({x},{y}): support vectors must be rows of {width} features")
-        if not np.all(np.isfinite(sv)):
-            raise ValueError(f"pair ({x},{y}): support vectors must be finite")
-        svm = SvmModel(
-            support_vectors=sv,
-            coef=np.asarray(s["coef"], dtype=float),
-            bias=s["bias"],
-            kernel=kernel.resolve(width),
-            c=doc["c"],
-            iterations=integer(f"pair ({x},{y}) iterations", s["iterations"], 0),
-            kkt_violation_max=s["kkt_violation_max"],
-        )
+        try:
+            svm = _form(s) if forms else _svm(s, kernel, c, cfg.feature_mode, ctx)
+        except ValueError as exc:
+            raise ValueError(f"pair ({x},{y}): {exc}") from None
         pairs.append((ctx, svm))
     return CdfModel(
         config=cfg,
         kernel=kernel,
-        c=doc["c"],
+        c=c,
         tol=doc["tol"],
         max_passes=doc["max_passes"],
         label_names=label_names,
         profiles=tuple(profiles),
         pairs=tuple(pairs),
+    )
+
+
+def _form(s: dict) -> SvmForm:
+    """A forms pair's record from its document."""
+    return SvmForm(
+        weights=np.asarray(s["weights"], dtype=float),
+        bias=s["bias"],
+        support_count=s["support_count"],
+        iterations=s["iterations"],
+        kkt_violation_max=s["kkt_violation_max"],
+    )
+
+
+def _svm(s: dict, kernel: KernelSpec, c: float, feature_mode: str, ctx: PairContext) -> SvmModel:
+    """A support-vector pair's SVM from its document, with the kernel
+    resolved for the pair's feature width."""
+    width = feature_width(feature_mode, ctx)
+    sv = np.asarray(s["support_vectors"], dtype=float)
+    if sv.shape == (0,):  # an SVM without support vectors is written as []
+        sv = sv.reshape(0, width)
+    if sv.ndim != 2 or sv.shape[1] != width:
+        raise ValueError(f"support vectors must be rows of {width} features")
+    if not np.all(np.isfinite(sv)):
+        raise ValueError("support vectors must be finite")
+    return SvmModel(
+        support_vectors=sv,
+        coef=np.asarray(s["coef"], dtype=float),
+        bias=s["bias"],
+        kernel=kernel.resolve(width),
+        c=c,
+        iterations=s["iterations"],
+        kkt_violation_max=s["kkt_violation_max"],
     )

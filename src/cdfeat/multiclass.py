@@ -3,10 +3,13 @@
 Prediction handles every pair in one pass over the sample matrix: the
 features of all pairs, then an (n, pairs) decision matrix (`pair_decisions`),
 then one vote and margin accumulation in pair order. With a linear or
-polynomial kernel under dual_kl or scalar_kl features, the decision matrix
-comes from the model's cached `decision_forms`, every pair's decision
-polynomial evaluated at once; with an rbf kernel or elementwise_kl features,
-from each pair's kernel expansion (`svm.decision_batch`). Either way a row's
+polynomial kernel under dual_kl or scalar_kl features, training keeps each
+pair SVM as its decision polynomial (`svm.SvmForm`, see `model`), all built
+by one `svm.decision_forms` call, and the decision matrix comes from the
+model's `decision_forms`, every pair's stored polynomial evaluated at once;
+with an rbf kernel or elementwise_kl features, training keeps each pair's
+`svm.SvmModel` and the matrix comes from its kernel expansion
+(`svm.decision_batch`). Either way a row's
 bits do not depend on the number of rows. Ties in the vote count break on
 accumulated |decision| margin, then on the lower class id, so prediction is
 fully deterministic.
@@ -20,10 +23,12 @@ from functools import cache
 import numpy as np
 
 from . import core
-from .model import CdfConfig, CdfModel, ClassProfile, Dataset, class_pairs, validate_dataset
+from .model import (
+    CdfConfig, CdfModel, ClassProfile, Dataset, class_pairs, stores_forms, validate_dataset,
+)
 from .svm import (
     DEFAULT_MAX_PASSES, DEFAULT_TOL, GridCell, KernelSpec, check_svm_settings, decision_batch,
-    monomials, smo_train,
+    monomials, smo_train, svm_forms,
 )
 
 # The pair SVMs' kernel and C when the caller names none. The kernel takes
@@ -83,6 +88,17 @@ def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes) -> tuple:
     return tuple(map(fit, class_pairs(num_classes)))
 
 
+def kept_pairs(cfg: CdfConfig, kernel: KernelSpec, fitted) -> tuple:
+    """The pairs a `CdfModel` keeps of `fit_pairs`' ((PairContext, SvmModel), ...):
+    when `stores_forms`, each SVM as its `svm.SvmForm`, from one
+    `svm.decision_forms` call over all pairs; otherwise the pairs as they are."""
+    fitted = tuple(fitted)
+    if not stores_forms(kernel, cfg.feature_mode):
+        return fitted
+    contexts, svms = zip(*fitted)
+    return tuple(zip(contexts, svm_forms(svms)))
+
+
 def train(
     dataset: Dataset,
     cfg: CdfConfig = CdfConfig(),
@@ -100,7 +116,8 @@ def train(
     before any SVM is fitted; the model's `kl_weights` is seeded with the
     weights, so its training features are the bits `predict_batch` computes.
     elementwise_kl features are wider, so each pair's are computed with
-    `core.kl_features` when its SVM is fitted. The solves use no randomness;
+    `core.kl_features` when its SVM is fitted. The model keeps the pairs
+    `kept_pairs` gives. The solves use no randomness;
     `seed` is accepted and unused. The pair SVMs are fitted one after another;
     `jobs` is accepted and unused.
     """
@@ -158,7 +175,7 @@ def train(
         max_passes=max_passes,
         label_names=dataset.label_names,
         profiles=tuple(profiles),
-        pairs=fit_pairs(m, pair_data, kernel, c, tol, max_passes),
+        pairs=kept_pairs(cfg, kernel, fit_pairs(m, pair_data, kernel, c, tol, max_passes)),
     )
     if weights is not None:
         # Fills the cached_property; frozen dataclasses refuse plain setattr.
@@ -198,7 +215,7 @@ def pair_decisions(model: CdfModel, samples) -> np.ndarray:
     dual_kl and scalar_kl features of every pair come from one
     `core.whole_kl_features` call with the model's cached `kl_weights`;
     elementwise_kl features from one `core.kl_features` call per pair. With
-    `model.decision_forms`, every pair's decision polynomial is summed one
+    `model.decision_forms`, every pair's stored polynomial is summed one
     monomial at a time in elementwise products, so no reduction runs along a
     row; otherwise each pair's `decision_batch` runs over all rows.
     """

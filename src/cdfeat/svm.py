@@ -17,11 +17,14 @@ feature components,
     (g f.s + c0)^d = sum_{|a| <= d} d!/(a! (d - |a|)!) c0^(d - |a|) g^|a| f^a s^a,
 so the decision is sum_a W_a f^a + bias, W_a being that coefficient times
 sum_s coef_s s^a; linear is d = 1, g = 1, c0 = 0. `decision_forms` builds
-these forms. On the 1 or 2 features of a scalar_kl or dual_kl pair there are
-d + 1 or (d + 1)(d + 2)/2 monomials (6 for poly2 on 2 features), so a
-decision costs a handful of products instead of a sum over every support
-vector. `decision` and `decision_batch` run the kernel expansion itself, the
-only path for rbf.
+these forms, and `svm_forms` splits them into one `SvmForm` per SVM, which a
+model keeps in place of the SVM. On the 1 or 2 features of a scalar_kl or
+dual_kl pair there are d + 1 or (d + 1)(d + 2)/2 monomials (6 for poly2 on 2
+features), so a decision costs a handful of products instead of a sum over
+every support vector, and a form is a handful of numbers. `decision` and
+`decision_batch` run the kernel expansion itself, the only path for rbf.
+Kernel values that overflow float64 are refused with a ValueError, not
+passed on as inf or NaN.
 
 `real` and `integer` are the one rule for each kind of scalar setting: the
 library's constructors, the model loader and the CLI's option types all call
@@ -124,28 +127,37 @@ class KernelSpec:
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel values for every row of `a` against every row of `b`."""
+    """Kernel values for every row of `a` against every row of `b`; ValueError
+    if one overflows float64."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"kernel arguments differ in length: {a.shape[1]} vs {b.shape[1]}")
-    return _kernel_of_dots(spec, a @ b.T, a, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _kernel_of_dots(spec, a @ b.T, a, b)
 
 
 def _kernel_of_dots(spec: KernelSpec, dots, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel values from `dots`, the dot products of the rows of `a` and `b`."""
+    """Kernel values from `dots`, the dot products of the rows of `a` and `b`;
+    ValueError if one is not finite. Callers compute `dots` and call it with
+    overflow ignored, so a value that overflows float64 is refused here
+    instead of printing a numpy warning."""
     if spec.kind == "linear":
-        return dots
-    if spec.gamma is None:
+        k = dots
+    elif spec.gamma is None:
         raise ValueError("gamma unresolved; call KernelSpec.resolve(dim) first")
-    if spec.kind == "polynomial":
-        return (spec.gamma * dots + spec.coef0) ** spec.degree
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        - 2.0 * dots
-        + np.sum(b * b, axis=1)[None, :]
-    )
-    return np.exp(-spec.gamma * np.maximum(sq, 0.0))
+    elif spec.kind == "polynomial":
+        k = (spec.gamma * dots + spec.coef0) ** spec.degree
+    else:
+        sq = (
+            np.sum(a * a, axis=1)[:, None]
+            - 2.0 * dots
+            + np.sum(b * b, axis=1)[None, :]
+        )
+        k = np.exp(-spec.gamma * np.maximum(sq, 0.0))
+    if not np.isfinite(k).all():
+        raise ValueError(f"kernel values overflow float64 under {spec}")
+    return k
 
 
 def _kernel_rows(spec: KernelSpec, x: np.ndarray):
@@ -184,6 +196,8 @@ class SvmModel(Record):
         super().__post_init__()
         co = self.coef
         real("bias", self.bias)
+        real("c", self.c, 0)
+        integer("iterations", self.iterations, 0)
         real("kkt_violation_max", self.kkt_violation_max)
         if co.shape != self.support_vectors.shape[:1]:
             raise ValueError("one coefficient per support vector required")
@@ -192,6 +206,10 @@ class SvmModel(Record):
             raise ValueError("coefficients must be finite and within the box |alpha| <= C")
         if not abs(float(np.sum(co))) <= 1e-6:
             raise ValueError("dual equality constraint sum(alpha_i y_i) = 0 violated")
+
+    @property
+    def support_count(self) -> int:
+        return self.coef.size
 
 
 def smo_train(
@@ -351,7 +369,8 @@ def decision_batch(model: SvmModel, x) -> np.ndarray:
         raise ValueError(
             f"sample length {x.shape[-1]} does not match support vectors ({sv.shape[1]})"
         )
-    k = _kernel_of_dots(model.kernel, np.einsum("ij,kj->ik", x, sv), x, sv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = _kernel_of_dots(model.kernel, np.einsum("ij,kj->ik", x, sv), x, sv)
     return (k * model.coef).sum(axis=1) + model.bias
 
 
@@ -448,6 +467,53 @@ def decision_forms(svms) -> DecisionForms:
         exponents=exponents,
         weights=np.asarray(scale)[:, None] * sums,
         bias=[svm.bias for svm in svms],
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SvmForm(Record):
+    """A trained binary SVM kept as its decision polynomial: its column of a
+    `DecisionForms` (`weights` over the monomials, and `bias`), and the
+    solve's support-vector count, iterations and final KKT gap."""
+
+    weights: np.ndarray  # (monomials,)
+    bias: float
+    support_count: int
+    iterations: int
+    kkt_violation_max: float
+
+    ARRAYS = {"weights": float}
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.weights.ndim != 1 or not np.isfinite(self.weights).all():
+            raise ValueError(f"weights must be a list of finite reals, got {self.weights!r}")
+        real("bias", self.bias)
+        integer("support_count", self.support_count, 0)
+        integer("iterations", self.iterations, 0)
+        real("kkt_violation_max", self.kkt_violation_max)
+
+    @property
+    def support_vectors(self) -> np.ndarray:
+        """`support_count` rows of no features, so that code that counts an
+        SVM's support vectors as `support_vectors.shape[0]` reads both kinds."""
+        return np.empty((self.support_count, 0))
+
+
+def svm_forms(svms) -> tuple:
+    """Each SVM as an `SvmForm`, its column of one `decision_forms` call over
+    all of them; the same conditions apply."""
+    svms = list(svms)
+    forms = decision_forms(svms)
+    return tuple(
+        SvmForm(
+            weights=forms.weights[:, p],
+            bias=svm.bias,
+            support_count=svm.support_count,
+            iterations=svm.iterations,
+            kkt_violation_max=svm.kkt_violation_max,
+        )
+        for p, svm in enumerate(svms)
     )
 
 

@@ -4,18 +4,26 @@
 Training concatenates a pair's two class matrices and takes its features
 from one `core.kl_features` call. Prediction takes each pair's features from
 its own `core.kl_features` call over all rows, its decisions from
-`decision_batch`, and accumulates votes and margin sums pair by pair. Sample
-checks are left to the caller.
+`decision_batch` or from the pair's stored polynomial, and accumulates votes
+and margin sums pair by pair. Sample checks are left to the caller.
+
+A model that keeps its pairs as decision polynomials (`svm.SvmForm`) no
+longer holds the SVMs they came from; `train_keeping_svms` returns them
+beside the model, and `form_decisions` evaluates the polynomials that
+`svm.decision_forms` derives from them, the reference for the bits of the
+stored forms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cdfeat import core
+from cdfeat import core, multiclass
 from cdfeat.model import CdfModel, ClassProfile
-from cdfeat.multiclass import DEFAULT_C, VoteRecord, fit_pairs
-from cdfeat.svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, decision_batch
+from cdfeat.multiclass import DEFAULT_C, VoteRecord, fit_pairs, kept_pairs
+from cdfeat.svm import (
+    DEFAULT_MAX_PASSES, DEFAULT_TOL, SvmModel, decision_batch, decision_forms, monomials,
+)
 
 
 def profiles(dataset) -> list[ClassProfile]:
@@ -51,8 +59,27 @@ def train(dataset, cfg, kernel, c=DEFAULT_C, tol=DEFAULT_TOL,
         config=cfg, kernel=kernel, c=c, tol=tol, max_passes=max_passes,
         label_names=dataset.label_names,
         profiles=tuple(profs),
-        pairs=fit_pairs(dataset.num_classes, pair_data, kernel, c, tol, max_passes),
+        pairs=kept_pairs(
+            cfg, kernel, fit_pairs(dataset.num_classes, pair_data, kernel, c, tol, max_passes)
+        ),
     )
+
+
+def train_keeping_svms(*args, **kwargs) -> tuple:
+    """`multiclass.train(*args, **kwargs)`, and the pair SVMs its `fit_pairs`
+    returned, in pair order."""
+    seen, keep = [], multiclass.kept_pairs
+
+    def spy(cfg, kernel, fitted):
+        seen.extend(svm for _, svm in fitted)
+        return keep(cfg, kernel, fitted)
+
+    multiclass.kept_pairs = spy
+    try:
+        model = multiclass.train(*args, **kwargs)
+    finally:
+        multiclass.kept_pairs = keep
+    return model, tuple(seen)
 
 
 def pair_features(model, x) -> list[np.ndarray]:
@@ -65,15 +92,43 @@ def pair_features(model, x) -> list[np.ndarray]:
     ]
 
 
-def predict_batch(model, x) -> list[tuple[int, VoteRecord]]:
-    """Vote every pair SVM on every row of `x`, one pair at a time."""
+def evaluate(exponents, weights, bias, feats) -> np.ndarray:
+    """Polynomials with these monomial `weights` (one row per monomial, the
+    last axis one per polynomial) at `feats`, summed one monomial at a time."""
+    d = np.empty(np.shape(feats)[:-1])
+    d[:] = bias
+    for w, mono in zip(weights, monomials(feats, exponents)):
+        d += w if mono is None else w * mono
+    return d
+
+
+def pair_decision_batch(model, svm, feats) -> np.ndarray:
+    """One pair's decisions at its feature rows: `decision_batch` for an
+    `SvmModel`, the stored polynomial for an `SvmForm`."""
+    if isinstance(svm, SvmModel):
+        return decision_batch(svm, feats)
+    return evaluate(model.form_exponents, svm.weights, svm.bias, feats)
+
+
+def form_decisions(model, svms, x) -> np.ndarray:
+    """The (n, pairs) decisions of `svm.decision_forms(svms)` at the rows of
+    `x`, over the model's whole-KL features."""
+    forms = decision_forms(svms)
+    feats = core.whole_kl_features(x, model.kl_weights)
+    return evaluate(forms.exponents, forms.weights, forms.bias, feats)
+
+
+def predict_batch(model, x, svms=None) -> list[tuple[int, VoteRecord]]:
+    """Vote every pair on every row of `x`, one pair at a time, with the
+    pair SVMs `svms` (default: the model's own pairs)."""
     x = np.asarray(x, dtype=float)
     n, m = x.shape[0], model.num_classes
     votes = np.zeros((n, m), dtype=np.int64)
     margins = np.zeros((n, m))
     rows = np.arange(n)
-    for (ctx, svm), feats in zip(model.pairs, pair_features(model, x)):
-        d = decision_batch(svm, feats)
+    svms = [svm for _, svm in model.pairs] if svms is None else svms
+    for (ctx, _), svm, feats in zip(model.pairs, svms, pair_features(model, x)):
+        d = pair_decision_batch(model, svm, feats)
         voted = np.where(d > 0, ctx.class_x, ctx.class_y)
         votes[rows, voted] += 1
         margins[rows, voted] += np.abs(d)

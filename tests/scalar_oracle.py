@@ -3,7 +3,9 @@
 Each sample is restricted and normalized on its own, its KL features come
 from the validated `kl_divergence` (sums over the positive components only),
 each pair SVM is evaluated with the one-sample `decision`, and votes and
-margins accumulate in Python in pair order.
+margins accumulate in Python in pair order. A model that keeps its pairs as
+decision polynomials takes the SVMs they came from as `svms`
+(`pair_loop_oracle.train_keeping_svms`).
 """
 
 from __future__ import annotations
@@ -30,15 +32,17 @@ def sample_feature(sample, mask, ref_x, ref_y, feature_mode: str, eps: float) ->
     raise ValueError(f"unknown feature_mode {feature_mode!r}")
 
 
-def predict(model, sample) -> tuple[int, VoteRecord]:
-    """Vote every pair SVM on one sample, one pair at a time."""
+def predict(model, sample, svms=None) -> tuple[int, VoteRecord]:
+    """Vote every pair SVM on one sample, one pair at a time, with the pair
+    SVMs `svms` (default: the model's own pairs)."""
     sample = np.asarray(sample, dtype=float)
     m = model.num_classes
     votes = [0] * m
     margins = [0.0] * m
     mode = model.config.feature_mode
     eps = model.config.smoothing_eps
-    for ctx, svm in model.pairs:
+    svms = [svm for _, svm in model.pairs] if svms is None else svms
+    for (ctx, _), svm in zip(model.pairs, svms):
         feat = sample_feature(sample, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
         d = decision(svm, feat)
         voted = ctx.class_x if d > 0 else ctx.class_y

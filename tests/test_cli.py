@@ -2,6 +2,7 @@ import gzip
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cdfeat.cli import _parse_args, main
 from cdfeat.ingest import dump_sparse, load_sparse
 from cdfeat.model import CdfConfig, Dataset, model_from_json, model_to_json
 from cdfeat.report import fmt_float
-from cdfeat.svm import MAX_DEGREE, decision_batch
+from cdfeat.svm import MAX_DEGREE
 
 import pair_loop_oracle
 from conftest import gaussian_blobs, gaussian_split
@@ -161,19 +162,23 @@ class TestTrain:
         )
         assert not model_path.exists()
 
-    @pytest.mark.parametrize("setting", [["--gamma", "1e200"], ["--coef0", "1e200"]])
+    @pytest.mark.parametrize("setting, gamma, coef0", [
+        (["--gamma", "1e200"], "1e+200", "1.0"), (["--coef0", "1e200"], "0.5", "1e+200"),
+    ])
     def test_failed_pair_solve_prints_one_error_line(self, fixture_files, tmp_path, capsys,
-                                                     setting):
-        # The kernel values overflow, so the first pair's SVM gets a NaN bias.
+                                                     setting, gamma, coef0):
+        # The kernel values of the first pair overflow float64: refused
+        # with one line that names the overflow, and no numpy warning.
         model_path = tmp_path / "m.json"
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = main(train_args(fixture_files, model_path, tmp_path / "r", setting))
-        assert rc == 1
+        assert rc == 1 and caught == []
         err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            "error: training failed for pair (0,1): bias must be a finite real, got nan"
+        assert err.splitlines() == [
+            "error: training failed for pair (0,1): kernel values overflow float64 under "
+            f"KernelSpec(kind='polynomial', degree=2, gamma={gamma}, coef0={coef0})"
         ]
-        assert "Traceback" not in err
         assert not model_path.exists()
 
     def test_degree_at_the_limit_is_accepted(self, fixture_files, tmp_path):
@@ -361,7 +366,7 @@ class TestEval:
         for (ctx, svm), f in zip(model.pairs, feats):
             x, y = ctx.class_x, ctx.class_y
             mine = (truth == x) | (truth == y)
-            voted = np.where(decision_batch(svm, f) > 0, x, y)
+            voted = np.where(pair_loop_oracle.pair_decision_batch(model, svm, f) > 0, x, y)
             want += [f"pair_{x}_{y}_rows={np.sum(mine)}",
                      f"pair_{x}_{y}_wrong={np.sum(mine & (voted != truth))}"]
         assert pair_lines == want
@@ -550,11 +555,12 @@ class TestInspect:
             assert lines["pair_0_1_converged"] == converged
 
     def test_svm_without_support_vectors(self, fixture_files, tmp_path, capsys):
-        # tol 5 is above the KKT gap of 2 at alpha = 0: every pair SVM is
-        # written with "support_vectors":[] and must load again.
+        # tol 5 is above the KKT gap of 2 at alpha = 0: every pair form is
+        # written with "support_count":0 and must load again.
         model_path = tmp_path / "no-sv.json"
         assert main(train_args(fixture_files, model_path, tmp_path / "r", ["--tol", "5"])) == 0
-        assert model_path.read_text().count('"support_vectors":[]') == 3
+        text = model_path.read_text()
+        assert text.count('"support_count":0') == 3 and '"support_vectors"' not in text
         assert main(["inspect", "--model", str(model_path)]) == 0
         assert "pair_0_1_support_vectors=0" in capsys.readouterr().out.splitlines()
         data = ["--format", "sparse", "--data", str(fixture_files["test"]), "--dim", "20"]
@@ -591,9 +597,9 @@ class TestInspect:
             corrupt(bad_doc)
             texts.append(json.dumps(bad_doc))
         for value in (float("nan"), float("inf")):
-            bad_sv = json.loads(trained["model"].read_text())
-            bad_sv["pairs"][0]["support_vectors"][0][1] = value
-            texts.append(json.dumps(bad_sv))
+            bad_weight = json.loads(trained["model"].read_text())
+            bad_weight["pairs"][0]["weights"][1] = value
+            texts.append(json.dumps(bad_weight))
         for text in texts:
             bad = tmp_path / "bad.json"
             bad.write_text(text)
@@ -604,15 +610,15 @@ class TestInspect:
     @pytest.mark.parametrize("command", ["inspect", "eval", "predict"])
     def test_retired_format_refused_by_name(self, fixture_files, trained, tmp_path, capsys,
                                             command):
-        old = tmp_path / "v5.json"
+        old = tmp_path / "v6.json"
         old.write_text(trained["model"].read_text().replace(
-            '"format":"cdf-model/6"', '"format":"cdf-model/5"', 1))
+            '"format":"cdf-model/7"', '"format":"cdf-model/6"', 1))
         data = [] if command == "inspect" else [
             "--format", "sparse", "--data", str(fixture_files["test"]), "--dim", "20"]
         assert main([command, "--model", str(old), *data]) == 2
         err = capsys.readouterr().err
         assert "unreadable model" in err
-        assert "'cdf-model/5' is no longer read; retrain to write 'cdf-model/6'" in err
+        assert "'cdf-model/6' is no longer read; retrain to write 'cdf-model/7'" in err
 
 
 class TestIdxEndToEnd:

@@ -19,7 +19,7 @@ from cdfeat.model import (
     validate_dataset,
 )
 from cdfeat.multiclass import train
-from cdfeat.svm import MAX_DEGREE, KernelSpec
+from cdfeat.svm import MAX_DEGREE, KernelSpec, SvmForm, SvmModel
 
 from conftest import gaussian_blobs
 
@@ -32,12 +32,14 @@ def small_dataset():
 def one_of_each_record() -> list:
     """One instance of every record type (the frozen types holding arrays)."""
     model = train(small_dataset())
-    ctx, svm = model.pairs[0]
+    ctx, form = model.pairs[0]
+    svm = train(small_dataset(), kernel=KernelSpec(kind="rbf")).pairs[0][1]
     return [
         small_dataset(),
         model.profiles[0],
         ctx,
         model,
+        form,
         svm,
         TfIdfModel(np.ones(3)),
         ConfusionMatrix(np.eye(2, dtype=np.int64), 2),
@@ -161,7 +163,7 @@ class TestSerializationRoundTrip:
             model_from_json(text)
 
     @pytest.mark.parametrize("old", [
-        "cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4", "cdf-model/5",
+        "cdf-model/1", "cdf-model/2", "cdf-model/3", "cdf-model/4", "cdf-model/5", "cdf-model/6",
     ])
     def test_older_formats_refused(self, old):
         doc = json.loads(model_to_json(self._tiny_model(0)))
@@ -202,27 +204,50 @@ class TestSerializationRoundTrip:
         with pytest.raises(ValueError, match="label names must be a list of strings"):
             model_from_json(json.dumps(doc))
 
-    def test_svm_without_support_vectors_round_trips(self):
+    @pytest.mark.parametrize("kernel, written", [
+        (KernelSpec(kind="polynomial"), '"support_count":0'),
+        (KernelSpec(kind="rbf"), '"support_vectors":[]'),
+    ], ids=["form", "svm"])
+    def test_svm_without_support_vectors_round_trips(self, kernel, written):
         # tol 5 is above the KKT gap of 2 at alpha = 0: no SMO step is taken.
         x, y = gaussian_blobs(6, seed=3, dims=8, classes=3)
-        model = train(Dataset.from_arrays(x, y), tol=5.0)
-        assert all(svm.support_vectors.shape == (0, 2) for _, svm in model.pairs)
+        model = train(Dataset.from_arrays(x, y), kernel=kernel, tol=5.0)
+        assert all(svm.support_vectors.shape[0] == 0 for _, svm in model.pairs)
         text = model_to_json(model)
-        assert text.count('"support_vectors":[]') == 3
+        assert text.count(written) == 3
         back = model_from_json(text)
         assert back == model
         assert model_to_json(back) == text
 
-    def test_pairs_store_no_derivable_fields(self):
-        doc = json.loads(model_to_json(self._tiny_model(2, feature_mode="elementwise_kl")))
+    @pytest.mark.parametrize("feature_mode, kernel, keys", [
+        ("dual_kl", "polynomial", {"weights", "support_count"}),
+        ("scalar_kl", "linear", {"weights", "support_count"}),
+        ("dual_kl", "rbf", {"support_vectors", "coef"}),
+        ("elementwise_kl", "polynomial", {"support_vectors", "coef"}),
+    ])
+    def test_pairs_store_no_derivable_fields(self, feature_mode, kernel, keys):
+        x, y = gaussian_blobs(6, seed=2, dims=8, classes=3)
+        model = train(Dataset.from_arrays(x, y), CdfConfig(feature_mode=feature_mode),
+                      kernel=KernelSpec(kind=kernel))
+        doc = json.loads(model_to_json(model))
         assert set(doc) == {"format", "config", "kernel", "c", "tol", "max_passes",
                             "label_names", "profiles", "pairs"}
         assert set(doc["config"]) == {"b", "b_prime", "feature_mode", "smoothing_eps"}
         for e in doc["pairs"]:
-            assert set(e) == {"support_vectors", "coef", "bias", "iterations",
-                              "kkt_violation_max"}
+            assert set(e) == keys | {"bias", "iterations", "kkt_violation_max"}
         for p in doc["profiles"]:
             assert set(p) == {"cardinality", "sum_vec"}
+
+    def test_form_weights_per_kernel_and_mode(self):
+        # One weight per monomial of degree <= d in the pair's 2 or 1 features.
+        x, y = gaussian_blobs(6, seed=2, dims=8, classes=3)
+        ds = Dataset.from_arrays(x, y)
+        for mode, kernel, count in (("dual_kl", KernelSpec("linear"), 3),
+                                    ("dual_kl", KernelSpec("polynomial", degree=3), 10),
+                                    ("scalar_kl", KernelSpec("polynomial", degree=3), 4)):
+            model = train(ds, CdfConfig(feature_mode=mode), kernel=kernel)
+            assert len(model.form_exponents) == count
+            assert all(form.weights.shape == (count,) for _, form in model.pairs)
 
     def test_integral_sums_written_as_integers(self):
         x = np.asarray([[1.0, 0.0, 2.0], [3.0, 1.0, 0.0], [0.0, 4.0, 1.0], [1.0, 2.0, 2.0]])
@@ -236,18 +261,12 @@ class TestSerializationRoundTrip:
             doc["profiles"][1]["sum_vec"] = fn(doc["profiles"][1]["sum_vec"])
         return corrupt
 
-    @staticmethod
-    def _widen_support_vectors(doc):
-        sv = doc["pairs"][0]["support_vectors"]
-        doc["pairs"][0]["support_vectors"] = [row + [0.0] for row in sv]
-
     @pytest.mark.parametrize("corrupt", [
         _set_sum_vec(lambda v: v[:-1]),
         _set_sum_vec(lambda v: [-1.0] + v[1:]),
         _set_sum_vec(lambda v: [None] + v[1:]),
         _set_sum_vec(lambda v: ["NaN"] + v[1:]),
         lambda doc: doc["profiles"][0].update(cardinality=0),
-        _widen_support_vectors,
         lambda doc: doc["pairs"].pop(1),
         lambda doc: doc["pairs"].append(doc["pairs"][0]),
         lambda doc: doc["label_names"].pop(),
@@ -256,9 +275,6 @@ class TestSerializationRoundTrip:
         # json.dumps writes bare NaN and Infinity, and json.loads reads them.
         lambda doc: doc["pairs"][0].update(bias=float("nan")),
         lambda doc: doc["pairs"][0].update(kkt_violation_max=float("inf")),
-        lambda doc: doc["pairs"][0]["coef"].__setitem__(0, float("nan")),
-        lambda doc: doc["pairs"][0]["support_vectors"][0].__setitem__(0, float("nan")),
-        lambda doc: doc["pairs"][1]["support_vectors"][0].__setitem__(0, float("inf")),
         lambda doc: doc.update(tol="0.001"),
         lambda doc: doc.update(tol=0.0),
         lambda doc: doc.update(tol=float("nan")),
@@ -270,7 +286,6 @@ class TestSerializationRoundTrip:
         lambda doc: doc["profiles"][0].update(cardinality=60.5),
         lambda doc: doc["pairs"][0].update(iterations="5"),
         lambda doc: doc.update(label_names=list(range(len(doc["label_names"])))),
-        lambda doc: doc["pairs"][0].update(coef=5),
         lambda doc: doc["kernel"].update(coef0="1"),
         lambda doc: doc["kernel"].update(gamma="0.5"),
         lambda doc: doc["kernel"].update(degree=2.5),
@@ -289,11 +304,11 @@ class TestSerializationRoundTrip:
         # A string is the whole document, one that is not a JSON object.
         "[]", "null", '"x"',
     ], ids=["truncated", "negative", "null", "nan-string", "cardinality-0",
-            "sv-width", "missing-pair", "extra-pair", "names-short", "names-long",
-            "one-class", "bias-nan", "kkt-inf", "coef-nan", "sv-nan", "sv-inf",
+            "missing-pair", "extra-pair", "names-short", "names-long",
+            "one-class", "bias-nan", "kkt-inf",
             "tol-string", "tol-0", "tol-nan", "tol-bool", "max-passes-0", "max-passes-real",
             "c-0", "c-negative", "cardinality-real", "iterations-string", "names-int",
-            "coef-scalar", "coef0-string", "gamma-string", "degree-real", "degree-bool",
+            "coef0-string", "gamma-string", "degree-real", "degree-bool",
             "degree-above-max", "degree-million",
             "b-bool", "b-prime-string", "eps-inf", "bias-bool", "kkt-bool",
             "config-without-eps", "config-extra-key", "kernel-without-coef0", "kernel-list",
@@ -314,9 +329,72 @@ class TestSerializationRoundTrip:
         assert main(["inspect", "--model", str(path)]) == 2
         assert "unreadable model" in capsys.readouterr().err
 
+    @staticmethod
+    def _corrupt_pair(doc, key, fn):
+        doc["pairs"][1][key] = fn(doc["pairs"][1][key])
+
+    @pytest.mark.parametrize("key, fn, message", [
+        ("weights", lambda w: w[:-1], r"pair \(0,2\) form must hold 3 weights .*got 2"),
+        ("weights", lambda w: w + [0.0], r"pair \(0,2\) form must hold 3 weights .*got 4"),
+        ("weights", lambda w: [float("nan")] + w[1:], r"pair \(0,2\): weights must be .*finite"),
+        ("weights", lambda w: w[:-1] + [float("-inf")], r"pair \(0,2\): weights must be"),
+        ("weights", lambda w: [w], r"pair \(0,2\): weights must be"),
+        ("support_count", lambda n: -1, r"pair \(0,2\): support_count must be an integer >= 0"),
+        ("support_count", lambda n: 2.0, r"pair \(0,2\): support_count must be an integer"),
+        ("support_count", lambda n: "3", r"pair \(0,2\): support_count must be an integer"),
+        ("support_count", lambda n: True, r"pair \(0,2\): support_count must be an integer"),
+        ("iterations", lambda n: -1, r"pair \(0,2\): iterations must be an integer >= 0"),
+    ], ids=["weights-short", "weights-long", "weights-nan", "weights-inf", "weights-nested",
+            "count-negative", "count-real", "count-string", "count-bool", "iterations-negative"])
+    def test_corrupt_form_pair_refused(self, key, fn, message):
+        doc = json.loads(model_to_json(self._tiny_model(3, feature_mode="scalar_kl", classes=3)))
+        self._corrupt_pair(doc, key, fn)
+        with pytest.raises(ValueError, match=message):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("mode, kernel, corrupt", [
+        ("scalar_kl", "polynomial", lambda p: p.update(support_vectors=[[1.0]])),
+        ("scalar_kl", "polynomial", lambda p: p.update(coef=[])),
+        ("dual_kl", "linear", lambda p: p.pop("support_count")),
+        ("dual_kl", "rbf", lambda p: p.update(weights=[1.0, 2.0, 3.0])),
+        ("elementwise_kl", "polynomial", lambda p: p.update(weights=[1.0])),
+        ("elementwise_kl", "linear", lambda p: p.update(support_count=1)),
+        ("dual_kl", "rbf", lambda p: p.pop("coef")),
+    ], ids=["sv-in-form", "coef-in-form", "form-without-count", "weights-in-rbf",
+            "weights-in-elementwise", "count-in-elementwise", "rbf-without-coef"])
+    def test_pair_keys_of_the_other_kind_refused(self, mode, kernel, corrupt):
+        model = train(Dataset.from_arrays(*gaussian_blobs(6, seed=5, dims=8, classes=3)),
+                      CdfConfig(feature_mode=mode), kernel=KernelSpec(kind=kernel))
+        doc = json.loads(model_to_json(model))
+        corrupt(doc["pairs"][2])
+        with pytest.raises(ValueError, match=r"^pair \(1,2\) must be an object with keys"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda sv: [row + [0.0] for row in sv],
+        lambda sv: [[float("nan")] + row[1:] for row in sv],
+        lambda sv: sv[:-1] + [[float("inf")] + sv[-1][1:]],
+        lambda sv: 5,
+    ], ids=["sv-width", "sv-nan", "sv-inf", "sv-scalar"])
+    def test_corrupt_support_vectors_refused(self, corrupt):
+        model = train(Dataset.from_arrays(*gaussian_blobs(6, seed=3, dims=8, classes=3)),
+                      CdfConfig(feature_mode="scalar_kl"), kernel=KernelSpec(kind="rbf"))
+        doc = json.loads(model_to_json(model))
+        self._corrupt_pair(doc, "support_vectors", corrupt)
+        with pytest.raises(ValueError, match=r"^pair \(0,2\): support vectors must be"):
+            model_from_json(json.dumps(doc))
+        doc = json.loads(model_to_json(model))
+        for coef in (5, [float("nan")] * len(doc["pairs"][1]["coef"])):
+            doc["pairs"][1]["coef"] = coef
+            with pytest.raises(ValueError, match=r"^pair \(0,2\): "):
+                model_from_json(json.dumps(doc))
+
     def test_degree_at_the_limit_loads(self):
+        # A degree-d form on one feature holds d + 1 weights.
         doc = json.loads(model_to_json(self._tiny_model(3, feature_mode="scalar_kl", classes=3)))
         doc["kernel"]["degree"] = MAX_DEGREE
+        for p in doc["pairs"]:
+            p["weights"] += [0.0] * (MAX_DEGREE - 2)
         assert model_from_json(json.dumps(doc)).kernel.degree == MAX_DEGREE
 
     @pytest.mark.parametrize("name", ["b", "b_prime", "smoothing_eps"])
@@ -324,15 +402,18 @@ class TestSerializationRoundTrip:
         with pytest.raises(ValueError, match=f"^{name} must be a finite real > 0, got 1000"):
             CdfConfig(**{name: 10**400})
 
-    def test_special_values_round_trip_exactly(self):
-        # Sums at and past 2**53 stay reals; the other values are features.
+    @pytest.mark.parametrize("kernel", ["linear", "rbf"])
+    def test_special_values_round_trip_exactly(self, kernel):
+        # Sums at and past 2**53 stay reals; the other values are form
+        # weights or support vectors.
         x = np.asarray([[2.0**53, 1 / 3, 1.0], [2.0**60, 0.5, 2.0],
                         [1.0, 2.0**53, 3.0], [2.0, 1.0, 1e300]])
-        model = train(Dataset.from_arrays(x, [0, 0, 1, 1]), kernel=KernelSpec(kind="linear"))
+        model = train(Dataset.from_arrays(x, [0, 0, 1, 1]), kernel=KernelSpec(kind=kernel))
         ctx, svm = model.pairs[0]
         special = np.asarray([5e-324, 1e300, 1 / 3, -0.0])
-        svm = replace(svm, support_vectors=np.resize(special, svm.support_vectors.shape),
-                      bias=-0.0)
+        field = "weights" if kernel == "linear" else "support_vectors"
+        values = np.resize(special, getattr(svm, field).shape)
+        svm = replace(svm, **{field: values}, bias=-0.0)
         model = replace(model, pairs=((ctx, svm),))
         text = model_to_json(model)
         # Class 1's sums are integral, but not all below 2**53.
@@ -342,15 +423,32 @@ class TestSerializationRoundTrip:
         assert back == model and model_to_json(back) == text
         for before, after in zip(model.profiles, back.profiles):
             assert before.sum_vec.tobytes() == after.sum_vec.tobytes()
-        assert svm.support_vectors.tobytes() == back.pairs[0][1].support_vectors.tobytes()
-        # A config refuses a NaN b itself; a support vector is checked at load
-        # only, so a NaN there reaches model_to_json, which refuses it.
+        assert values.tobytes() == getattr(back.pairs[0][1], field).tobytes()
+        # A config and a form refuse a NaN themselves; a support vector is
+        # checked at load only, so a NaN there reaches model_to_json, which
+        # refuses it.
         with pytest.raises(ValueError, match="b must be a finite real"):
             replace(model.config, b=float("nan"))
-        nan_sv = np.resize(np.asarray([float("nan")]), svm.support_vectors.shape)
-        nan_model = replace(model, pairs=((ctx, replace(svm, support_vectors=nan_sv)),))
-        with pytest.raises(ValueError, match="Out of range float"):
-            model_to_json(nan_model)
+        nan_values = np.resize(np.asarray([float("nan")]), values.shape)
+        if kernel == "linear":
+            with pytest.raises(ValueError, match="weights must be a list of finite reals"):
+                replace(svm, weights=nan_values)
+        else:
+            nan_model = replace(model, pairs=((ctx, replace(svm, support_vectors=nan_values)),))
+            with pytest.raises(ValueError, match="Out of range float"):
+                model_to_json(nan_model)
+
+    def test_pair_of_the_wrong_kind_refused(self):
+        # A forms model holds SvmForm pairs, any other model SvmModel pairs.
+        ds = small_dataset()
+        form_model = train(ds)
+        svm_model = train(ds, kernel=KernelSpec(kind="rbf"))
+        (ctx, form), (_, svm) = form_model.pairs[0], svm_model.pairs[0]
+        with pytest.raises(ValueError, match=r"pair \(0,1\) must hold a form"):
+            replace(form_model, pairs=((ctx, svm),))
+        with pytest.raises(ValueError, match=r"pair \(0,1\) must hold support vectors"):
+            replace(svm_model, pairs=((ctx, form),))
+        assert isinstance(form, SvmForm) and isinstance(svm, SvmModel)
 
     @pytest.mark.parametrize("given, plain", [
         ((CdfConfig(b=np.float32(1.5), b_prime=2),
@@ -431,9 +529,9 @@ class TestDatasetHelpers:
                 array.flat[-1] += 1
                 object.__setattr__(changed, name, array)
                 assert changed != record and not changed == record, name
-        model, svm = records[3], records[4]
-        other_svm = replace(svm, bias=svm.bias + 1.0)
-        assert replace(model, pairs=((model.pairs[0][0], other_svm),)) != model
+        model, form = records[3], records[4]
+        other_form = replace(form, bias=form.bias + 1.0)
+        assert replace(model, pairs=((model.pairs[0][0], other_form),)) != model
         px = np.ones((1, 4))
         assert (IdxImages(px, 2, 2) == IdxImages(px.copy(), 2, 2)) is True
         assert (IdxImages(px, 2, 2) == IdxImages(2 * px, 2, 2)) is False

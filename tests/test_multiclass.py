@@ -14,7 +14,7 @@ from cdfeat.multiclass import (
     train,
 )
 from cdfeat.svm import (
-    KernelSpec, SvmModel, decision, decision_batch, decision_forms, monomial_exponents,
+    KernelSpec, SvmForm, SvmModel, decision, decision_batch, decision_forms, monomial_exponents,
 )
 
 import pair_loop_oracle
@@ -117,8 +117,8 @@ class TestPredict:
 
     def test_m2_winner_is_decision_sign(self):
         ds = two_class_dataset(seed=7)
-        model = train(ds, CdfConfig(), kernel=POLY2)
-        ctx, svm = model.pairs[0]
+        model, (svm,) = pair_loop_oracle.train_keeping_svms(ds, CdfConfig(), kernel=POLY2)
+        ctx, _ = model.pairs[0]
         for sample in list(ds.samples)[:20]:
             feat = core.sample_feature(
                 np.asarray(sample), ctx.mask, ctx.ref_x, ctx.ref_y,
@@ -245,19 +245,22 @@ class TestBatchAgainstScalarOracle:
     def blobs(self):
         x, y = gaussian_blobs(10, seed=11, dims=784, classes=10, shift=2.0)
         ds = Dataset.from_arrays(x, y)
-        models = {m: train(ds, CdfConfig(feature_mode=m), kernel=POLY2) for m in FEATURE_MODES}
-        return x, models, ds
+        fits = {
+            m: pair_loop_oracle.train_keeping_svms(ds, CdfConfig(feature_mode=m), kernel=POLY2)
+            for m in FEATURE_MODES
+        }
+        return x, {m: model for m, (model, _) in fits.items()}, ds, fits
 
     def test_winners_match_per_row_oracle(self, blobs):
-        x, models, _ = blobs
+        x, _, _, fits = blobs
         probes = np.vstack([x, np.random.default_rng(3).uniform(0, 4, size=(20, 784))])
         # Not elementwise_kl: the oracle normalizes each row with a 1-D sum, and
         # these small margins (1e-5) magnify that last-bit difference past 1e-9.
         for mode in ("dual_kl", "scalar_kl"):
-            model = models[mode]
+            model, svms = fits[mode]
             batch = predict_batch(model, probes)
             for i, row in enumerate(probes):
-                winner, record = scalar_oracle.predict(model, row)
+                winner, record = scalar_oracle.predict(model, row, svms)
                 assert batch[i][0] == winner, f"{mode} row {i}"
                 assert batch[i][1].votes == record.votes, f"{mode} row {i}"
                 np.testing.assert_allclose(
@@ -265,14 +268,14 @@ class TestBatchAgainstScalarOracle:
                 )
 
     def test_prefix_of_batch_is_unchanged(self, blobs):
-        x, models, _ = blobs
+        x, models, _, _ = blobs
         for mode, model in models.items():
             full = predict_batch(model, x)
             for k in (1, 2, 3, 17, 64):
                 assert predict_batch(model, x[:k]) == full[:k], f"{mode} k={k}"
 
     def test_reloaded_model_votes_bit_identical(self, blobs):
-        x, poly_models, ds = blobs
+        x, poly_models, ds, _ = blobs
         for mode in FEATURE_MODES:
             for name, kernel in KERNELS.items():
                 model = poly_models[mode] if kernel == POLY2 else train(
@@ -335,13 +338,15 @@ class TestPredictAgainstPairLoopOracle:
     @pytest.mark.parametrize("classes", (2, 4))
     def test_same_votes_and_features(self, classes, mode, kernel):
         ds = oracle_dataset(classes, seed=31 + classes)
-        model = train(ds, CdfConfig(feature_mode=mode), kernel=KERNELS[kernel])
+        model, svms = pair_loop_oracle.train_keeping_svms(
+            ds, CdfConfig(feature_mode=mode), kernel=KERNELS[kernel]
+        )
         if classes > 2:
             assert model.pairs[-1][0].fallback and model.pairs[-1][0].mask.size == 1
         probes = oracle_probes(model, ds, seed=7)
         assert np.any(probes == 0) and probes.max() == 1e306
         got = predict_batch(model, probes)
-        want = pair_loop_oracle.predict_batch(model, probes)
+        want = pair_loop_oracle.predict_batch(model, probes, svms)
         for i, ((gw, gr), (ww, wr)) in enumerate(zip(got, want)):
             assert gw == ww and gr.votes == wr.votes, f"row {i}"
             np.testing.assert_allclose(gr.margin_sums, wr.margin_sums, rtol=1e-9, atol=0)
@@ -358,10 +363,10 @@ FORM_KERNELS = [KernelSpec(kind="linear")] + [
 ]
 
 
-def expansion_decisions(model, x):
-    """Each pair's `decision_batch` on its dual_kl or scalar_kl features."""
+def expansion_decisions(model, svms, x):
+    """Each pair SVM's `decision_batch` on its dual_kl or scalar_kl features."""
     feats = core.whole_kl_features(x, model.kl_weights).swapaxes(0, 1)
-    return np.stack([decision_batch(svm, f) for (_, svm), f in zip(model.pairs, feats)], axis=1)
+    return np.stack([decision_batch(svm, f) for svm, f in zip(svms, feats)], axis=1)
 
 
 class TestDecisionForms:
@@ -370,15 +375,58 @@ class TestDecisionForms:
     @pytest.mark.parametrize("classes", (2, 4))
     def test_forms_match_the_kernel_expansion(self, classes, mode, kernel):
         ds = oracle_dataset(classes, seed=31 + classes)
-        model = train(ds, CdfConfig(feature_mode=mode), kernel=kernel)
+        model, svms = pair_loop_oracle.train_keeping_svms(
+            ds, CdfConfig(feature_mode=mode), kernel=kernel
+        )
         probes = oracle_probes(model, ds, seed=7)
-        want = expansion_decisions(model, probes)
+        want = expansion_decisions(model, svms, probes)
         got = multiclass.pair_decisions(model, probes)
         assert model.decision_forms is not None
         assert got.shape == want.shape == (probes.shape[0], len(model.pairs))
         assert np.all(np.abs(got - want) <= 1e-9 * (1 + np.abs(want)))
         clear = np.abs(want) > 1e-9
         np.testing.assert_array_equal(got[clear] > 0, want[clear] > 0)
+
+    @pytest.mark.parametrize("kernel", [
+        KernelSpec(kind="linear"), POLY2, KernelSpec(kind="polynomial", degree=3),
+    ], ids=["linear", "poly2", "poly3"])
+    @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
+    def test_stored_forms_decide_as_the_fitted_svms(self, mode, kernel):
+        ds = oracle_dataset(4, seed=35)
+        model, svms = pair_loop_oracle.train_keeping_svms(
+            ds, CdfConfig(feature_mode=mode), kernel=kernel
+        )
+        x = np.vstack([ds.samples, oracle_probes(model, ds, seed=8)[-16:]])
+        want = expansion_decisions(model, svms, x)
+        got = multiclass.pair_decisions(model, x)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1 + np.abs(want)))
+        for (_, form), svm in zip(model.pairs, svms):
+            assert isinstance(form, SvmForm) and form.bias == svm.bias
+            assert form.support_vectors.shape == (svm.coef.size, 0)
+            assert (form.support_count, form.iterations, form.kkt_violation_max) == (
+                svm.coef.size, svm.iterations, svm.kkt_violation_max)
+
+    @pytest.mark.parametrize("kernel", sorted(set(KERNELS) - {"rbf"}))
+    @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
+    def test_votes_bit_identical_to_forms_derived_at_predict(self, mode, kernel):
+        # The forms `decision_forms` derives from the fitted SVMs, evaluated
+        # apart from the model, give the bits of the stored forms.
+        ds = oracle_dataset(4, seed=37)
+        model, svms = pair_loop_oracle.train_keeping_svms(
+            ds, CdfConfig(feature_mode=mode), kernel=KERNELS[kernel]
+        )
+        loaded = model_from_json(model_to_json(model))
+        probes = oracle_probes(model, ds, seed=9)
+        derived = pair_loop_oracle.form_decisions(model, svms, probes)
+        want = multiclass.vote(derived, model.num_classes)
+        for m in (model, loaded):
+            assert multiclass.pair_decisions(m, probes).tobytes() == derived.tobytes()
+            got = predict_batch(m, probes)
+            assert got == want
+            for (_, g), (_, w) in zip(got, want):
+                assert np.array(g.margin_sums).tobytes() == np.array(w.margin_sums).tobytes()
+        oracle = pair_loop_oracle.predict_batch(model, probes, svms)
+        assert [w for w, _ in got] == [w for w, _ in oracle]
 
     @pytest.mark.parametrize("width, degree, count", [(1, 1, 2), (1, 4, 5), (2, 1, 3),
                                                       (2, 2, 6), (2, 4, 15)])
@@ -394,15 +442,24 @@ class TestDecisionForms:
                 model = train(ds, CdfConfig(feature_mode=mode), kernel=kernel)
                 has = name != "rbf" and mode != "elementwise_kl"
                 assert (model.decision_forms is not None) == has, (mode, name)
+                kind = SvmForm if has else SvmModel
+                assert all(type(svm) is kind for _, svm in model.pairs), (mode, name)
 
-    def test_built_on_first_predict_not_compared_not_serialized(self):
+    def test_forms_built_by_training_stacked_on_first_use(self):
+        # Training keeps each pair's column of one `decision_forms` call; the
+        # model stacks them on first use, which is not compared or serialized.
         ds = oracle_dataset(3, seed=41)
-        model = train(ds, CdfConfig(), kernel=POLY2)
+        model, svms = pair_loop_oracle.train_keeping_svms(ds, CdfConfig(), kernel=POLY2)
         text = model_to_json(model)
         loaded = model_from_json(text)
         assert "decision_forms" not in vars(model) and "decision_forms" not in vars(loaded)
-        predict_batch(loaded, ds.samples)
-        assert "decision_forms" in vars(loaded)
+        want = decision_forms(svms)
+        for m in (model, loaded):
+            forms = m.decision_forms
+            assert forms.exponents == want.exponents
+            assert forms.weights.tobytes() == want.weights.tobytes()
+            assert forms.bias.tobytes() == want.bias.tobytes()
+            assert "decision_forms" in vars(m)
         assert loaded == model and model_to_json(loaded) == text
 
     def test_svm_without_support_vectors_decides_its_bias(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from cdfeat.svm import (
     MAX_DEGREE,
     GridCell,
     KernelSpec,
+    SvmForm,
     SvmModel,
     check_svm_settings,
     cross_validate,
@@ -16,6 +19,7 @@ from cdfeat.svm import (
     real,
     smo_train,
     stratified_folds,
+    svm_forms,
 )
 
 import smo_oracle
@@ -146,11 +150,14 @@ class TestSmoTwoPoint:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             smo_train([[np.nan], [1.0]], [1.0, -1.0], c=1.0, spec=LINEAR)
-        # Finite inputs whose kernel overflows give a NaN bias: no model.
-        spec = KernelSpec("polynomial", degree=2, gamma=1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="finite"):
-                smo_train([[1e200], [-1e200], [3e199]], [1, -1, 1], 1.0, spec)
+        # Finite inputs whose kernel overflows float64: refused by name,
+        # without a numpy warning.
+        for spec in (KernelSpec("polynomial", degree=2, gamma=1.0), LINEAR,
+                     KernelSpec("rbf", gamma=1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="kernel values overflow float64"):
+                    smo_train([[1e200], [-1e200], [3e199]], [1, -1, 1], 1.0, spec)
 
 
 class TestSmoTenPoint:
@@ -554,6 +561,18 @@ class TestSvmModelInvariants:
                 kkt_violation_max=0.0,
             )
 
+    @pytest.mark.parametrize("c, iterations, message", [
+        (float("nan"), 0, r"^c must be a finite real > 0, got nan$"),
+        (0.0, 0, r"^c must be a finite real > 0, got 0.0$"),
+        ("1", 0, r"^c must be a finite real > 0, got '1'$"),
+        (1.0, -3, r"^iterations must be an integer >= 0, got -3$"),
+        (1.0, 2.5, r"^iterations must be an integer >= 0, got 2.5$"),
+    ])
+    def test_settings_checked(self, c, iterations, message):
+        # Without support vectors the box check passes vacuously.
+        with pytest.raises(ValueError, match=message):
+            SvmModel(np.empty((0, 1)), np.empty(0), 0.0, LINEAR, c, iterations, 0.0)
+
     def test_callers_arrays_stay_writable(self):
         sv = np.zeros((2, 1))
         co = np.asarray([1.0, -1.0])
@@ -561,6 +580,52 @@ class TestSvmModelInvariants:
         assert sv.flags.writeable and co.flags.writeable
         assert not model.support_vectors.flags.writeable
         assert not model.coef.flags.writeable
+
+
+class TestSvmForm:
+    def test_columns_of_one_decision_forms_call(self):
+        spec = KernelSpec("polynomial", degree=2, gamma=0.5)
+        svms = [
+            SvmModel(np.asarray([[1.0, 2.0], [3.0, 1.0]]), np.asarray([0.5, -0.5]), 0.25,
+                     spec, 1.0, 7, 1e-4),
+            SvmModel(np.empty((0, 2)), np.empty(0), -1.5, spec, 1.0, 0, 2.0),
+        ]
+        forms = svm_forms(svms)
+        assert [f.weights.size for f in forms] == [6, 6]
+        np.testing.assert_array_equal(forms[1].weights, 0.0)
+        assert [(f.bias, f.support_count, f.iterations, f.kkt_violation_max) for f in forms] == [
+            (0.25, 2, 7, 1e-4), (-1.5, 0, 0, 2.0)]
+        assert [f.support_vectors.shape for f in forms] == [(2, 0), (0, 0)]
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", [1.0, float("nan")], "weights must be a list of finite reals"),
+        ("weights", [[1.0], [2.0]], "weights must be a list of finite reals"),
+        ("bias", float("inf"), "bias must be a finite real"),
+        ("support_count", -1, "support_count must be an integer >= 0"),
+        ("support_count", 2.0, "support_count must be an integer >= 0"),
+        ("iterations", True, "iterations must be an integer >= 0"),
+        ("kkt_violation_max", "0", "kkt_violation_max must be a finite real"),
+    ])
+    def test_fields_checked(self, field, value, message):
+        good = dict(weights=[0.5, -1.0], bias=0.0, support_count=2, iterations=3,
+                    kkt_violation_max=0.0)
+        SvmForm(**good)
+        with pytest.raises(ValueError, match=message):
+            SvmForm(**{**good, field: value})
+
+
+class TestKernelOverflow:
+    @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
+    def test_refused_by_name_without_a_warning(self, kind):
+        spec = KernelSpec(kind, gamma=None if kind == "linear" else 1.0)
+        big = np.asarray([[1e200, 1.0], [-1e200, 2.0]])
+        model = SvmModel(big, np.asarray([0.5, -0.5]), 0.0, spec, 1.0, 1, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: kernel_matrix(spec, big, big),
+                         lambda: decision_batch(model, big), lambda: decision(model, big[0])):
+                with pytest.raises(ValueError, match="^kernel values overflow float64 under "):
+                    call()
 
 
 class TestCheckers:
