@@ -152,6 +152,8 @@ def _parse_args(argv) -> dict:
             loaded = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise CliError(f"config file {path}: {exc}")
+        except RecursionError:
+            raise CliError(f"config file {path}: nested too deeply") from None
         if not isinstance(loaded, dict):
             raise CliError(f"config file {path}: expected a JSON object")
         known = set().union(*(vars(parser.parse_args([name])) for name in commands))
@@ -273,7 +275,7 @@ def _load_model(cfg: dict) -> CdfModel:
     _require_paths(cfg, ["model"])
     try:
         return model_from_json(Path(cfg["model"]).read_text())
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise CliError(f"unreadable model {cfg['model']}: {exc}")
 
 

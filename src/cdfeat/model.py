@@ -12,25 +12,31 @@ serialization is a versioned JSON document ("cdf-model/7") written by
 as integers when all are integral, so save/load round-trips are exact. It
 stores each fact once: the config and SVM settings, the label names, each
 class's sum vector and cardinality, and each pair's SVM. The config and
-kernel documents are the `asdict` of their dataclasses, and loading refuses
-one that does not hold exactly its dataclass's fields. The class count is the number of label
-names, the dimension the length of a sum vector, and the pairs come in
-`class_pairs` order. Every pair selects with the config's one (b, b_prime).
+kernel documents are the `asdict` of their dataclasses. The class count is
+the number of label names, the dimension the length of a sum vector, and the
+pairs come in `class_pairs` order. Every pair selects with the config's one
+(b, b_prime).
 
 What a pair holds depends on the kernel and feature mode (`stores_forms`).
 Under a linear or polynomial kernel with dual_kl or scalar_kl features, a
 pair SVM's decision is a polynomial in its 2 or 1 features, and the pair
 holds that polynomial, an `svm.SvmForm`: its weights, one per monomial
 (`CdfModel.form_exponents`), its bias, and the solve's support-vector count,
-iterations and KKT gap. `multiclass.train` builds the forms of all pairs
-from one `svm.decision_forms` call; the support vectors are not kept. Under
-an rbf kernel, or with elementwise_kl features, a pair holds its
+iterations and KKT gap. `multiclass.kept_pairs` builds the forms of all
+pairs from one `svm.decision_forms` call; the support vectors are not kept.
+Under an rbf kernel, or with elementwise_kl features, a pair holds its
 `svm.SvmModel`: support vectors, coefficients, bias, iterations and KKT gap.
-A document pair holds exactly the keys of its kind, and loading refuses any
-other. Loading rebuilds every pair context (mask, masked references, ratio
-means) and each SvmModel's resolved kernel and C exactly as training
-computed them. Documents in the older "cdf-model/1" to "cdf-model/6" formats
-are refused; retrain to get a /7 file.
+
+Each rule of a valid model is checked once, in its record's constructor, so
+every `CdfModel` that constructs is one `model_to_json` writes and
+`model_from_json` reads back equal. The loader checks only what a record
+cannot: that the document and each object in it (config, kernel, profile,
+pair) hold exactly the record's keys, that `profiles` and `pairs` are lists,
+and that support vectors are finite. It passes each object whole to its
+constructor and rebuilds every pair context (mask, masked references, ratio
+means) and each SvmModel's resolved kernel and C as training computed them.
+Every refusal is a ValueError. Documents in the older "cdf-model/1" to
+"cdf-model/6" formats are refused; retrain to get a /7 file.
 
 Records store independent facts only; what follows from them is a property
 or a cache (`ClassProfile.mean_vec`, `CdfModel.kl_weights`,
@@ -248,8 +254,8 @@ class PairContext(Record):
 
 def _check_classes(label_names, profiles, num_pairs: int) -> None:
     """ValueError unless there are at least two classes with distinct label
-    names, one profile per label name, sums of one length in every profile,
-    and one pair per class pair."""
+    names, one profile per label name, the profile of class i at place i,
+    sums of one length in every profile, and one pair per class pair."""
     m = len(label_names)
     if m < 2:
         raise ValueError(f"a model needs at least two classes, got {m} label names")
@@ -257,6 +263,8 @@ def _check_classes(label_names, profiles, num_pairs: int) -> None:
         raise ValueError(f"label names must be distinct, got {list(label_names)!r}")
     if len(profiles) != m:
         raise ValueError(f"{m} label names but {len(profiles)} class profiles")
+    if any(p.class_id != i for i, p in enumerate(profiles)):
+        raise ValueError(f"profile i must be of class i, got {[p.class_id for p in profiles]}")
     dim = profiles[0].sum_vec.size
     if any(p.sum_vec.shape != (dim,) for p in profiles):
         raise ValueError(f"every class profile must hold {dim} sums")
@@ -272,8 +280,9 @@ class CdfModel(Record):
     The class count is `len(label_names)` and the dimension the length of
     each profile's sums. Each pair SVM is an `svm.SvmForm` with one weight
     per monomial of the kernel's form when `stores_forms`, an `svm.SvmModel`
-    otherwise. Construction refuses a model whose profiles, pairs or SVM
-    settings do not fit these.
+    otherwise, with rows of the pair's `feature_width` features, the model's
+    C and the model's kernel resolved for that width. Construction refuses
+    a model whose profiles, pairs or SVM settings do not fit these.
     """
 
     config: CdfConfig
@@ -287,6 +296,7 @@ class CdfModel(Record):
 
     def __post_init__(self):
         super().__post_init__()
+        check_svm_settings(self.c, self.tol, self.max_passes)
         _check_classes(self.label_names, self.profiles, len(self.pairs))
         forms = stores_forms(self.kernel, self.config.feature_mode)
         size = len(self.form_exponents) if forms else None
@@ -299,10 +309,16 @@ class CdfModel(Record):
             if not isinstance(svm, SvmForm if forms else SvmModel):
                 kind = "a form" if forms else "support vectors"
                 raise ValueError(f"{name} must hold {kind} under this kernel and feature mode")
-            if forms and svm.weights.size != size:
-                raise ValueError(f"{name} form must hold {size} weights for this kernel "
-                                 f"and feature mode, got {svm.weights.size}")
-        check_svm_settings(self.c, self.tol, self.max_passes)
+            width = feature_width(self.config.feature_mode, ctx)
+            if forms:
+                if svm.weights.size != size:
+                    raise ValueError(f"{name} form must hold {size} weights for this kernel "
+                                     f"and feature mode, got {svm.weights.size}")
+            elif svm.support_vectors.shape[1] != width:
+                raise ValueError(f"{name}: support vectors must be rows of {width} features")
+            elif svm.kernel != self.kernel.resolve(width) or svm.c != self.c:
+                raise ValueError(f"{name} SVM must have the model's kernel, resolved for "
+                                 f"{width} features, and C {self.c}")
 
     @property
     def num_classes(self) -> int:
@@ -364,14 +380,27 @@ def _sums_doc(sum_vec: np.ndarray) -> list:
     return sum_vec.tolist()
 
 
+_DOC_KEYS = {"format", "config", "kernel", "c", "tol", "max_passes", "label_names",
+             "profiles", "pairs"}
+
+
+def _names(cls, *derived) -> set:
+    """The field names of the dataclass `cls`, less the `derived` ones."""
+    return {f.name for f in fields(cls)} - set(derived)
+
+
+def _object(doc, keys: set, what: str) -> dict:
+    """`doc`; ValueError unless it is a JSON object holding exactly `keys`."""
+    if not (isinstance(doc, dict) and doc.keys() == keys):
+        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        raise ValueError(f"{what} must be an object with keys {sorted(keys)}, got {got}")
+    return doc
+
+
 def _settings(cls, doc):
     """`cls(**doc)`; ValueError unless `doc` is an object holding exactly the
     fields of the dataclass `cls`."""
-    names = [f.name for f in fields(cls)]
-    if not (isinstance(doc, dict) and set(doc) == set(names)):
-        raise ValueError(f"{cls.__name__} document must be an object with keys {names}, "
-                         f"got {doc!r}")
-    return cls(**doc)
+    return cls(**_object(doc, _names(cls), f"{cls.__name__} document"))
 
 
 def _pair_doc(svm) -> dict:
@@ -414,24 +443,26 @@ def model_from_json(text: str) -> CdfModel:
     Pair contexts and each SVM's kernel and C are recomputed
     the way `multiclass.train` computes them, so a loaded model equals the
     trained one. Older formats and malformed documents raise ValueError,
-    as does an integer beyond float range where a real is read.
+    as do an integer beyond float range where a real is read and a
+    document nested too deeply for the JSON parser.
     """
     try:
         return _model_from_doc(json.loads(text))
     except OverflowError as exc:
         raise ValueError(f"a number in the model document is out of range: {exc}")
+    except RecursionError:
+        raise ValueError("the model document is nested too deeply") from None
 
 
 def _model_from_doc(doc) -> CdfModel:
     from . import core  # core imports this module
 
-    if not isinstance(doc, dict):
-        raise ValueError(f"a model file holds a JSON object, not {type(doc).__name__}")
-    fmt = doc.get("format")
+    fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt in RETIRED_FORMATS:
         raise ValueError(
             f"model format {fmt!r} is no longer read; retrain to write {MODEL_FORMAT!r}"
         )
+    _object(doc, _DOC_KEYS, "a model document")
     if fmt != MODEL_FORMAT:
         raise ValueError(f"unsupported model format {fmt!r}")
     cfg = _settings(CdfConfig, doc["config"])
@@ -439,33 +470,36 @@ def _model_from_doc(doc) -> CdfModel:
     label_names = doc["label_names"]
     if not (isinstance(label_names, list) and all(isinstance(n, str) for n in label_names)):
         raise ValueError(f"label names must be a list of strings, got {label_names!r}")
-    label_names = tuple(label_names)
+    for key in ("profiles", "pairs"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"{key} must be a list, got {type(doc[key]).__name__}")
+    profile_keys = _names(ClassProfile, "class_id")
     profiles = [
-        ClassProfile(
-            class_id=cid,
-            sum_vec=np.asarray(p["sum_vec"], dtype=float),
-            cardinality=p["cardinality"],
-        )
-        for cid, p in enumerate(doc["profiles"])
+        ClassProfile(class_id=i, **_object(p, profile_keys, f"class profile {i}"))
+        for i, p in enumerate(doc["profiles"])
     ]
     # Checked before the pair contexts are built from the profiles.
     _check_classes(label_names, profiles, len(doc["pairs"]))
     c = real("c", doc["c"], 0)
     forms = stores_forms(kernel, cfg.feature_mode)
-    keys = {"bias", "iterations", "kkt_violation_max"} | (
-        {"weights", "support_count"} if forms else {"support_vectors", "coef"}
-    )
+    pair_keys = _names(SvmForm) if forms else _names(SvmModel, "kernel", "c")
     pairs = []
     for (x, y), s in zip(class_pairs(len(label_names)), doc["pairs"]):
-        if not (isinstance(s, dict) and set(s) == keys):
-            got = sorted(s) if isinstance(s, dict) else type(s).__name__
-            raise ValueError(f"pair ({x},{y}) must be an object with keys {sorted(keys)} "
-                             f"under this kernel and feature mode, got {got}")
+        name = f"pair ({x},{y})"
+        _object(s, pair_keys, name)
         ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
         try:
-            svm = _form(s) if forms else _svm(s, kernel, c, cfg.feature_mode, ctx)
+            if forms:
+                svm = SvmForm(**s)
+            else:
+                width = feature_width(cfg.feature_mode, ctx)
+                if s["support_vectors"] == []:  # an SVM without support vectors
+                    s = {**s, "support_vectors": np.empty((0, width))}
+                svm = SvmModel(kernel=kernel.resolve(width), c=c, **s)
+                if not np.all(np.isfinite(svm.support_vectors)):
+                    raise ValueError("support vectors must be finite")
         except ValueError as exc:
-            raise ValueError(f"pair ({x},{y}): {exc}") from None
+            raise ValueError(f"{name}: {exc}") from None
         pairs.append((ctx, svm))
     return CdfModel(
         config=cfg,
@@ -473,40 +507,7 @@ def _model_from_doc(doc) -> CdfModel:
         c=c,
         tol=doc["tol"],
         max_passes=doc["max_passes"],
-        label_names=label_names,
+        label_names=tuple(label_names),
         profiles=tuple(profiles),
         pairs=tuple(pairs),
-    )
-
-
-def _form(s: dict) -> SvmForm:
-    """A forms pair's record from its document."""
-    return SvmForm(
-        weights=np.asarray(s["weights"], dtype=float),
-        bias=s["bias"],
-        support_count=s["support_count"],
-        iterations=s["iterations"],
-        kkt_violation_max=s["kkt_violation_max"],
-    )
-
-
-def _svm(s: dict, kernel: KernelSpec, c: float, feature_mode: str, ctx: PairContext) -> SvmModel:
-    """A support-vector pair's SVM from its document, with the kernel
-    resolved for the pair's feature width."""
-    width = feature_width(feature_mode, ctx)
-    sv = np.asarray(s["support_vectors"], dtype=float)
-    if sv.shape == (0,):  # an SVM without support vectors is written as []
-        sv = sv.reshape(0, width)
-    if sv.ndim != 2 or sv.shape[1] != width:
-        raise ValueError(f"support vectors must be rows of {width} features")
-    if not np.all(np.isfinite(sv)):
-        raise ValueError("support vectors must be finite")
-    return SvmModel(
-        support_vectors=sv,
-        coef=np.asarray(s["coef"], dtype=float),
-        bias=s["bias"],
-        kernel=kernel.resolve(width),
-        c=c,
-        iterations=s["iterations"],
-        kkt_violation_max=s["kkt_violation_max"],
     )

@@ -27,8 +27,8 @@ from .model import (
     CdfConfig, CdfModel, ClassProfile, Dataset, class_pairs, stores_forms, validate_dataset,
 )
 from .svm import (
-    DEFAULT_MAX_PASSES, DEFAULT_TOL, GridCell, KernelSpec, check_svm_settings, decision_batch,
-    monomials, smo_train, svm_forms,
+    DEFAULT_MAX_PASSES, DEFAULT_TOL, GridCell, KernelSpec, SvmForm, check_svm_settings,
+    decision_batch, decision_forms, monomials, smo_train,
 )
 
 # The pair SVMs' kernel and C when the caller names none. The kernel takes
@@ -90,13 +90,18 @@ def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes) -> tuple:
 
 def kept_pairs(cfg: CdfConfig, kernel: KernelSpec, fitted) -> tuple:
     """The pairs a `CdfModel` keeps of `fit_pairs`' ((PairContext, SvmModel), ...):
-    when `stores_forms`, each SVM as its `svm.SvmForm`, from one
+    when `stores_forms`, each SVM as an `svm.SvmForm`, its column of one
     `svm.decision_forms` call over all pairs; otherwise the pairs as they are."""
     fitted = tuple(fitted)
     if not stores_forms(kernel, cfg.feature_mode):
         return fitted
-    contexts, svms = zip(*fitted)
-    return tuple(zip(contexts, svm_forms(svms)))
+    forms = decision_forms(svm for _, svm in fitted)
+    return tuple(
+        (ctx, SvmForm(weights=forms.weights[:, p], bias=svm.bias,
+                      support_count=svm.support_count, iterations=svm.iterations,
+                      kkt_violation_max=svm.kkt_violation_max))
+        for p, (ctx, svm) in enumerate(fitted)
+    )
 
 
 def train(

@@ -17,8 +17,8 @@ feature components,
     (g f.s + c0)^d = sum_{|a| <= d} d!/(a! (d - |a|)!) c0^(d - |a|) g^|a| f^a s^a,
 so the decision is sum_a W_a f^a + bias, W_a being that coefficient times
 sum_s coef_s s^a; linear is d = 1, g = 1, c0 = 0. `decision_forms` builds
-these forms, and `svm_forms` splits them into one `SvmForm` per SVM, which a
-model keeps in place of the SVM. On the 1 or 2 features of a scalar_kl or
+these forms, and a model keeps each SVM's column as an `SvmForm` in place of
+the SVM (`multiclass.kept_pairs`). On the 1 or 2 features of a scalar_kl or
 dual_kl pair there are d + 1 or (d + 1)(d + 2)/2 monomials (6 for poly2 on 2
 features), so a decision costs a handful of products instead of a sum over
 every support vector, and a form is a handful of numbers. `decision` and
@@ -195,6 +195,9 @@ class SvmModel(Record):
     def __post_init__(self):
         super().__post_init__()
         co = self.coef
+        if self.support_vectors.ndim != 2:
+            raise ValueError(f"support vectors must be a 2-D array, got shape "
+                             f"{self.support_vectors.shape}")
         real("bias", self.bias)
         real("c", self.c, 0)
         integer("iterations", self.iterations, 0)
@@ -498,23 +501,6 @@ class SvmForm(Record):
         """`support_count` rows of no features, so that code that counts an
         SVM's support vectors as `support_vectors.shape[0]` reads both kinds."""
         return np.empty((self.support_count, 0))
-
-
-def svm_forms(svms) -> tuple:
-    """Each SVM as an `SvmForm`, its column of one `decision_forms` call over
-    all of them; the same conditions apply."""
-    svms = list(svms)
-    forms = decision_forms(svms)
-    return tuple(
-        SvmForm(
-            weights=forms.weights[:, p],
-            bias=svm.bias,
-            support_count=svm.support_count,
-            iterations=svm.iterations,
-            kkt_violation_max=svm.kkt_violation_max,
-        )
-        for p, svm in enumerate(svms)
-    )
 
 
 # --- cross-validation -------------------------------------------------------

@@ -906,6 +906,13 @@ class TestConfigFile:
         assert main(["inspect", *common]) == 0
         assert "pair_0_1_mask=" in capsys.readouterr().out
 
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100000 + "]" * 100000)
+        assert main(["train", "--config", str(config), "--model", "m"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config file {config}: nested too deeply\n"
+
     def test_jobs_key_exits_2(self, tmp_path, capsys):
         # Pair SVMs are fitted one after another; no setting picks threads.
         config = tmp_path / "jobs.json"

@@ -302,7 +302,7 @@ class TestSerializationRoundTrip:
         lambda doc: doc["kernel"].pop("coef0"),
         lambda doc: doc.update(kernel=[]),
         # A string is the whole document, one that is not a JSON object.
-        "[]", "null", '"x"',
+        "[]", "null", '"x"', "[" * 100000 + "]" * 100000,
     ], ids=["truncated", "negative", "null", "nan-string", "cardinality-0",
             "missing-pair", "extra-pair", "names-short", "names-long",
             "one-class", "bias-nan", "kkt-inf",
@@ -312,7 +312,7 @@ class TestSerializationRoundTrip:
             "degree-above-max", "degree-million",
             "b-bool", "b-prime-string", "eps-inf", "bias-bool", "kkt-bool",
             "config-without-eps", "config-extra-key", "kernel-without-coef0", "kernel-list",
-            "doc-list", "doc-null", "doc-string"])
+            "doc-list", "doc-null", "doc-string", "doc-nested-deeply"])
     def test_corrupt_document_fails_at_load(self, corrupt, tmp_path, capsys):
         if isinstance(corrupt, str):
             text = corrupt
@@ -327,7 +327,8 @@ class TestSerializationRoundTrip:
         path = tmp_path / "corrupt.json"
         path.write_text(text)
         assert main(["inspect", "--model", str(path)]) == 2
-        assert "unreadable model" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable model") and err.count("\n") == 1
 
     @staticmethod
     def _corrupt_pair(doc, key, fn):
@@ -449,6 +450,27 @@ class TestSerializationRoundTrip:
         with pytest.raises(ValueError, match=r"pair \(0,1\) must hold support vectors"):
             replace(svm_model, pairs=((ctx, form),))
         assert isinstance(form, SvmForm) and isinstance(svm, SvmModel)
+
+    def test_profiles_out_of_place_refused(self):
+        # The file does not store class ids: profile i is class i.
+        model = self._tiny_model(1, classes=3)
+        p0, p1, p2 = model.profiles
+        with pytest.raises(ValueError, match=r"profile i must be of class i, got \[1, 0, 2\]"):
+            replace(model, profiles=(p1, p0, p2))
+
+    @pytest.mark.parametrize("change", [
+        lambda svm: {"c": 2 * svm.c},
+        lambda svm: {"kernel": replace(svm.kernel, gamma=0.3)},
+    ], ids=["c-doubled", "gamma"])
+    def test_svm_settings_other_than_the_models_refused(self, change):
+        # The file stores C and the kernel once, for the model; the loader
+        # gives each SVM the model's C and its kernel resolved for the
+        # pair's width.
+        x, y = gaussian_blobs(6, seed=3, dims=8, classes=3)
+        model = train(Dataset.from_arrays(x, y), kernel=KernelSpec(kind="rbf"))
+        (ctx, svm), *rest = model.pairs
+        with pytest.raises(ValueError, match=r"^pair \(0,1\) SVM must have the model's kernel"):
+            replace(model, pairs=((ctx, replace(svm, **change(svm))), *rest))
 
     @pytest.mark.parametrize("given, plain", [
         ((CdfConfig(b=np.float32(1.5), b_prime=2),

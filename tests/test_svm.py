@@ -19,8 +19,9 @@ from cdfeat.svm import (
     real,
     smo_train,
     stratified_folds,
-    svm_forms,
 )
+from cdfeat.model import CdfConfig
+from cdfeat.multiclass import kept_pairs
 
 import smo_oracle
 from kernel_oracle import kernel_eval
@@ -590,7 +591,9 @@ class TestSvmForm:
                      spec, 1.0, 7, 1e-4),
             SvmModel(np.empty((0, 2)), np.empty(0), -1.5, spec, 1.0, 0, 2.0),
         ]
-        forms = svm_forms(svms)
+        # kept_pairs passes each pair's context through as it is.
+        contexts, forms = zip(*kept_pairs(CdfConfig(), spec, [("a", svms[0]), ("b", svms[1])]))
+        assert contexts == ("a", "b")
         assert [f.weights.size for f in forms] == [6, 6]
         np.testing.assert_array_equal(forms[1].weights, 0.0)
         assert [(f.bias, f.support_count, f.iterations, f.kkt_violation_max) for f in forms] == [
