@@ -67,8 +67,12 @@ def resolve_winner(votes, margin_sums) -> int:
     return best
 
 
-def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes) -> tuple:
-    """(key, SvmModel) per class pair in order; pair_data(x, y) gives key, features, +/-1 labels.
+def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes,
+              kept=lambda key, svm: svm) -> tuple:
+    """(key, kept SVM) per class pair in order; pair_data(x, y) gives key,
+    features, +/-1 labels, and kept(key, svm) what is kept of the pair's
+    `SvmModel` (default: all of it). kept runs right after the pair's solve,
+    so a caller that keeps less holds one pair's full SvmModel at a time.
 
     ValueError for bad SVM settings, before any pair is fitted, and ValueError
     naming the pair for any failure of a pair's fit."""
@@ -78,10 +82,10 @@ def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes) -> tuple:
         x, y = pair
         try:
             key, features, labels = pair_data(x, y)
-            return key, smo_train(
+            return key, kept(key, smo_train(
                 features, labels, c, kernel.resolve(features.shape[1]),
                 tol=tol, max_passes=max_passes,
-            )
+            ))
         except Exception as exc:
             raise ValueError(f"training failed for pair ({x},{y}): {exc}") from exc
 

@@ -4,8 +4,10 @@ A record type is a `@dataclass(frozen=True, eq=False)` subclass that names its
 array fields and their dtypes once, in the class attribute `ARRAYS`.
 Construction stores a read-only view of each, so nothing writes through the
 record while the caller's own array stays writable (a view, not a copy: a
-later write to that array shows through), and refuses a value numpy cannot
-convert to such an array with a ValueError naming the field. Two records are
+later write to that array shows through), and refuses, with a ValueError
+naming the field, a value numpy cannot convert to such an array or whose
+own elements are strings, bytes, booleans or None (numpy kinds U, S, b, O),
+so "12" and true are not read as 12 and 1. Two records are
 equal when they are of the same type and every field is equal, arrays by
 shape and content. Records are unhashable. A subclass runs its own checks in
 `__post_init__`, after `super().__post_init__()`.
@@ -28,7 +30,10 @@ class Record:
     def __post_init__(self):
         for name, dtype in self.ARRAYS.items():
             try:
-                view = np.asarray(getattr(self, name), dtype=dtype).view()
+                value = np.asarray(getattr(self, name))
+                if value.dtype.kind in "USbO":
+                    raise TypeError(f"elements of dtype {value.dtype}")
+                view = np.asarray(value, dtype=dtype).view()
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{name} must be an array of numbers: {exc}") from None
             view.setflags(write=False)

@@ -137,6 +137,17 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return _kernel_of_dots(spec, a @ b.T, a, b)
 
 
+def rowwise_kernel_matrix(spec: KernelSpec, a, b) -> np.ndarray:
+    """`kernel_matrix(spec, a, b)` with every dot product a reduction along
+    one C-contiguous row (einsum, not BLAS, whose blocking depends on the
+    matrix shape), so a row of `a` gets the same bits whatever the number of
+    rows in the call."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _kernel_of_dots(spec, np.einsum("ij,kj->ik", a, b), a, b)
+
+
 def _kernel_of_dots(spec: KernelSpec, dots, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kernel values from `dots`, the dot products of the rows of `a` and `b`;
     ValueError if one is not finite. Callers compute `dots` and call it with
@@ -178,6 +189,24 @@ def _kernel_rows(spec: KernelSpec, x: np.ndarray):
     return row
 
 
+def check_solution(svm, coef_shape) -> None:
+    """ValueError unless `svm`'s bias, c, iterations and kkt_violation_max are
+    valid, and its `coef` has `coef_shape` and is a dual solution: within the
+    box |alpha| <= C, summing to zero."""
+    co = svm.coef
+    real("bias", svm.bias)
+    real("c", svm.c, 0)
+    integer("iterations", svm.iterations, 0)
+    real("kkt_violation_max", svm.kkt_violation_max)
+    if co.shape != coef_shape:
+        raise ValueError("one coefficient per support vector required")
+    # Written as "not <=" so that a NaN or infinite coefficient fails too.
+    if not np.all(np.abs(co) <= svm.c * (1 + 1e-9) + 1e-12):
+        raise ValueError("coefficients must be finite and within the box |alpha| <= C")
+    if not abs(float(np.sum(co))) <= 1e-6:
+        raise ValueError("dual equality constraint sum(alpha_i y_i) = 0 violated")
+
+
 @dataclass(frozen=True, eq=False)
 class SvmModel(Record):
     """Trained binary SVM: support vectors, alpha_i*y_i coefficients, bias."""
@@ -194,21 +223,10 @@ class SvmModel(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        co = self.coef
         if self.support_vectors.ndim != 2:
             raise ValueError(f"support vectors must be a 2-D array, got shape "
                              f"{self.support_vectors.shape}")
-        real("bias", self.bias)
-        real("c", self.c, 0)
-        integer("iterations", self.iterations, 0)
-        real("kkt_violation_max", self.kkt_violation_max)
-        if co.shape != self.support_vectors.shape[:1]:
-            raise ValueError("one coefficient per support vector required")
-        # Written as "not <=" so that a NaN or infinite coefficient fails too.
-        if not np.all(np.abs(co) <= self.c * (1 + 1e-9) + 1e-12):
-            raise ValueError("coefficients must be finite and within the box |alpha| <= C")
-        if not abs(float(np.sum(co))) <= 1e-6:
-            raise ValueError("dual equality constraint sum(alpha_i y_i) = 0 violated")
+        check_solution(self, self.support_vectors.shape[:1])
 
     @property
     def support_count(self) -> int:
@@ -336,7 +354,7 @@ def smo_train(
     bias = float(np.mean(s[free])) if np.any(free) else (m + mm) / 2.0
 
     keep = alpha > 0
-    return SvmModel(
+    model = SvmModel(
         support_vectors=x[keep],
         coef=alpha[keep] * yv[keep],
         bias=bias,
@@ -345,6 +363,11 @@ def smo_train(
         iterations=iterations,
         kkt_violation_max=kkt_gap,
     )
+    # The positions of the support vectors in x, for a caller that keeps them
+    # as rows of its own matrix. Not a field, so `==` and the model file do
+    # not see it.
+    object.__setattr__(model, "support_rows", np.flatnonzero(keep))
+    return model
 
 
 def decision(model: SvmModel, x) -> float:
@@ -362,19 +385,17 @@ def decision(model: SvmModel, x) -> float:
 def decision_batch(model: SvmModel, x) -> np.ndarray:
     """Decision values for a sample matrix, one per row.
 
-    Every reduction runs along one C-contiguous row (einsum, not BLAS, whose
-    blocking depends on the matrix shape), so a row's value has the same bits
-    whatever the number of rows in the call.
+    The kernel values come from `rowwise_kernel_matrix` and each row's sum
+    runs along that row, so a row's value has the same bits whatever the
+    number of rows in the call.
     """
-    x = np.ascontiguousarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     sv = model.support_vectors
     if x.ndim != 2 or x.shape[1] != sv.shape[1]:
         raise ValueError(
             f"sample length {x.shape[-1]} does not match support vectors ({sv.shape[1]})"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = _kernel_of_dots(model.kernel, np.einsum("ij,kj->ik", x, sv), x, sv)
-    return (k * model.coef).sum(axis=1) + model.bias
+    return (rowwise_kernel_matrix(model.kernel, x, sv) * model.coef).sum(axis=1) + model.bias
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,12 +30,16 @@ def train_ovo(x, y, num_classes, kernel, c, tol=DEFAULT_TOL, max_passes=DEFAULT_
     return tuple(pairs)
 
 
+def decisions(pairs, sample) -> list:
+    """Each pair's scalar `decision` on one row, in pair order."""
+    return [decision(svm, sample) for _, _, svm in pairs]
+
+
 def votes_and_margins(pairs, num_classes, sample):
     """Per-class vote counts and |decision| margin sums for one row."""
     votes = [0] * num_classes
     margins = [0.0] * num_classes
-    for cx, cy, svm in pairs:
-        d = decision(svm, sample)
+    for (cx, cy, _), d in zip(pairs, decisions(pairs, sample)):
         voted = cx if d > 0 else cy
         votes[voted] += 1
         margins[voted] += abs(d)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 from cdfeat.baseline import (
     TfIdfModel,
     fit_idf,
+    ovo_decisions,
     predict_ovo,
     train_ovo,
     transform,
 )
+from cdfeat.multiclass import vote
 from cdfeat.svm import KernelSpec
 
 import ovo_oracle
@@ -110,6 +113,40 @@ class TestOvoBaselinePath:
             (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
         ]
 
+    def test_model_holds_the_training_matrix_once(self):
+        # A training row is a support vector in up to m - 1 pairs, so copies
+        # of each pair's support vectors would take several times the matrix.
+        # The model holds the caller's matrix and, per support vector, one
+        # index and one coefficient.
+        x, y = gaussian_blobs(20, seed=81, dims=500, classes=10, shift=2.0)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model = train_ovo(x, y, 10, KernelSpec(kind="polynomial", degree=2), c=10.0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(model.x, x)
+        assert peak - start < x.nbytes
+        assert held - start < 0.25 * x.nbytes
+        counts = [s.support_vectors.shape[0] for _, _, s in model.pairs]
+        assert counts == [s.rows.size for _, _, s in model.pairs] and sum(counts) > x.shape[0]
+        assert sum(s.support_vectors.nbytes for _, _, s in model.pairs) == 0
+
+    def test_pair_rows_outside_the_matrix_refused(self):
+        x, y = gaussian_blobs(6, seed=62, dims=8, classes=3)
+        model = train_ovo(x, y, 3, KernelSpec(kind="linear"))
+        outside = r"pair \(0,2\): support-vector rows outside \[0, 12\)"
+        with pytest.raises(ValueError, match=outside):
+            replace(model, x=model.x[:12])
+        svm = model.pairs[0][2]
+        with pytest.raises(ValueError, match="one coefficient per support vector"):
+            replace(svm, coef=svm.coef[:-1])
+        with pytest.raises(ValueError, match="must share one kernel"):
+            replace(model, pairs=(
+                (0, 1, replace(svm, kernel=KernelSpec(kind="rbf", gamma=1.0))), *model.pairs[1:]
+            ))
+
     def test_pairs_out_of_order_refused(self):
         # predict_ovo votes pair k for the classes of class_pairs(m)[k].
         x, y = gaussian_blobs(6, seed=62, dims=8, classes=3)
@@ -119,10 +156,10 @@ class TestOvoBaselinePath:
                 replace(model, pairs=pairs)
 
 
-def svm_bits(svm):
+def svm_bits(svm, support_vectors):
     """Every field of a pair SVM, floats and arrays by their bits."""
     return (
-        svm.support_vectors.shape, svm.support_vectors.tobytes(), svm.coef.tobytes(),
+        support_vectors.shape, support_vectors.tobytes(), svm.coef.tobytes(),
         float(svm.bias).hex(), svm.kernel, svm.c, svm.iterations,
         float(svm.kkt_violation_max).hex(),
     )
@@ -141,14 +178,22 @@ class TestSharedEngine:
         model = train_ovo(weighted, y, classes, kernel, c=10.0)
         want = ovo_oracle.train_ovo(weighted, y, classes, kernel, c=10.0)
         assert [(cx, cy) for cx, cy, _ in model.pairs] == [(cx, cy) for cx, cy, _ in want]
-        assert [svm_bits(s) for _, _, s in model.pairs] == [svm_bits(s) for _, _, s in want]
+        # The model's support vectors are rows of its matrix, bit for bit the oracle's copies.
+        assert ([svm_bits(s, model.x[s.rows]) for _, _, s in model.pairs]
+                == [svm_bits(s, s.support_vectors) for _, _, s in want])
 
         probes = transform(idf, np.random.default_rng(5).random((40, 12)) * 5)
+        batch = ovo_decisions(model, probes)
+        winners = [winner for winner, _ in vote(batch, classes)]
         margin_ties = 0
-        for row in probes:
+        for row, d, batch_winner in zip(probes, batch, winners):
+            # A row alone has the bits it has inside the batch.
+            assert ovo_decisions(model, row[None]).tobytes() == d.tobytes()
+            scalar = np.asarray(ovo_oracle.decisions(want, row))
+            assert np.all(np.abs(d - scalar) <= 1e-12 * (1 + np.abs(scalar)))
             winner = predict_ovo(model, row)
             assert type(winner) is int
-            assert winner == ovo_oracle.predict_ovo(want, classes, row)
+            assert winner == batch_winner == ovo_oracle.predict_ovo(want, classes, row)
             votes, _ = ovo_oracle.votes_and_margins(want, classes, row)
             margin_ties += votes.count(max(votes)) > 1 and winner != votes.index(max(votes))
         if classes == 4:

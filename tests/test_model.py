@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cdfeat.baseline import TfIdfModel
+from cdfeat.baseline import TfIdfModel, train_ovo
 from cdfeat.core import CdfConfig
 from cdfeat.ingest import IdxImages
 from cdfeat.metrics import ConfusionMatrix
@@ -34,6 +34,7 @@ def one_of_each_record() -> list:
     model = train(small_dataset())
     ctx, form = model.pairs[0]
     svm = train(small_dataset(), kernel=KernelSpec(kind="rbf")).pairs[0][1]
+    ovo = train_ovo(small_dataset().samples, [0, 0, 1, 1], 2, KernelSpec(kind="linear"))
     return [
         small_dataset(),
         model.profiles[0],
@@ -44,6 +45,8 @@ def one_of_each_record() -> list:
         TfIdfModel(np.ones(3)),
         ConfusionMatrix(np.eye(2, dtype=np.int64), 2),
         IdxImages(np.ones((1, 4)), 2, 2),
+        ovo,
+        ovo.pairs[0][2],
     ]
 
 
@@ -103,6 +106,19 @@ class TestValidateDataset:
                 labels[i] = ds.num_classes + 1
             bad = replace(ds, samples=samples, labels=labels)
             assert validate_dataset(bad), f"case {case}: corruption went undetected"
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: ClassProfile(class_id=0, sum_vec=v, cardinality=1),
+    lambda v: SvmForm(weights=v, bias=0.0, support_count=0, iterations=0, kkt_violation_max=0.0),
+], ids=["sum_vec", "weights"])
+@pytest.mark.parametrize("value", [
+    ["12", "0", True], [True, "1.5"], [True, False], np.ones(2, dtype=bool), [None, 1.0],
+    [b"1", b"2"],
+], ids=["strings-bool", "bool-string", "bools", "bool-array", "none", "bytes"])
+def test_record_refuses_elements_that_are_not_numbers(make, value):
+    with pytest.raises(ValueError, match=r"(sum_vec|weights) must be an array of numbers"):
+        make(value)
 
 
 class TestClassProfile:
@@ -266,6 +282,10 @@ class TestSerializationRoundTrip:
         _set_sum_vec(lambda v: [-1.0] + v[1:]),
         _set_sum_vec(lambda v: [None] + v[1:]),
         _set_sum_vec(lambda v: ["NaN"] + v[1:]),
+        # Elements that are not numbers are refused even where float() would
+        # read them.
+        _set_sum_vec(lambda v: ["12", "0", True] + v[3:]),
+        lambda doc: doc["pairs"][0].update(weights=[True, "1.5", *doc["pairs"][0]["weights"][2:]]),
         lambda doc: doc["profiles"][0].update(cardinality=0),
         lambda doc: doc["pairs"].pop(1),
         lambda doc: doc["pairs"].append(doc["pairs"][0]),
@@ -303,7 +323,8 @@ class TestSerializationRoundTrip:
         lambda doc: doc.update(kernel=[]),
         # A string is the whole document, one that is not a JSON object.
         "[]", "null", '"x"', "[" * 100000 + "]" * 100000,
-    ], ids=["truncated", "negative", "null", "nan-string", "cardinality-0",
+    ], ids=["truncated", "negative", "null", "nan-string", "sums-string-bool",
+            "weights-bool-string", "cardinality-0",
             "missing-pair", "extra-pair", "names-short", "names-long",
             "one-class", "bias-nan", "kkt-inf",
             "tol-string", "tol-0", "tol-nan", "tol-bool", "max-passes-0", "max-passes-real",

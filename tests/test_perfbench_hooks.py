@@ -7,7 +7,7 @@ would otherwise show only as missing per-layer numbers.
 
 from pathlib import Path
 
-from cdfeat import svm
+from cdfeat import baseline, svm
 from cdfeat.model import CdfConfig, Dataset, model_from_json, model_to_json
 from cdfeat.multiclass import predict, predict_batch, train
 from cdfeat.svm import KernelSpec
@@ -16,10 +16,11 @@ from conftest import gaussian_blobs
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # HOOKS entries for names these modules no longer import: baseline fits its
-# pairs through `multiclass.fit_pairs`, and multiclass decides through
-# `decision_batch` and the decision forms. Nothing calls through them, so no
-# span is lost; the install skips them.
-UNUSED_HOOKS = {"cdfeat.baseline.smo_train", "cdfeat.multiclass.decision"}
+# pairs through `multiclass.fit_pairs` and decides through `ovo_decisions`,
+# and multiclass decides through `decision_batch` and the decision forms.
+# Nothing calls through them, so no span is lost; the install skips them.
+UNUSED_HOOKS = {"cdfeat.baseline.smo_train", "cdfeat.baseline.decision",
+                "cdfeat.multiclass.decision"}
 
 
 def test_every_hook_is_installed_and_runs(monkeypatch):
@@ -42,6 +43,8 @@ def test_every_hook_is_installed_and_runs(monkeypatch):
         batch = predict_batch(back, x)
         one = predict(back, x[0])
         metrics = tracer.layer_metrics()
+        ovo = baseline.train_ovo(x, y, 3, KernelSpec(kind="polynomial", degree=2))
+        solves = tracer.layer_metrics()["svm.smo_calls"] - metrics["svm.smo_calls"]
     finally:
         tracer.remove()
 
@@ -52,6 +55,8 @@ def test_every_hook_is_installed_and_runs(monkeypatch):
     assert {key[2:4] for key in tracer.feature_keys} == {(0.75, 1.0)}
     assert {key[:2] for key in tracer.feature_keys} == {(0, 1), (0, 2), (1, 2)}
     assert metrics["svm.smo_calls"] == 3 and "svm.gram_bytes_max" in metrics
+    # The baseline's solves run through the same `fit_pairs`, one per pair.
+    assert len(ovo.pairs) == solves == 3
     for name in ("core.context_s", "core.features_s", "model.to_json_s",
                  "model.from_json_s", "multiclass.predict_self_s"):
         assert name in metrics, name
