@@ -108,6 +108,103 @@ def kept_pairs(cfg: CdfConfig, kernel: KernelSpec, fitted) -> tuple:
     )
 
 
+@dataclass(frozen=True)
+class _FoldStage:
+    """`train`'s first stage: a valid dataset's class matrices (class c's
+    rows in storage order) and `ClassProfile`s."""
+
+    dataset: Dataset
+    class_matrices: list
+    profiles: tuple
+
+
+def _fold_stage(dataset: Dataset) -> _FoldStage:
+    problems = validate_dataset(dataset)
+    if problems:
+        raise ValueError("invalid dataset: " + "; ".join(problems))
+    class_matrices = [dataset.class_matrix(cid) for cid in range(dataset.num_classes)]
+    profiles = tuple(
+        ClassProfile(class_id=cid, sum_vec=core.class_sum(rows), cardinality=rows.shape[0])
+        for cid, rows in enumerate(class_matrices)
+    )
+    return _FoldStage(dataset, class_matrices, profiles)
+
+
+@dataclass(frozen=True)
+class _SelectionStage:
+    """`train`'s second stage, for one config: the pair contexts and, under
+    dual_kl or scalar_kl, the `KlWeights` of all pairs and the class blocks."""
+
+    fold: _FoldStage
+    cfg: CdfConfig
+    contexts: dict
+    weights: core.KlWeights | None
+    # blocks[c] holds class c's rows under the m - 1 pairs naming c, in
+    # pair order: pair (x, y) is column y - 1 of blocks[x], x of blocks[y].
+    blocks: list | None
+
+
+def _selection_stage(fold: _FoldStage, cfg: CdfConfig) -> _SelectionStage:
+    m = fold.dataset.num_classes
+    if m < 2:
+        raise ValueError("training needs at least two classes")
+    pair_ids = class_pairs(m)
+    contexts = {
+        (x, y): core.build_pair_context(fold.profiles[x], fold.profiles[y], cfg)
+        for x, y in pair_ids
+    }
+    mode = cfg.feature_mode
+    if mode == "elementwise_kl":
+        return _SelectionStage(fold, cfg, contexts, None, None)
+    weights = core.pair_kl_weights(
+        list(contexts.values()), fold.dataset.dim, mode, cfg.smoothing_eps
+    )
+    blocks = [
+        core.whole_kl_features(
+            rows,
+            core.select_pair_weights(
+                weights, [j for j, pair in enumerate(pair_ids) if cid in pair]
+            ),
+        )
+        for cid, rows in enumerate(fold.class_matrices)
+    ]
+    return _SelectionStage(fold, cfg, contexts, weights, blocks)
+
+
+def _solve_stage(selection: _SelectionStage, kernel, c, tol, max_passes) -> CdfModel:
+    """`train`'s third stage: one SVM per pair at this C and kernel."""
+    fold, cfg, blocks = selection.fold, selection.cfg, selection.blocks
+    profiles = fold.profiles
+    mode, eps = cfg.feature_mode, cfg.smoothing_eps
+
+    def pair_data(x, y):
+        ctx = selection.contexts[x, y]
+        if blocks is None:
+            rows = [
+                core.kl_features(matrix, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
+                for matrix in (fold.class_matrices[x], fold.class_matrices[y])
+            ]
+        else:
+            rows = [blocks[x][:, y - 1], blocks[y][:, x]]
+        return ctx, *core.extract_pair_features(*rows, ctx, profiles[x], profiles[y], cfg)
+
+    m = fold.dataset.num_classes
+    model = CdfModel(
+        config=cfg,
+        kernel=kernel,
+        c=c,
+        tol=tol,
+        max_passes=max_passes,
+        label_names=fold.dataset.label_names,
+        profiles=profiles,
+        pairs=kept_pairs(cfg, kernel, fit_pairs(m, pair_data, kernel, c, tol, max_passes)),
+    )
+    if selection.weights is not None:
+        # Fills the cached_property; frozen dataclasses refuse plain setattr.
+        object.__setattr__(model, "kl_weights", selection.weights)
+    return model
+
+
 def train(
     dataset: Dataset,
     cfg: CdfConfig = CdfConfig(),
@@ -120,76 +217,26 @@ def train(
 ) -> CdfModel:
     """Fit profiles, pair contexts, features and one SVM per class pair.
 
-    dual_kl and scalar_kl features come from one `core.whole_kl_features`
-    pass per class, over the class's rows and the weights of its m - 1 pairs,
-    before any SVM is fitted; the model's `kl_weights` is seeded with the
-    weights, so its training features are the bits `predict_batch` computes.
-    elementwise_kl features are wider, so each pair's are computed with
-    `core.kl_features` when its SVM is fitted. The model keeps the pairs
-    `kept_pairs` gives. The solves use no randomness;
-    `seed` is accepted and unused. The pair SVMs are fitted one after another;
-    `jobs` is accepted and unused.
+    Three stages run in order. The fold stage validates the dataset and
+    builds the class matrices and profiles. The selection stage, which
+    depends on `cfg` but not on C, builds the pair contexts (masks and
+    masked references); dual_kl and scalar_kl features then come from one
+    `core.whole_kl_features` pass per class, over the class's rows and the
+    weights of its m - 1 pairs, before any SVM is fitted. The solve stage
+    fits the pair SVMs, keeps the pairs `kept_pairs` gives, and seeds the
+    model's `kl_weights` with the weights, so its training features are the
+    bits `predict_batch` computes. elementwise_kl features are wider, so each
+    pair's are computed with `core.kl_features` when its SVM is fitted;
+    under the other modes the class matrices are freed before the solves.
+    The solves use no randomness; `seed` is accepted and unused. The pair
+    SVMs are fitted one after another; `jobs` is accepted and unused.
     """
-    problems = validate_dataset(dataset)
-    if problems:
-        raise ValueError("invalid dataset: " + "; ".join(problems))
+    fold = _fold_stage(dataset)
     check_svm_settings(c, tol, max_passes)
-    m = dataset.num_classes
-    if m < 2:
-        raise ValueError("training needs at least two classes")
-
-    class_matrices = [dataset.class_matrix(cid) for cid in range(m)]
-    profiles = [
-        ClassProfile(class_id=cid, sum_vec=core.class_sum(rows), cardinality=rows.shape[0])
-        for cid, rows in enumerate(class_matrices)
-    ]
-    pair_ids = class_pairs(m)
-    contexts = {
-        (x, y): core.build_pair_context(profiles[x], profiles[y], cfg) for x, y in pair_ids
-    }
-
-    mode, eps = cfg.feature_mode, cfg.smoothing_eps
-    weights = blocks = None
-    if mode != "elementwise_kl":
-        weights = core.pair_kl_weights(list(contexts.values()), dataset.dim, mode, eps)
-        # blocks[c] holds class c's rows under the m - 1 pairs naming c, in
-        # pair order: pair (x, y) is column y - 1 of blocks[x], x of blocks[y].
-        blocks = [
-            core.whole_kl_features(
-                class_matrices[cid],
-                core.select_pair_weights(
-                    weights, [j for j, pair in enumerate(pair_ids) if cid in pair]
-                ),
-            )
-            for cid in range(m)
-        ]
-        class_matrices.clear()
-
-    def pair_data(x, y):
-        ctx = contexts[x, y]
-        if blocks is None:
-            rows = [
-                core.kl_features(class_matrices[cid], ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
-                for cid in (x, y)
-            ]
-        else:
-            rows = [blocks[x][:, y - 1], blocks[y][:, x]]
-        return ctx, *core.extract_pair_features(*rows, ctx, profiles[x], profiles[y], cfg)
-
-    model = CdfModel(
-        config=cfg,
-        kernel=kernel,
-        c=c,
-        tol=tol,
-        max_passes=max_passes,
-        label_names=dataset.label_names,
-        profiles=tuple(profiles),
-        pairs=kept_pairs(cfg, kernel, fit_pairs(m, pair_data, kernel, c, tol, max_passes)),
-    )
-    if weights is not None:
-        # Fills the cached_property; frozen dataclasses refuse plain setattr.
-        object.__setattr__(model, "kl_weights", weights)
-    return model
+    selection = _selection_stage(fold, cfg)
+    if selection.blocks is not None:
+        fold.class_matrices.clear()
+    return _solve_stage(selection, kernel, c, tol, max_passes)
 
 
 def predict(model: CdfModel, sample) -> tuple[int, VoteRecord]:
@@ -282,25 +329,61 @@ def vote(decisions, num_classes: int) -> list[tuple[int, VoteRecord]]:
     return [(record.winner, record) for record in records]
 
 
+def _same_data(a: Dataset, b: Dataset) -> bool:
+    """Whether two datasets hold the same labels and the same sample bits
+    (compared as integers, so -0.0 and 0.0 differ)."""
+    return (
+        a.samples.shape == b.samples.shape
+        and a.label_names == b.label_names
+        and np.array_equal(a.labels, b.labels)
+        and np.array_equal(a.samples.view(np.int64), b.samples.view(np.int64))
+    )
+
+
 def pipeline_trainer(
     cfg: CdfConfig,
     tol: float = DEFAULT_TOL,
     max_passes: int = DEFAULT_MAX_PASSES,
     seed: int = 0,
 ):
-    """cross_validate trainer running the full pipeline per grid cell.
+    """cross_validate trainer running `train`'s stages per grid cell.
 
-    The cell's b/b_prime replace the config's multipliers and the
-    cell's C and kernel drive the pair SVMs. `seed` is accepted and unused.
+    The cell's b/b_prime replace the config's multipliers and the cell's C
+    and kernel drive the pair SVMs. Each call's model is the one `train`
+    gives for its data and cell, bit for bit, but the trainer keeps the last
+    two stages that do not depend on C and reuses them:
+    - the fold stage (class matrices and profiles), built over a private
+      copy of the training rows, while a call's x_train and y_train equal
+      that copy bit for bit (a write into the caller's array between calls
+      means a rebuild, not a stale profile);
+    - the selection stage (masks, masked references and, under dual_kl or
+      scalar_kl, every class's KL feature block) while the cell's
+      (b, b_prime) are unchanged on that fold.
+    The SMO solves run once per call, and elementwise_kl features are
+    computed per solve. So the trainer holds at most one fold's stages: the
+    copy of its rows, its class matrices (a second copy), and for one
+    (b, b_prime) the pair contexts and feature blocks, until it is dropped.
+    `cross_validate` trains each fold's cells one (b, b_prime) after another,
+    so every fold builds its profiles once and each (b, b_prime) selection
+    once. The kept stages are state shared by the trainer's calls, so it
+    serves one caller at a time. `seed` is accepted and unused.
     """
+    fold = selection = None
 
     def trainer(x_train, y_train, cell: GridCell):
+        nonlocal fold, selection
         cell_cfg = replace(cfg, b=cell.b, b_prime=cell.b_prime)
         ds = Dataset.from_arrays(x_train, y_train)
-        model = train(
-            ds, cell_cfg, kernel=cell.kernel, c=cell.c, tol=tol,
-            max_passes=max_passes,
-        )
+        if fold is None or not _same_data(fold.dataset, ds):
+            # The old stages go before the new are built: one fold's at a time.
+            fold = selection = None
+            fold = _fold_stage(Dataset.from_arrays(ds.samples.copy(), ds.labels, ds.label_names))
+        check_svm_settings(cell.c, tol, max_passes)
+        if selection is None or selection.cfg != cell_cfg:
+            selection = None
+            selection = _selection_stage(fold, cell_cfg)
+        # perfbench reads the fitted model from this closure's `model`.
+        model = _solve_stage(selection, cell.kernel, cell.c, tol, max_passes)
 
         def predict_labels(x_eval):
             return np.asarray([winner for winner, _ in predict_batch(model, x_eval)])

@@ -569,7 +569,17 @@ def cross_validate(x, y, grid, folds: int, seed: int, trainer) -> CvResult:
     """Mean validation accuracy per grid cell; best cell wins, first on ties.
 
     `trainer(x_train, y_train, cell)` must return a callable mapping a sample
-    matrix to predicted labels. Evaluation is deterministic given the seed.
+    matrix to predicted labels, one per row: ValueError if its result does
+    not have the validation labels' shape. Evaluation is deterministic given
+    the seed.
+
+    Folds are the outer loop. Each fold's train and validation arrays are
+    sliced once, read-only, and every cell is trained on them: the cells of
+    the grid's first (b, b_prime) in grid order, then those of the next
+    (b, b_prime) to appear, and so on, so a trainer that keeps work per
+    (fold, b, b_prime), as `multiclass.pipeline_trainer` does, meets each such
+    group in one run. A cell's accuracies are averaged in fold order, so the
+    table does not depend on the order the cells are visited in.
     """
     grid = list(grid)
     if not grid:
@@ -577,24 +587,35 @@ def cross_validate(x, y, grid, folds: int, seed: int, trainer) -> CvResult:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     val_sets = stratified_folds(y, folds, seed)
-    all_idx = np.arange(len(y))
+    # Each cell's rank is the grid index of the first cell with its (b, b_prime).
+    first = [
+        next(j for j, d in enumerate(grid) if (d.b, d.b_prime) == (cell.b, cell.b_prime))
+        for cell in grid
+    ]
+    order = sorted(range(len(grid)), key=first.__getitem__)
 
-    table = []
-    best_cell = None
-    best_acc = -1.0
-    for cell in grid:
-        accs = []
-        for val in val_sets:
-            train_mask = np.ones(len(y), dtype=bool)
-            train_mask[val] = False
-            tr = all_idx[train_mask]
-            predict = trainer(x[tr], y[tr], cell)
-            pred = np.asarray(predict(x[val]))
-            accs.append(float(np.mean(pred == y[val])))
-        mean_acc = float(np.mean(accs))
-        table.append((cell, mean_acc))
+    accs = [[] for _ in grid]
+    for val in val_sets:
+        train_mask = np.ones(len(y), dtype=bool)
+        train_mask[val] = False
+        tr = np.flatnonzero(train_mask)
+        x_tr, y_tr, x_val, y_val = x[tr], y[tr], x[val], y[val]
+        for part in (x_tr, y_tr, x_val, y_val):
+            part.setflags(write=False)
+        for i in order:
+            predict = trainer(x_tr, y_tr, grid[i])
+            pred = np.asarray(predict(x_val))
+            if pred.shape != y_val.shape:
+                raise ValueError(
+                    f"trainer predicted an array of shape {pred.shape} "
+                    f"for {y_val.size} validation labels"
+                )
+            accs[i].append(float(np.mean(pred == y_val)))
+
+    table = tuple((cell, float(np.mean(a))) for cell, a in zip(grid, accs))
+    best_cell, best_acc = None, -1.0
+    for cell, mean_acc in table:
         if mean_acc > best_acc:
             best_acc = mean_acc
             best_cell = cell
-    return CvResult(best=best_cell, table=tuple(table))
-
+    return CvResult(best=best_cell, table=table)

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,15 +9,18 @@ from cdfeat import core, multiclass
 from cdfeat.model import FEATURE_MODES, CdfConfig, Dataset, model_from_json, model_to_json
 from cdfeat.multiclass import (
     VoteRecord,
+    pipeline_trainer,
     predict,
     predict_batch,
     resolve_winner,
     train,
 )
 from cdfeat.svm import (
-    KernelSpec, SvmForm, SvmModel, decision, decision_batch, decision_forms, monomial_exponents,
+    GridCell, KernelSpec, SvmForm, SvmModel, cross_validate, decision, decision_batch,
+    decision_forms, monomial_exponents,
 )
 
+import cv_oracle
 import pair_loop_oracle
 import scalar_oracle
 from conftest import gaussian_blobs
@@ -165,11 +169,32 @@ class TestWinnerResolution:
             VoteRecord(votes=(4, 1, 1), margin_sums=(0.0, 0.0, 0.0))
 
 
+# 2 C x 2 b with C outer, as `cdfeat train --grid-c --grid-b` builds it, so
+# cross_validate must regroup the cells by (b, b_prime).
+CV_GRID = [
+    GridCell(c=c, kernel=POLY2, b=b, b_prime=1.0) for c in (1.0, 10.0) for b in (0.5, 2.0)
+]
+
+
+def cv_blobs(seed):
+    """Overlapping 3-class blobs, so the cells' accuracies differ."""
+    x, y = gaussian_blobs(12, seed=seed, dims=12, classes=3, shift=2.5)
+    return x, np.asarray(y)
+
+
+def recording(trainer, models):
+    """Wrap a trainer so that each call's fitted model lands in models[cell]."""
+
+    def wrapped(x_train, y_train, cell):
+        predict = trainer(x_train, y_train, cell)
+        models.setdefault(cell, []).append(inspect.getclosurevars(predict).nonlocals["model"])
+        return predict
+
+    return wrapped
+
+
 class TestPipelineTrainer:
     def test_grid_b_values_reach_the_masks(self):
-        from cdfeat.multiclass import pipeline_trainer
-        from cdfeat.svm import GridCell, cross_validate
-
         x, y = gaussian_blobs(12, seed=21, dims=18, classes=3)
         trainer = pipeline_trainer(CdfConfig(), seed=0)
         grid = [
@@ -182,6 +207,78 @@ class TestPipelineTrainer:
             assert 0.0 <= acc <= 1.0
         # Separable blobs: the winning cell classifies the held-out folds.
         assert dict(result.table)[result.best] == 1.0
+
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_matches_the_per_cell_oracle(self, mode):
+        x, y = cv_blobs(seed=31)
+        cfg = CdfConfig(feature_mode=mode)
+        models = {}
+        result = cross_validate(
+            x, y, CV_GRID, folds=3, seed=4, trainer=recording(pipeline_trainer(cfg), models)
+        )
+        want, want_models = cv_oracle.cross_validate(x, y, CV_GRID, 3, 4, cfg)
+        assert result.table == want.table
+        assert result.best == want.best
+        assert len({acc for _, acc in want.table}) > 1
+        for cell, fitted in zip(CV_GRID, want_models):
+            assert [model_to_json(m) for m in models[cell]] == list(map(model_to_json, fitted))
+
+    def test_builds_profiles_per_fold_and_selections_per_fold_and_b(self, monkeypatch):
+        calls = {"class_sum": 0, "build_pair_context": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(core, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(core, name, counted)
+        x, y = cv_blobs(seed=32)
+        cross_validate(x, y, CV_GRID, folds=3, seed=0, trainer=pipeline_trainer(CdfConfig()))
+        # 3 folds x 3 classes, and 3 folds x 2 b x 3 pairs; per cell it
+        # would be 36 of each.
+        assert calls == {"class_sum": 9, "build_pair_context": 18}
+
+    def test_reused_trainer_follows_the_callers_writes(self):
+        x, y = cv_blobs(seed=33)
+        other, _ = cv_blobs(seed=34)
+        trainer = pipeline_trainer(CdfConfig())
+        first = cross_validate(x, y, CV_GRID, folds=3, seed=0, trainer=trainer)
+        fresh_first = cross_validate(
+            x.copy(), y, CV_GRID, folds=3, seed=0, trainer=pipeline_trainer(CdfConfig())
+        )
+        x[:] = other
+        second = cross_validate(x, y, CV_GRID, folds=3, seed=0, trainer=trainer)
+        fresh_second = cross_validate(
+            x, y, CV_GRID, folds=3, seed=0, trainer=pipeline_trainer(CdfConfig())
+        )
+        assert first == fresh_first
+        assert second == fresh_second
+        assert first.table != second.table
+
+        # Called directly on the caller's own array, written in place between
+        # calls: the second model is the one a fresh trainer fits.
+        x, y = cv_blobs(seed=35)
+        models = {}
+        trainer = recording(pipeline_trainer(CdfConfig()), models)
+        trainer(x, y, CV_GRID[0])
+        x[0, 0] += 1.0
+        trainer(x, y, CV_GRID[0])
+        want = train(Dataset.from_arrays(x, y), CdfConfig(b=0.5), kernel=POLY2, c=1.0)
+        assert model_to_json(models[CV_GRID[0]][1]) == model_to_json(want)
+        assert model_to_json(models[CV_GRID[0]][0]) != model_to_json(want)
+
+    def test_errors_keep_their_order(self):
+        x, y = cv_blobs(seed=36)
+        trainer = pipeline_trainer(CdfConfig())
+        bad_x = x.copy()
+        bad_x[0, 0] = -1.0
+        with pytest.raises(ValueError, match="invalid dataset"):
+            trainer(bad_x, y, GridCell(c=0.0, kernel=POLY2))
+        with pytest.raises(ValueError, match="c must be"):
+            trainer(x, np.zeros_like(y), GridCell(c=0.0, kernel=POLY2))
+        with pytest.raises(ValueError, match="two classes"):
+            trainer(x, np.zeros_like(y), GridCell(c=1.0, kernel=POLY2))
+        # A failed call caches nothing: the next call trains normally.
+        trainer(x, y, GridCell(c=1.0, kernel=POLY2))
 
 
 class TestPredictBatch:

@@ -5,11 +5,12 @@ that need it, so a renamed function or a dropped attribute (say `ctx.b`)
 would otherwise show only as missing per-layer numbers.
 """
 
+import inspect
 from pathlib import Path
 
 from cdfeat import baseline, svm
-from cdfeat.model import CdfConfig, Dataset, model_from_json, model_to_json
-from cdfeat.multiclass import predict, predict_batch, train
+from cdfeat.model import CdfConfig, CdfModel, Dataset, model_from_json, model_to_json
+from cdfeat.multiclass import pipeline_trainer, predict, predict_batch, train
 from cdfeat.svm import KernelSpec
 
 from conftest import gaussian_blobs
@@ -62,3 +63,24 @@ def test_every_hook_is_installed_and_runs(monkeypatch):
         assert name in metrics, name
     # remove() put every original back.
     assert [owner.__dict__.get(attr) for owner, attr, _ in spans.HOOKS] == originals
+
+
+def test_cv_solves_are_tallied_from_the_trainers_closure(monkeypatch):
+    # perfbench's `_counting_trainer` tallies each CV call's solves from the
+    # `model` the predict closure of `pipeline_trainer` holds; if that name
+    # went away it would skip the tally without an error.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    x, y = gaussian_blobs(6, seed=29, dims=10, classes=3)
+    grid = [svm.GridCell(c=c, kernel=KernelSpec(kind="polynomial", degree=2), b=b)
+            for c in (1.0, 10.0) for b in (0.5, 1.0)]
+    ledger, out = workloads.Ledger(), workloads.RoundOut()
+    trainer = workloads._counting_trainer(pipeline_trainer(CdfConfig()), ledger, out)
+    predict_one = pipeline_trainer(CdfConfig())(x, y, grid[0])
+
+    svm.cross_validate(x, y, grid, 3, 0, trainer)
+
+    assert isinstance(inspect.getclosurevars(predict_one).nonlocals["model"], CdfModel)
+    assert out.trainer_calls == 12
+    assert ledger.ops["solve"] == [12 * 3, 0]

@@ -517,6 +517,35 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="non-empty"):
             cross_validate(x, y, [], folds=4, seed=0, trainer=binary_svm_trainer())
 
+    @pytest.mark.parametrize("shape", ["scalar", "column"])
+    def test_prediction_of_another_shape_rejected(self, shape):
+        # Either would broadcast against the labels into an accuracy of 0.5.
+        x, y = self._data()
+
+        def trainer(x_train, y_train, cell):
+            if shape == "scalar":
+                return lambda x_eval: 1
+            return lambda x_eval: np.ones((len(x_eval), 1))
+
+        with pytest.raises(ValueError, match="validation labels"):
+            cross_validate(x, y, [GridCell(c=1.0, kernel=LINEAR)], folds=4, seed=0, trainer=trainer)
+
+    def test_trainer_sees_each_folds_cells_grouped_by_b(self):
+        x, y = self._data()
+        grid = [GridCell(c=c, kernel=LINEAR, b=b) for c in (1.0, 10.0) for b in (0.5, 2.0)]
+        seen = []
+        inner = binary_svm_trainer()
+
+        def trainer(x_train, y_train, cell):
+            seen.append((x_train, grid.index(cell)))
+            assert not x_train.flags.writeable
+            return inner(x_train, y_train, cell)
+
+        cross_validate(x, y, grid, folds=2, seed=0, trainer=trainer)
+        assert [k for _, k in seen] == [0, 2, 1, 3] * 2
+        # One train slice per fold, shared by its cells.
+        assert all(seen[i][0] is seen[i // 4 * 4][0] for i in range(8))
+
 
 class TestDecisionBatch:
     @pytest.mark.parametrize("kind", ["linear", "polynomial", "rbf"])
