@@ -39,6 +39,13 @@ class CliError(Exception):
     """User-facing command error; message printed to stderr, exit nonzero."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusal is its one error line, without the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _number(parse, *bounds):
     """The argparse type of a number option: `parse` (int or float) reads the
     text, then the library's checker (`svm.integer` or `svm.real`) decides the
@@ -57,6 +64,23 @@ def _number(parse, *bounds):
     return convert
 
 
+def _entries(text: str, parse) -> list:
+    """The entries of a comma-separated list option's text, each read by `parse`."""
+    return [parse(tok) for tok in map(str.strip, text.split(",")) if tok]
+
+
+def _listed(parse, *bounds):
+    """The argparse type of a comma-separated list option: `_number` decides each
+    entry, and no entry is refused. The value is the text, echoed as given."""
+    number = _number(parse, *bounds)
+
+    def convert(text: str) -> str:
+        if not _entries(text, number):
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        return text
+    return convert
+
+
 def _folds(text: str) -> int:
     folds = _number(int, 0)(text)
     if folds == 1:
@@ -66,7 +90,7 @@ def _folds(text: str) -> int:
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name; defaults are the library's."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdfeat",
         description="Class-dependent feature pipeline: train, evaluate, predict, inspect.",
     )
@@ -88,7 +112,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             p.add_argument("--sgml-dir", dest="sgml_dir", help="directory of reut2-*.sgm files")
             p.add_argument("--split", choices=["train", "test"],
                            help="corpus split to load (reuters format)")
-            p.add_argument("--classes", help="comma-separated raw labels to keep (idx format)")
+            p.add_argument("--classes", type=_listed(int, 0),
+                           help="comma-separated raw labels to keep (idx format)")
             p.add_argument("--max-per-class", dest="max_per_class", type=_number(int, 1),
                            help="cap samples per class after loading")
             p.add_argument("--dim", type=_number(int, 1), help="vector length for sparse data")
@@ -116,12 +141,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            default=DEFAULT_MAX_PASSES)
             p.add_argument("--folds", type=_folds, default=0,
                            help="cross-validation folds; 0 skips CV")
-            p.add_argument("--grid-c", dest="grid_c", default="0.1,1,10,100",
-                           help="comma-separated C grid for CV")
-            p.add_argument("--grid-b", dest="grid_b", default="0.5,1.0,1.5,2.0",
-                           help="comma-separated b grid for CV")
-            p.add_argument("--grid-b-prime", dest="grid_b_prime", default="0.5,1.0,1.5,2.0",
-                           help="comma-separated b' grid for CV")
+            p.add_argument("--grid-c", dest="grid_c", type=_listed(float, 0),
+                           default="0.1,1,10,100", help="comma-separated C grid for CV")
+            p.add_argument("--grid-b", dest="grid_b", type=_listed(float, 0),
+                           default="0.5,1.0,1.5,2.0", help="comma-separated b grid for CV")
+            p.add_argument("--grid-b-prime", dest="grid_b_prime", type=_listed(float, 0),
+                           default="0.5,1.0,1.5,2.0", help="comma-separated b' grid for CV")
             p.add_argument("--seed", type=_number(int, 0), default=0,
                            help="seed of the cross-validation folds")
         p.add_argument("--model", help="model file path")
@@ -184,36 +209,13 @@ def _require_paths(cfg: dict, keys) -> None:
             raise CliError(f"input path does not exist: {value}")
 
 
-def _parse_grid(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise CliError(f"--{flag}: expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise CliError(f"--{flag}: empty grid")
-    try:
-        return [real("value", v, 0) for v in values]
-    except ValueError as exc:
-        raise CliError(f"--{flag}: {exc}")
-
-
-def _parse_classes(text: str) -> list[int]:
-    keep = []
-    for tok in filter(None, map(str.strip, text.split(","))):
-        try:
-            keep.append(int(tok))
-        except ValueError:
-            raise CliError(f"--classes: expected comma-separated integers, got {tok!r}")
-    return keep
-
-
 def _load_dataset(cfg: dict, default_split: str) -> Dataset:
     fmt = cfg.get("format")
     if fmt == "idx":
         _require_paths(cfg, ["images", "labels"])
         images = ingest.load_idx_images(Path(cfg["images"]).read_bytes())
         labels = ingest.load_idx_labels(Path(cfg["labels"]).read_bytes())
-        keep = _parse_classes(cfg["classes"]) if cfg.get("classes") else None
+        keep = None if cfg["classes"] is None else _entries(cfg["classes"], int)
         dataset = ingest.idx_dataset(images, labels, keep_classes=keep)
     elif fmt == "sparse":
         _require_paths(cfg, ["data"])
@@ -305,9 +307,9 @@ def cmd_train(cfg: dict) -> int:
     if folds:
         grid = [
             GridCell(c=gc, kernel=kernel, b=gb, b_prime=gbp)
-            for gc in _parse_grid(cfg["grid_c"], "grid-c")
-            for gb in _parse_grid(cfg["grid_b"], "grid-b")
-            for gbp in _parse_grid(cfg["grid_b_prime"], "grid-b-prime")
+            for gc in _entries(cfg["grid_c"], float)
+            for gb in _entries(cfg["grid_b"], float)
+            for gbp in _entries(cfg["grid_b_prime"], float)
         ]
         trainer = multiclass.pipeline_trainer(base, tol=tol, max_passes=max_passes)
         result = cross_validate(

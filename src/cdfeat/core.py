@@ -5,13 +5,12 @@ component-wise profile ratio and its mean, two scaled thresholds, the
 selected-index mask, masked probability normalization, and finally KL
 divergences of each masked sample against the masked class profiles.
 
-`kl_features` computes one pair's features over a sample matrix;
-`sample_feature` and elementwise_kl training and prediction use it. dual_kl
-and scalar_kl training and prediction use `whole_kl_features`, which computes
-the whole divergences of many pairs at once from `pair_kl_weights` and agrees
-with `kl_features` to rounding. Training makes one such pass per class, over
-the class's rows and the weights of the pairs that name it
-(`select_pair_weights`), so a training row's features are the same bits that
+dual_kl and scalar_kl features come from `whole_kl_features`, the whole
+divergences of many pairs at once under `pair_kl_weights`, elementwise_kl
+features from `kl_features`; the scalar `kl_divergence` and `sample_feature`
+are one-row calls into them. Training makes one `whole_kl_features` pass per
+class, over its rows and the weights of the pairs that name it
+(`select_pair_weights`), so a training row's features are the bits that
 prediction computes for it.
 
 `whole_kl_features` computes each row in one of two ways. A row with at most
@@ -32,6 +31,7 @@ import numpy as np
 
 from .model import FEATURE_MODES, CdfConfig, ClassProfile, PairContext, feature_width
 from .record import Record
+from .svm import real
 
 
 def class_sum(samples) -> np.ndarray:
@@ -59,8 +59,7 @@ def pair_ratios(t_x, t_y, eps: float) -> np.ndarray:
         raise ValueError("profiles differ in length")
     if np.any(t_x < 0) or np.any(t_y < 0):
         raise ValueError("profile components must be >= 0")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
+    eps = real("eps", eps, 0)
     return (t_x + eps) / (t_y + eps)
 
 
@@ -122,45 +121,38 @@ def kl_divergence(p, q, eps: float = CdfConfig.smoothing_eps) -> float:
 
     The denominator smoothing alone would push the p == q case a hair below
     zero (about -n*eps), so the result is clamped at 0 to keep the divergence
-    non-negative.
+    non-negative. It is `whole_kl_features` of p under one pair whose mask is
+    every component and whose reference is q.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError(f"distributions differ in length: {p.size} vs {q.size}")
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ValueError(f"distributions must be vectors of one length: {p.shape} vs {q.shape}")
     for name, v in (("p", p), ("q", q)):
         if np.any(v < 0):
             raise ValueError(f"{name} has negative components")
         if abs(float(np.sum(v)) - 1.0) > 1e-9:
             raise ValueError(f"{name} is not normalized (sum {float(np.sum(v))!r})")
-    pos = p > 0
-    return max(0.0, float(np.sum(p[pos] * np.log(p[pos] / (q[pos] + eps)))))
+    weights = _kl_weights([np.arange(p.size)], [(q,)], p.size, real("eps", eps, 0))
+    return float(whole_kl_features(p[None], weights)[0, 0, 0])
 
 
-def kl_features(samples, mask, ref_x, ref_y, feature_mode: str, eps: float) -> np.ndarray:
-    """KL feature rows for a sample matrix under one pair's mask and references.
+def kl_features(samples, mask, ref, eps: float) -> np.ndarray:
+    """elementwise_kl rows: the terms p * ln(p / (ref + eps)), 0 * ln 0 = 0, of
+    each sample restricted to one pair's mask and normalized to p.
 
     Row i depends on row i of `samples` alone and has the same bits whatever
     the number of rows. A row whose masked total is zero becomes the uniform
-    distribution over the mask. The masked KL terms use 0 * ln 0 = 0, and
-    whole divergences are clamped at 0 as in `kl_divergence`. Rows are not
-    validated: callers pass finite, non-negative samples.
+    distribution over the mask. Rows are not validated: callers pass finite,
+    non-negative samples.
     """
-    if feature_mode not in FEATURE_MODES:
-        raise ValueError(f"unknown feature_mode {feature_mode!r}")
     part = np.asarray(samples, dtype=float).take(mask, axis=1)
     totals = part.sum(axis=1)
     empty = totals <= 0
     part[empty] = 1.0 / part.shape[1]
     totals[empty] = 1.0
     p = part / totals[:, None]
-    refs = (ref_x, ref_y) if feature_mode == "dual_kl" else (ref_x,)
-    terms = [
-        p * np.log(p / (ref + eps), out=np.zeros_like(p), where=p > 0) for ref in refs
-    ]
-    if feature_mode == "elementwise_kl":
-        return terms[0]
-    return np.stack([np.maximum(t.sum(axis=1), 0.0) for t in terms], axis=1)
+    return p * np.log(p / (ref + eps), out=np.zeros_like(p), where=p > 0)
 
 
 # A row with at most this share of nonzero components takes the sparse path
@@ -204,14 +196,20 @@ class KlWeights(Record):
 
 def pair_kl_weights(contexts, dim: int, feature_mode: str, eps: float) -> KlWeights:
     """The `KlWeights` of a sequence of pair contexts, in that order."""
-    npairs = len(contexts)
     r = 2 if feature_mode == "dual_kl" else 1
+    refs = [(ctx.ref_x, ctx.ref_y)[:r] for ctx in contexts]
+    return _kl_weights([ctx.mask for ctx in contexts], refs, dim, eps)
+
+
+def _kl_weights(masks, refs, dim: int, eps: float) -> KlWeights:
+    """The `KlWeights` of P pairs from their masks and `refs[j]`, pair j's r references."""
+    npairs, r = len(refs), len(refs[0])
     w = np.zeros((npairs * (1 + r), dim))
     logs = w[npairs:].reshape(npairs, r, dim)
-    for j, ctx in enumerate(contexts):
-        w[j, ctx.mask] = 1.0
-        for t, ref in enumerate((ctx.ref_x, ctx.ref_y)[:r]):
-            logs[j, t, ctx.mask] = np.log(ref + eps)
+    for j, (mask, pair_refs) in enumerate(zip(masks, refs)):
+        w[j, mask] = 1.0
+        for t, ref in enumerate(pair_refs):
+            logs[j, t, mask] = np.log(ref + eps)
     k = w[:npairs].sum(axis=1)[:, None]
     empty = np.maximum(-np.log(k) - logs.sum(axis=2) / k, 0.0)
     return KlWeights(w, empty)
@@ -234,8 +232,7 @@ def whole_kl_features(samples, weights: KlWeights) -> np.ndarray:
     """dual_kl or scalar_kl features of every row under every pair at once.
 
     `weights` is `pair_kl_weights(...)` or `select_pair_weights(...)` of P
-    pairs; the result is (n, P, r) and equals `kl_features` per pair to
-    rounding. With T the masked total of a row,
+    pairs; the result is (n, P, r). With T the masked total of a row,
     KL(p||q) = (sum x ln x - sum x ln(q + eps)) / T - ln T, so each component
     needs one log shared by all pairs and references, and the masked sums of
     every pair are sums of products with `w`. KL does not depend on a row's
@@ -310,7 +307,8 @@ def _sparse_sums(x, e, wt, npairs) -> tuple:
 
 
 def sample_feature(sample, mask, ref_x, ref_y, feature_mode: str, eps: float) -> np.ndarray:
-    """Feature vector for one raw sample under a pair's mask and references."""
+    """One raw sample's features under a pair's mask and references: its row
+    of `whole_kl_features` under that pair, or of `kl_features` in elementwise_kl."""
     sample = np.asarray(sample, dtype=float)
     if sample.ndim != 1 or not np.all(np.isfinite(sample)) or np.any(sample < 0):
         raise ValueError("sample must be a vector of finite components >= 0")
@@ -319,7 +317,13 @@ def sample_feature(sample, mask, ref_x, ref_y, feature_mode: str, eps: float) ->
         raise ValueError("mask must be non-empty")
     if np.any(mask < 0) or np.any(mask >= sample.shape[0]):
         raise ValueError("mask index out of range")
-    return kl_features(sample[None], mask, ref_x, ref_y, feature_mode, eps)[0]
+    if feature_mode not in FEATURE_MODES:
+        raise ValueError(f"unknown feature_mode {feature_mode!r}")
+    eps = real("eps", eps, 0)
+    if feature_mode == "elementwise_kl":
+        return kl_features(sample[None], mask, ref_x, eps)[0]
+    refs = (ref_x, ref_y) if feature_mode == "dual_kl" else (ref_x,)
+    return whole_kl_features(sample[None], _kl_weights([mask], [refs], sample.size, eps))[0, 0]
 
 
 def build_pair_context(

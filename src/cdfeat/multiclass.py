@@ -175,13 +175,12 @@ def _solve_stage(selection: _SelectionStage, kernel, c, tol, max_passes) -> CdfM
     """`train`'s third stage: one SVM per pair at this C and kernel."""
     fold, cfg, blocks = selection.fold, selection.cfg, selection.blocks
     profiles = fold.profiles
-    mode, eps = cfg.feature_mode, cfg.smoothing_eps
 
     def pair_data(x, y):
         ctx = selection.contexts[x, y]
         if blocks is None:
             rows = [
-                core.kl_features(matrix, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
+                core.kl_features(matrix, ctx.mask, ctx.ref_x, cfg.smoothing_eps)
                 for matrix in (fold.class_matrices[x], fold.class_matrices[y])
             ]
         else:
@@ -276,13 +275,9 @@ def pair_decisions(model: CdfModel, samples) -> np.ndarray:
     row; otherwise each pair's `decision_batch` runs over all rows.
     """
     x = _sample_matrix(samples, model.dim)
-    mode = model.config.feature_mode
-    if mode == "elementwise_kl":
+    if model.config.feature_mode == "elementwise_kl":
         eps = model.config.smoothing_eps
-        feats = [
-            core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
-            for ctx, _ in model.pairs
-        ]
+        feats = [core.kl_features(x, ctx.mask, ctx.ref_x, eps) for ctx, _ in model.pairs]
     else:
         feats = core.whole_kl_features(x, model.kl_weights)
         forms = model.decision_forms

@@ -21,10 +21,10 @@ these forms, and a model keeps each SVM's column as an `SvmForm` in place of
 the SVM (`multiclass.kept_pairs`). On the 1 or 2 features of a scalar_kl or
 dual_kl pair there are d + 1 or (d + 1)(d + 2)/2 monomials (6 for poly2 on 2
 features), so a decision costs a handful of products instead of a sum over
-every support vector, and a form is a handful of numbers. `decision` and
-`decision_batch` run the kernel expansion itself, the only path for rbf.
-Kernel values that overflow float64 are refused with a ValueError, not
-passed on as inf or NaN.
+every support vector, and a form is a handful of numbers. `decision_batch`
+runs the kernel expansion itself, the only path for rbf; `decision` is its
+one-row call. Kernel values that overflow float64 are refused with a
+ValueError, not passed on as inf or NaN.
 
 `real` and `integer` are the one rule for each kind of scalar setting: the
 library's constructors, the model loader and the CLI's option types all call
@@ -371,15 +371,14 @@ def smo_train(
 
 
 def decision(model: SvmModel, x) -> float:
-    """Signed decision value for one sample; sign is class, magnitude margin."""
+    """One sample's row of `decision_batch`: sign is class, magnitude margin."""
     x = np.asarray(x, dtype=float)
     if x.shape != (model.support_vectors.shape[1],):
         raise ValueError(
             f"sample length {x.size} does not match support vectors "
             f"({model.support_vectors.shape[1]})"
         )
-    k = kernel_matrix(model.kernel, model.support_vectors, x[None, :])[:, 0]
-    return float(model.coef @ k + model.bias)
+    return float(decision_batch(model, x[None])[0])
 
 
 def decision_batch(model: SvmModel, x) -> np.ndarray:

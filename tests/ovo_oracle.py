@@ -11,7 +11,8 @@ import numpy as np
 
 from cdfeat.model import class_pairs
 from cdfeat.multiclass import resolve_winner
-from cdfeat.svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, decision, smo_train
+from cdfeat.svm import DEFAULT_MAX_PASSES, DEFAULT_TOL, smo_train
+from kernel_oracle import decision
 
 
 def train_ovo(x, y, num_classes, kernel, c, tol=DEFAULT_TOL, max_passes=DEFAULT_MAX_PASSES):
@@ -31,7 +32,7 @@ def train_ovo(x, y, num_classes, kernel, c, tol=DEFAULT_TOL, max_passes=DEFAULT_
 
 
 def decisions(pairs, sample) -> list:
-    """Each pair's scalar `decision` on one row, in pair order."""
+    """Each pair's `kernel_oracle.decision` on one row, in pair order."""
     return [decision(svm, sample) for _, _, svm in pairs]
 
 

@@ -2,8 +2,10 @@
 `multiclass.train` and `multiclass.predict_batch`.
 
 Training concatenates a pair's two class matrices and takes its features
-from one `core.kl_features` call. Prediction takes each pair's features from
-its own `core.kl_features` call over all rows, its decisions from
+from one `kl_features` call, which computes one pair's features of every
+mode directly from the masked, normalized rows (a reference for
+`core.whole_kl_features` and `core.kl_features`). Prediction takes each
+pair's features from its own `kl_features` call over all rows, its decisions from
 `decision_batch` or from the pair's stored polynomial, and accumulates votes
 and margin sums pair by pair. Sample checks are left to the caller.
 
@@ -19,11 +21,35 @@ from __future__ import annotations
 import numpy as np
 
 from cdfeat import core, multiclass
-from cdfeat.model import CdfModel, ClassProfile
+from cdfeat.model import FEATURE_MODES, CdfModel, ClassProfile
 from cdfeat.multiclass import DEFAULT_C, VoteRecord, fit_pairs, kept_pairs
 from cdfeat.svm import (
     DEFAULT_MAX_PASSES, DEFAULT_TOL, SvmModel, decision_batch, decision_forms, monomials,
 )
+
+
+def kl_features(samples, mask, ref_x, ref_y, feature_mode: str, eps: float) -> np.ndarray:
+    """One pair's feature rows in `feature_mode` over a sample matrix.
+
+    A row whose masked total is zero becomes the uniform distribution over
+    the mask; the masked KL terms use 0 * ln 0 = 0, and whole divergences
+    are clamped at 0.
+    """
+    if feature_mode not in FEATURE_MODES:
+        raise ValueError(f"unknown feature_mode {feature_mode!r}")
+    part = np.asarray(samples, dtype=float).take(mask, axis=1)
+    totals = part.sum(axis=1)
+    empty = totals <= 0
+    part[empty] = 1.0 / part.shape[1]
+    totals[empty] = 1.0
+    p = part / totals[:, None]
+    refs = (ref_x, ref_y) if feature_mode == "dual_kl" else (ref_x,)
+    terms = [
+        p * np.log(p / (ref + eps), out=np.zeros_like(p), where=p > 0) for ref in refs
+    ]
+    if feature_mode == "elementwise_kl":
+        return terms[0]
+    return np.stack([np.maximum(t.sum(axis=1), 0.0) for t in terms], axis=1)
 
 
 def profiles(dataset) -> list[ClassProfile]:
@@ -39,7 +65,7 @@ def pair_training_data(dataset, ctx, cfg) -> tuple[np.ndarray, np.ndarray]:
     """One pair's features over class x's rows then class y's, and +/-1 labels."""
     rows_x = dataset.class_matrix(ctx.class_x)
     rows_y = dataset.class_matrix(ctx.class_y)
-    features = core.kl_features(
+    features = kl_features(
         np.concatenate([rows_x, rows_y]), ctx.mask, ctx.ref_x, ctx.ref_y,
         cfg.feature_mode, cfg.smoothing_eps,
     )
@@ -87,7 +113,7 @@ def pair_features(model, x) -> list[np.ndarray]:
     mode = model.config.feature_mode
     eps = model.config.smoothing_eps
     return [
-        core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
+        kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
         for ctx, _ in model.pairs
     ]
 

@@ -1,8 +1,9 @@
 """The per-row scalar predict path, kept as a reference for the batch core.
 
 Each sample is restricted and normalized on its own, its KL features come
-from the validated `kl_divergence` (sums over the positive components only),
-each pair SVM is evaluated with the one-sample `decision`, and votes and
+from `kl_divergence`, a direct sum over the positive components (a reference
+for `core.kl_divergence` and `core.whole_kl_features`), each pair SVM is
+evaluated with `kernel_oracle.decision`, and votes and
 margins accumulate in Python in pair order. A model that keeps its pairs as
 decision polynomials takes the SVMs they came from as `svms`
 (`pair_loop_oracle.train_keeping_svms`).
@@ -14,16 +15,22 @@ import numpy as np
 
 from cdfeat import core
 from cdfeat.multiclass import VoteRecord
-from cdfeat.svm import decision
+from kernel_oracle import decision
+
+
+def kl_divergence(p, q, eps: float) -> float:
+    """sum(p * ln(p / (q + eps))) over the components where p > 0, clamped at 0."""
+    pos = p > 0
+    return max(0.0, float(np.sum(p[pos] * np.log(p[pos] / (q[pos] + eps)))))
 
 
 def sample_feature(sample, mask, ref_x, ref_y, feature_mode: str, eps: float) -> np.ndarray:
     """Feature vector for one raw sample, one `kl_divergence` call per reference."""
     p, _ = core.restrict_normalize(sample, mask)
     if feature_mode == "dual_kl":
-        return np.asarray([core.kl_divergence(p, ref_x, eps), core.kl_divergence(p, ref_y, eps)])
+        return np.asarray([kl_divergence(p, ref_x, eps), kl_divergence(p, ref_y, eps)])
     if feature_mode == "scalar_kl":
-        return np.asarray([core.kl_divergence(p, ref_x, eps)])
+        return np.asarray([kl_divergence(p, ref_x, eps)])
     if feature_mode == "elementwise_kl":
         terms = np.zeros_like(p)
         pos = p > 0

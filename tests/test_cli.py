@@ -141,26 +141,43 @@ class TestTrain:
         assert "cv_cell_0=" in report and "cv_cell_1=" in report
         assert "cv_best=" in report
 
-    @pytest.mark.parametrize("flag, grid, bad", [
-        ("--grid-c", "1,0", "0.0"),
-        ("--grid-b", "1,-1", "-1.0"),
-        ("--grid-b-prime", "1,nan", "nan"),
-        ("--grid-c", "inf", "inf"),
+    @pytest.mark.parametrize("folds", [[], ["--folds", "2"]])
+    @pytest.mark.parametrize("flag, grid, message", [
+        ("--grid-c", "1,0", "value must be a finite real > 0, got 0.0"),
+        ("--grid-b", "1,-1", "value must be a finite real > 0, got -1.0"),
+        ("--grid-b-prime", "1,nan", "value must be a finite real > 0, got nan"),
+        ("--grid-c", "inf", "value must be a finite real > 0, got inf"),
+        ("--grid-c", "abc", "invalid float value: 'abc'"),
+        ("--grid-b", " ,,", "expected a comma-separated list, got ' ,,'"),
     ])
-    def test_bad_grid_value_exits_2_before_cv(self, fixture_files, tmp_path, capsys,
-                                              monkeypatch, flag, grid, bad):
-        def no_cv(*args):
-            raise AssertionError("cross-validation ran")
+    def test_bad_grid_exits_2_before_the_data_is_read(self, fixture_files, tmp_path, capsys,
+                                                      monkeypatch, folds, flag, grid, message):
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data file was read")
 
-        monkeypatch.setattr("cdfeat.cli.cross_validate", no_cv)
+        monkeypatch.setattr("cdfeat.cli.ingest.load_sparse", no_read)
         model_path = tmp_path / "m.json"
-        rc = main(train_args(fixture_files, model_path, tmp_path / "r",
-                             extra=["--folds", "2", f"{flag}={grid}"]))
-        assert rc == 2
-        assert f"error: {flag}: value must be a finite real > 0, got {bad}" in (
-            capsys.readouterr().err
-        )
+        with pytest.raises(SystemExit) as exc:
+            main(train_args(fixture_files, model_path, tmp_path / "r",
+                            extra=[*folds, f"{flag}={grid}"]))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"cdfeat train: error: argument {flag}: {message}"
+        ]
         assert not model_path.exists()
+
+    def test_grid_echoes_as_given(self, fixture_files, tmp_path):
+        report_path = tmp_path / "cv.report"
+        assert main(train_args(fixture_files, tmp_path / "m.json", report_path,
+                               ["--folds", "2", "--grid-c", " 1,1e1", "--grid-b", "1.0,",
+                                "--grid-b-prime", "1"])) == 0
+        lines = report_path.read_text().splitlines()
+        assert ["grid_c= 1,1e1", "grid_b=1.0,", "grid_b_prime=1"] == [
+            line for line in lines if line.startswith("grid_")
+        ]
+        assert [line.split(" ")[0] for line in lines if line.startswith("cv_cell_")] == [
+            "cv_cell_0=c:1", "cv_cell_1=c:10"
+        ]
 
     @pytest.mark.parametrize("setting, gamma, coef0", [
         (["--gamma", "1e200"], "1e+200", "1.0"), (["--coef0", "1e200"], "0.5", "1e+200"),
@@ -263,6 +280,42 @@ def test_bad_setting_exits_2_before_loading(fixture_files, tmp_path, capsys, mon
             "--coef0": "a finite real"}.get(flag, "a finite real > 0")
     assert f"argument {flag}: value must be {rule}, got {value!r}" in capsys.readouterr().err
     assert not model_path.exists()
+
+
+def _json_error(text: str) -> str:
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is valid JSON")
+
+
+@pytest.mark.parametrize("config_text, argv, message", [
+    (None, ["--config", "{missing}"], "config file not found: {missing}"),
+    ("{", ["--config", "{config}"], "config file {config}: " + _json_error("{")),
+    ("[1]", ["--config", "{config}"], "config file {config}: expected a JSON object"),
+    (None, ["--format", "sparse"], "--data is required for this command"),
+    (None, ["--data", "{train}"], "--format must be one of idx, sparse, reuters"),
+])
+def test_command_refusal_exits_2_with_one_error_line(fixture_files, tmp_path, capsys,
+                                                     config_text, argv, message):
+    names = {"missing": tmp_path / "none.json", "config": tmp_path / "run.json",
+             "train": fixture_files["train"]}
+    if config_text is not None:
+        names["config"].write_text(config_text)
+    model_path = tmp_path / "m.json"
+    argv = [arg.format(**names) for arg in argv]
+    assert main(["train", *argv, "--dim", "20", "--model", str(model_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(**names)]
+    assert not model_path.exists()
+
+
+def test_train_without_model_exits_2_with_one_error_line(fixture_files, capsys):
+    assert main(["train", "--format", "sparse", "--data", str(fixture_files["train"]),
+                 "--dim", "20"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --model output path is required for train"
+    ]
 
 
 # The settings eval, predict and inspect read from the model file, and the
@@ -683,21 +736,24 @@ class TestIdxEndToEnd:
         assert main(["eval", *data, "--model", str(model_path)]) == 0
         assert f"samples={raw.count(3) + raw.count(7)}" in capsys.readouterr().out.splitlines()
 
-    @pytest.mark.parametrize("classes, token", [("1,x", "x"), ("0, 2.5", "2.5")])
-    def test_bad_classes_token_exits_2(self, tmp_path, capsys, classes, token):
-        images_path = tmp_path / "images.idx"
-        images_path.write_bytes(struct.pack(">IIII", 0x00000803, 4, 2, 2) + bytes(16))
-        labels_path = tmp_path / "labels.idx"
-        labels_path.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([0, 1, 2, 1]))
-        model_path = tmp_path / "m.json"
-        rc = main([
-            "train", "--format", "idx", "--images", str(images_path),
-            "--labels", str(labels_path), "--classes", classes, "--model", str(model_path),
-        ])
-        assert rc == 2
-        assert (f"error: --classes: expected comma-separated integers, got {token!r}"
-                in capsys.readouterr().err)
-        assert not model_path.exists()
+    @pytest.mark.parametrize("classes, message", [
+        ("1,x", "invalid int value: 'x'"),
+        ("0, 2.5", "invalid int value: '2.5'"),
+        ("3,-1", "value must be an integer >= 0, got -1"),
+        (",", "expected a comma-separated list, got ','"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_classes_exits_2_before_the_files_are_read(self, tmp_path, capsys, command,
+                                                           classes, message):
+        missing = str(tmp_path / "none")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "idx", "--images", missing, "--labels", missing,
+                  "--classes", classes, "--model", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"cdfeat {command}: error: argument --classes: {message}"
+        ]
+        assert not (tmp_path / "m.json").exists()
 
     def test_truncated_gzip_images_exit_1(self, tmp_path, capsys):
         images = gzip.compress(struct.pack(">IIII", 0x00000803, 40, 4, 4) + bytes(640))

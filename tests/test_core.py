@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cdfeat.core import (
     restrict_normalize,
     select_indices,
 )
-from cdfeat.model import CdfConfig, ClassProfile
+from cdfeat.model import CdfConfig, ClassProfile, PairContext
 
 import scalar_oracle
 from conftest import mnist_files, needs_mnist
@@ -258,13 +259,72 @@ class TestKlDivergence:
         with pytest.raises(ValueError, match="not normalized"):
             kl_divergence([0.5, 0.6], [0.5, 0.5])
 
+    def test_is_its_row_of_whole_kl_features(self):
+        # Rows of every share of nonzeros, so both paths of whole_kl_features
+        # run; each row and q are normalized.
+        rng = np.random.default_rng(53)
+        n = 64
+        q = rng.random(n) * (rng.random(n) > 0.2)
+        q /= q.sum()
+        p = rng.random((24, n))
+        for row, k in zip(p, range(1, 25)):
+            row[rng.choice(n, size=n - 2 * k, replace=False)] = 0.0
+        p /= p.sum(axis=1)[:, None]
+        assert np.count_nonzero(p, axis=1).min() <= n / 8 < np.count_nonzero(p, axis=1).max()
+        ctx = PairContext(class_x=0, class_y=1, mu_xy=1.0, mu_yx=1.0, mask=np.arange(n),
+                          b=1.0, b_prime=1.0, fallback=False, ref_x=q, ref_y=q)
+        for eps in (1e-9, 0.5):
+            weights = core.pair_kl_weights([ctx], n, "scalar_kl", eps)
+            want = core.whole_kl_features(p, weights)[:, 0, 0]
+            for row, w in zip(p, want):
+                got = kl_divergence(row, q, eps)
+                assert np.float64(got).tobytes() == w.tobytes()
+                assert abs(got - scalar_oracle.kl_divergence(row, q, eps)) < 1e-12
+
+    def test_non_vector_rejected(self):
+        with pytest.raises(ValueError, match="vectors of one length"):
+            kl_divergence([[0.5, 0.5]], [[0.5, 0.5]])
+
+
+# Each public eps is decided by `svm.real("eps", eps, 0)`.
+BAD_EPS = [0.0, -1.0, float("nan"), float("inf"), True, "1e-9", None]
+
+
+def eps_refusal(eps):
+    message = f"eps must be a finite real > 0, got {eps!r}"
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+class TestEpsRule:
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_pair_ratios(self, eps):
+        with eps_refusal(eps):
+            pair_ratios([1.0, 2.0], [2.0, 1.0], eps)
+
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_select_indices(self, eps):
+        with eps_refusal(eps):
+            select_indices([10.0, 1.0], [1.0, 10.0], 2.0, 2.0, eps)
+
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_kl_divergence(self, eps):
+        with eps_refusal(eps):
+            kl_divergence([0.5, 0.5], [0.25, 0.75], eps)
+
+    @pytest.mark.parametrize("mode", ["dual_kl", "scalar_kl", "elementwise_kl"])
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_sample_feature(self, eps, mode):
+        ref = np.asarray([0.5, 0.5])
+        with eps_refusal(eps):
+            core.sample_feature([1.0, 2.0, 3.0], [0, 2], ref, ref, mode, eps)
+
 
 def training_rows(samples, ctx, cfg):
     """A class's feature rows under one pair, computed as `multiclass.train` does."""
     samples = np.asarray(samples, dtype=float)
     mode, eps = cfg.feature_mode, cfg.smoothing_eps
     if mode == "elementwise_kl":
-        return core.kl_features(samples, ctx.mask, ctx.ref_x, ctx.ref_y, mode, eps)
+        return core.kl_features(samples, ctx.mask, ctx.ref_x, eps)
     weights = core.pair_kl_weights([ctx], samples.shape[1], mode, eps)
     return core.whole_kl_features(samples, weights)[:, 0]
 
@@ -365,7 +425,7 @@ class TestKlFeaturesAgainstScalarOracle:
         x[x < 1.0] = 0.0  # zero components inside the mask
         x[3, ctx.mask] = 0.0  # masked total zero: the uniform distribution
         x[7] = 0.0
-        got = core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, 1e-9)
+        got = training_rows(x, ctx, CdfConfig(feature_mode=mode, smoothing_eps=1e-9))
         want = np.asarray([
             scalar_oracle.sample_feature(row, ctx.mask, ctx.ref_x, ctx.ref_y, mode, 1e-9)
             for row in x

@@ -643,6 +643,37 @@ class TestTrainAgainstPairLoopOracle:
                 np.testing.assert_array_equal(seen[ctx.class_x, ctx.class_y][0], want)
 
 
+class TestSampleFeatureIsABatchRow:
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    def test_bits_equal_the_training_rows(self, monkeypatch, mode):
+        # Dense rows, then rows that all take the sparse path. With 4 classes
+        # a class's training pass runs under the weights of its 3 pairs.
+        cfg = CdfConfig(feature_mode=mode)
+        for ds in (oracle_dataset(4, seed=35), sparse_dataset(4, seed=36)):
+            model, seen = training_features(monkeypatch, ds, cfg, kernel=POLY2)
+            for ctx, _ in model.pairs:
+                rows = np.concatenate([ds.class_matrix(ctx.class_x),
+                                       ds.class_matrix(ctx.class_y)])
+                got = np.stack([
+                    core.sample_feature(row, ctx.mask, ctx.ref_x, ctx.ref_y, mode,
+                                        cfg.smoothing_eps)
+                    for row in rows
+                ])
+                assert got.tobytes() == seen[ctx.class_x, ctx.class_y][0].tobytes(), ctx
+
+    @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
+    def test_bits_equal_the_predict_rows(self, mode):
+        cfg = CdfConfig(feature_mode=mode)
+        model = train(oracle_dataset(3, seed=37), cfg, kernel=POLY2)
+        x = mixed_rows(model.dim, seed=38)
+        feats = core.whole_kl_features(x, model.kl_weights)
+        for j, (ctx, _) in enumerate(model.pairs):
+            for row, want in zip(x, feats[:, j]):
+                got = core.sample_feature(row, ctx.mask, ctx.ref_x, ctx.ref_y, mode,
+                                          cfg.smoothing_eps)
+                assert got.tobytes() == want.tobytes(), (ctx, row)
+
+
 class TestSelectPairWeights:
     @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
     def test_selected_pairs_give_the_same_bits(self, mode):
@@ -712,7 +743,8 @@ class TestRowPaths:
         x = np.vstack([ds.samples, mixed_rows(model.dim, seed=65)])
         feats = core.whole_kl_features(x, model.kl_weights)
         for j, (ctx, _) in enumerate(model.pairs):
-            want = core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode, cfg.smoothing_eps)
+            want = pair_loop_oracle.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, mode,
+                                                cfg.smoothing_eps)
             assert np.all(np.abs(feats[:, j] - want) <= 1e-12 * (1 + np.abs(want))), ctx
 
     def test_rows_at_the_threshold(self, monkeypatch):
@@ -730,7 +762,7 @@ class TestRowPaths:
         assert seen == {"sparse": 1, "dense": 1}
         got, eps = np.concatenate([at, above]), model.config.smoothing_eps
         for j, (ctx, _) in enumerate(model.pairs):
-            want = core.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, "dual_kl", eps)
+            want = pair_loop_oracle.kl_features(x, ctx.mask, ctx.ref_x, ctx.ref_y, "dual_kl", eps)
             assert np.all(np.abs(got[:, j] - want) <= 1e-12 * (1 + np.abs(want)))
 
     def test_transposed_weights_are_built_by_the_first_sparse_row(self):

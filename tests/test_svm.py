@@ -24,6 +24,7 @@ from cdfeat.model import CdfConfig
 from cdfeat.multiclass import kept_pairs
 
 import smo_oracle
+import kernel_oracle
 from kernel_oracle import kernel_eval
 from qp_oracle import solve_svm_exact
 
@@ -563,7 +564,9 @@ class TestDecisionBatch:
         full = decision_batch(model, x)
         for i in range(len(x)):
             assert decision_batch(model, x[i : i + 1])[0] == full[i], f"row {i}"
-            assert abs(decision(model, x[i]) - full[i]) <= 1e-9 * max(1.0, abs(full[i]))
+            assert np.float64(decision(model, x[i])).tobytes() == full[i].tobytes(), f"row {i}"
+            want = kernel_oracle.decision(model, x[i])
+            assert abs(full[i] - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestSvmModelInvariants:
