@@ -4,12 +4,16 @@ The baseline classification path feeds the weighted vectors into the same
 one-vs-one SVM stack used elsewhere, with no masking or KL extraction, so
 comparisons against the class-dependent pipeline are apples to apples.
 
-The one-vs-one model holds the training matrix once; each pair SVM keeps the
-positions of its support vectors in it (`IndexedSvm`), not copies of them, so
-the model's memory is the matrix plus one index and coefficient per support
-vector, where copies took up to m - 1 times the matrix. Prediction computes
-a sample's kernel values against the matrix once and every pair's decision
-from them (`ovo_decisions`).
+The one-vs-one model holds the training matrix, the resolved kernel and C
+once; each pair SVM keeps the positions of its support vectors in the matrix
+(`IndexedSvm`), not copies of them, so the model's memory is the matrix plus
+one index and coefficient per support vector, where copies took up to m - 1
+times the matrix. Prediction computes a sample's kernel values against the
+matrix once and every pair's decision from them (`ovo_decisions`).
+
+`fit_idf` and `transform` refuse a row with a component that is not finite
+or is negative, and `ovo_decisions` a row with one that is not finite, by
+the row's index (`model.check_rows`).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import class_pairs
+from .model import check_rows, class_pairs
 from .multiclass import DEFAULT_C, fit_pairs, vote
 from .record import Record
 from .svm import (
@@ -51,6 +55,7 @@ def fit_idf(train_vectors) -> TfIdfModel:
     mat = np.asarray(train_vectors, dtype=float)
     if mat.ndim != 2 or mat.shape[0] == 0:
         raise ValueError("fit_idf needs a non-empty 2-D count matrix")
+    check_rows(mat)
     d = mat.shape[0]
     df = np.sum(mat > 0, axis=0)
     return TfIdfModel(idf=np.log((1.0 + d) / (1.0 + df)) + 1.0)
@@ -64,7 +69,7 @@ def transform(model: TfIdfModel, vectors) -> np.ndarray:
             f"vector length {mat.shape[-1] if mat.ndim else '?'} does not match "
             f"vocab_size {model.vocab_size}"
         )
-    weighted = mat * model.idf
+    weighted = check_rows(mat) * model.idf
     norms = np.linalg.norm(weighted, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     return weighted / safe[:, None]
@@ -74,24 +79,16 @@ def transform(model: TfIdfModel, vectors) -> np.ndarray:
 class IndexedSvm(Record):
     """A trained pair SVM whose support vectors are rows of its model's
     training matrix: their positions `rows` in it, their alpha_i*y_i
-    coefficients, and the solve's bias, resolved kernel, C, iterations and
-    final KKT gap."""
+    coefficients, and the solve's bias, iterations and final KKT gap. Its
+    kernel and C are its `OvoSvmModel`'s, which checks it."""
 
     rows: np.ndarray
     coef: np.ndarray
     bias: float
-    kernel: KernelSpec
-    c: float
     iterations: int
     kkt_violation_max: float
 
     ARRAYS = {"rows": np.int64, "coef": float}
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.rows.ndim != 1:
-            raise ValueError(f"rows must be a vector, got shape {self.rows.shape}")
-        check_solution(self, self.rows.shape)
 
     @property
     def support_vectors(self) -> np.ndarray:
@@ -104,11 +101,14 @@ class IndexedSvm(Record):
 @dataclass(frozen=True, eq=False)
 class OvoSvmModel(Record):
     """One-vs-one SVMs trained directly on (weighted) feature vectors: the
-    training matrix `x`, and an `IndexedSvm` over its rows per class pair."""
+    training matrix `x`, an `IndexedSvm` over its rows per class pair, and
+    the kernel, resolved for the width of `x`, and C that every pair shares."""
 
     x: np.ndarray
     pairs: tuple  # ((class_x, class_y, IndexedSvm), ...) in `class_pairs` order
     num_classes: int
+    kernel: KernelSpec
+    c: float
 
     ARRAYS = {"x": float}
 
@@ -123,10 +123,11 @@ class OvoSvmModel(Record):
             raise ValueError(f"x must be a matrix, got shape {self.x.shape}")
         n = self.x.shape[0]
         for cx, cy, svm in self.pairs:
+            if svm.rows.ndim != 1:
+                raise ValueError(f"pair ({cx},{cy}): rows must be a vector, got {svm.rows.shape}")
+            check_solution(svm, svm.rows.shape, self.c)
             if svm.rows.size and not (svm.rows.min() >= 0 and svm.rows.max() < n):
                 raise ValueError(f"pair ({cx},{cy}): support-vector rows outside [0, {n})")
-        if len({svm.kernel for _, _, svm in self.pairs}) > 1:
-            raise ValueError("the pair SVMs must share one kernel")
 
 
 def train_ovo(
@@ -154,16 +155,18 @@ def train_ovo(
         rows = np.flatnonzero((y == cx) | (y == cy))
         return (cx, cy, rows), x[rows], np.where(y[rows] == cx, 1.0, -1.0)
 
-    def kept(key, svm):
-        return IndexedSvm(
-            rows=key[2][svm.support_rows], coef=svm.coef, bias=svm.bias, kernel=svm.kernel,
-            c=svm.c, iterations=svm.iterations, kkt_violation_max=svm.kkt_violation_max,
+    def indexed(fitted):
+        (cx, cy, rows), svm = fitted
+        return cx, cy, IndexedSvm(
+            rows=rows[svm.support_rows], coef=svm.coef, bias=svm.bias,
+            iterations=svm.iterations, kkt_violation_max=svm.kkt_violation_max,
         )
 
-    pairs = fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes, kept)
-    return OvoSvmModel(
-        x=x, pairs=tuple((cx, cy, svm) for (cx, cy, _), svm in pairs), num_classes=num_classes
-    )
+    # map lets go of each solve once its IndexedSvm is built, so one pair's
+    # copy of its support vectors is alive at a time.
+    pairs = tuple(map(indexed, fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes)))
+    return OvoSvmModel(x=x, pairs=pairs, num_classes=num_classes,
+                       kernel=kernel.resolve(x.shape[1]), c=float(c))
 
 
 def ovo_decisions(model: OvoSvmModel, samples) -> np.ndarray:
@@ -178,13 +181,12 @@ def ovo_decisions(model: OvoSvmModel, samples) -> np.ndarray:
         raise ValueError(
             f"sample length {samples.shape[-1]} does not match the training rows ({x.shape[1]})"
         )
+    k = rowwise_kernel_matrix(model.kernel, check_rows(samples, negative_ok=True), x)
     d = np.empty((samples.shape[0], len(model.pairs)))
-    if model.pairs:
-        k = rowwise_kernel_matrix(model.pairs[0][2].kernel, samples, x)
-        for p, (_, _, svm) in enumerate(model.pairs):
-            # take, not k[:, rows], whose result is not C-contiguous: summed
-            # along a strided axis, a row's bits would depend on the others.
-            d[:, p] = (k.take(svm.rows, axis=1) * svm.coef).sum(axis=1) + svm.bias
+    for p, (_, _, svm) in enumerate(model.pairs):
+        # take, not k[:, rows], whose result is not C-contiguous: summed
+        # along a strided axis, a row's bits would depend on the others.
+        d[:, p] = (k.take(svm.rows, axis=1) * svm.coef).sum(axis=1) + svm.bias
     return d
 
 

@@ -8,10 +8,10 @@ divergences of each masked sample against the masked class profiles.
 dual_kl and scalar_kl features come from `whole_kl_features`, the whole
 divergences of many pairs at once under `pair_kl_weights`, elementwise_kl
 features from `kl_features`; the scalar `kl_divergence` and `sample_feature`
-are one-row calls into them. Training makes one `whole_kl_features` pass per
-class, over its rows and the weights of the pairs that name it
-(`select_pair_weights`), so a training row's features are the bits that
-prediction computes for it.
+are one-row calls into them. Every `KlWeights` comes from `pair_kl_weights`.
+Training makes one `whole_kl_features` pass per class, over its rows and the
+weights of the pairs that name it, so a training row's features are the bits
+that prediction computes for it under the weights of all pairs.
 
 `whole_kl_features` computes each row in one of two ways. A row with at most
 `SPARSE_ROW_SHARE` (1/8) of its components nonzero, as bag-of-words rows
@@ -215,24 +215,11 @@ def _kl_weights(masks, refs, dim: int, eps: float) -> KlWeights:
     return KlWeights(w, empty)
 
 
-def select_pair_weights(weights: KlWeights, js) -> KlWeights:
-    """The `KlWeights` of the pairs numbered `js` alone, in that order.
-
-    `whole_kl_features` under them gives the same bits as pairs `js` of its
-    result under all of `weights`.
-    """
-    w, empty = weights.w, weights.empty
-    npairs, r = empty.shape
-    js = np.asarray(js, dtype=np.int64)
-    logs = w[npairs:].reshape(npairs, r, -1)[js].reshape(js.size * r, -1)
-    return KlWeights(np.concatenate([w[js], logs]), empty[js])
-
-
 def whole_kl_features(samples, weights: KlWeights) -> np.ndarray:
     """dual_kl or scalar_kl features of every row under every pair at once.
 
-    `weights` is `pair_kl_weights(...)` or `select_pair_weights(...)` of P
-    pairs; the result is (n, P, r). With T the masked total of a row,
+    `weights` is `pair_kl_weights(...)` of P pairs; the result is (n, P, r).
+    With T the masked total of a row,
     KL(p||q) = (sum x ln x - sum x ln(q + eps)) / T - ln T, so each component
     needs one log shared by all pairs and references, and the masked sums of
     every pair are sums of products with `w`. KL does not depend on a row's
@@ -240,19 +227,20 @@ def whole_kl_features(samples, weights: KlWeights) -> np.ndarray:
     maximum in [0.5, 1), which keeps x ln x finite for any finite x.
 
     A row takes one of two paths, chosen by its own nonzero count, so its
-    bits depend on that row alone, never on the batch it comes in, and
-    training features are the bits predict computes. A row with at most
-    `SPARSE_ROW_SHARE * dim` nonzeros (bag-of-words text) gathers the rows of
-    `weights.wt` at its nonzeros and sums them weighted in einsum, which adds
-    one nonzero after the other into every column, so a column's sum does not
-    depend on the other columns and `select_pair_weights` keeps the bits. The
-    gathered rows always hold at least two columns, and the x ln x sums take
-    a column slice of them, never a contiguous one-column array, which einsum
-    would sum as a dot product, in another order. Every other row takes its
-    product with all of `w` in einsum, not BLAS, whose row bits do not depend
-    on the number of rows. A call whose rows all take one path runs that path
-    on the whole matrix. Rows are not validated: callers pass finite,
-    non-negative samples.
+    bits depend on that row alone, never on the batch it comes in; nor do a
+    pair's bits depend on the other pairs of `weights`, so training features,
+    under the weights of one class's pairs, are the bits predict computes
+    under those of all pairs. A row with at most `SPARSE_ROW_SHARE * dim`
+    nonzeros (bag-of-words text) gathers the rows of `weights.wt` at its
+    nonzeros and sums them weighted in einsum, which adds one nonzero after
+    the other into every column, so a column's sum does not depend on the
+    other columns. The gathered rows always hold at least two columns, and
+    the x ln x sums take a column slice of them, never a contiguous one-column
+    array, which einsum would sum as a dot product, in another order. Every
+    other row takes its product with all of `w` in einsum, not BLAS, whose
+    row bits do not depend on the number of rows. A call whose rows all take
+    one path runs that path on the whole matrix. Rows are not validated:
+    callers pass finite, non-negative samples.
     """
     npairs, r = weights.empty.shape
     x = np.asarray(samples, dtype=float)
@@ -327,9 +315,10 @@ def sample_feature(sample, mask, ref_x, ref_y, feature_mode: str, eps: float) ->
 
 
 def build_pair_context(
-    profile_x: ClassProfile, profile_y: ClassProfile, cfg: CdfConfig
+    x: int, y: int, profile_x: ClassProfile, profile_y: ClassProfile, cfg: CdfConfig
 ) -> PairContext:
-    """Ratio means, thresholds, mask and masked references for one class pair."""
+    """Ratio means, thresholds, mask and masked references for the class pair
+    (x, y), whose profiles are `profile_x` and `profile_y`."""
     t_x, t_y = profile_x.mean_vec, profile_y.mean_vec
     r_xy, r_yx = pair_ratios(t_x, t_y, cfg.smoothing_eps), pair_ratios(t_y, t_x, cfg.smoothing_eps)
     mu_xy, mu_yx = pair_mean(r_xy), pair_mean(r_yx)
@@ -337,8 +326,8 @@ def build_pair_context(
     ref_x, _ = restrict_normalize(t_x, mask)
     ref_y, _ = restrict_normalize(t_y, mask)
     return PairContext(
-        class_x=profile_x.class_id,
-        class_y=profile_y.class_id,
+        class_x=x,
+        class_y=y,
         mu_xy=mu_xy,
         mu_yx=mu_yx,
         mask=mask,
@@ -365,8 +354,6 @@ def extract_pair_features(
     profiles and config must be the ones `ctx` was built from (perfbench's
     trace reads them to count distinct feature work).
     """
-    if (profile_x.class_id, profile_y.class_id) != (ctx.class_x, ctx.class_y):
-        raise ValueError("profiles do not match the pair context")
     width = feature_width(cfg.feature_mode, ctx)
     rows_x = np.asarray(rows_x, dtype=float)
     rows_y = np.asarray(rows_y, dtype=float)

@@ -108,8 +108,9 @@ def idx_dataset(images: IdxImages, labels, keep_classes=None) -> Dataset:
     """Pair image vectors with labels into a Dataset with dense class ids.
 
     `keep_classes` optionally restricts to a subset of the raw labels (for
-    example two digits); raw labels become the label-name side table. When
-    every row is kept, the dataset holds `images.pixels` itself, not a copy.
+    example two digits); raw labels become the label-name side table, and
+    ValueError names a kept label that no image has. When every row is kept,
+    the dataset holds `images.pixels` itself, not a copy.
     """
     if images.pixels.shape[0] != len(labels):
         raise ValueError(
@@ -118,8 +119,11 @@ def idx_dataset(images: IdxImages, labels, keep_classes=None) -> Dataset:
     labels = np.asarray(labels, dtype=np.int64)
     wanted = np.unique(labels if keep_classes is None else np.fromiter(keep_classes, np.int64))
     keep = np.isin(labels, wanted)
-    x = images.pixels if keep.all() else images.pixels[keep]
     y = np.searchsorted(wanted, labels[keep])
+    empty = np.bincount(y, minlength=wanted.size) == 0
+    if empty.any():
+        raise ValueError(f"no image has label {', '.join(map(str, wanted[empty].tolist()))}")
+    x = images.pixels if keep.all() else images.pixels[keep]
     return Dataset.from_arrays(x, y, label_names=[str(raw) for raw in wanted.tolist()])
 
 

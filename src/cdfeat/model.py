@@ -13,8 +13,9 @@ as integers when all are integral, so save/load round-trips are exact. It
 stores each fact once: the config and SVM settings, the label names, each
 class's sum vector and cardinality, and each pair's SVM. The config and
 kernel documents are the `asdict` of their dataclasses. The class count is
-the number of label names, the dimension the length of a sum vector, and the
-pairs come in `class_pairs` order. Every pair selects with the config's one
+the number of label names, a class's id the place of its profile in the
+list, in the file as in a `CdfModel`, the dimension the length of a sum
+vector, and the pairs come in `class_pairs` order. Every pair selects with the config's one
 (b, b_prime).
 
 What a pair holds depends on the kernel and feature mode (`stores_forms`).
@@ -163,15 +164,32 @@ class Dataset(Record):
         return self.samples
 
 
+def bad_rows(x: np.ndarray, negative_ok: bool = False) -> np.ndarray:
+    """The positions of the rows of a 2-D float array that hold a component
+    that is not finite or, unless `negative_ok`, is < 0. Two reductions check
+    the whole array; the rows are looked for only when one of them fails."""
+    low, high = (x.min(), x.max()) if x.size else (0.0, 0.0)
+    if (low > -np.inf if negative_ok else low >= 0) and high < np.inf:
+        return np.empty(0, dtype=np.int64)
+    ok = np.isfinite(x) if negative_ok else np.isfinite(x) & (x >= 0)
+    return np.flatnonzero(~ok.all(axis=1))
+
+
+def check_rows(x: np.ndarray, negative_ok: bool = False) -> np.ndarray:
+    """`x`; ValueError naming the first of its `bad_rows`."""
+    bad = bad_rows(x, negative_ok)
+    if bad.size:
+        bound = "" if negative_ok else " and >= 0"
+        raise ValueError(f"sample {bad[0]}: components must be finite{bound}")
+    return x
+
+
 def validate_dataset(dataset: Dataset) -> list[str]:
     """Report every violated Dataset invariant; empty list means valid."""
     x, y, m = dataset.samples, dataset.labels, dataset.num_classes
     if x.ndim != 2 or x.shape[0] != y.size:
         return [f"sample matrix shape {x.shape} is not 2-D with one row per label ({y.size})"]
-    violations = [
-        f"sample {i}: components must be finite and >= 0"
-        for i in np.flatnonzero(~np.all(np.isfinite(x) & (x >= 0), axis=1))
-    ]
+    violations = [f"sample {i}: components must be finite and >= 0" for i in bad_rows(x)]
     violations += [
         f"sample {i}: class id {y[i]} outside [0, {m})"
         for i in np.flatnonzero((y < 0) | (y >= m))
@@ -185,9 +203,9 @@ def validate_dataset(dataset: Dataset) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class ClassProfile(Record):
-    """Per-class sum vector over the class's samples, and its sample count."""
+    """Per-class sum vector over the class's samples, and its sample count.
+    A class's id is its profile's place in `CdfModel.profiles`."""
 
-    class_id: int
     sum_vec: np.ndarray
     cardinality: int
 
@@ -254,8 +272,8 @@ class PairContext(Record):
 
 def _check_classes(label_names, profiles, num_pairs: int) -> None:
     """ValueError unless there are at least two classes with distinct label
-    names, one profile per label name, the profile of class i at place i,
-    sums of one length in every profile, and one pair per class pair."""
+    names, one profile per label name, sums of one length in every profile,
+    and one pair per class pair."""
     m = len(label_names)
     if m < 2:
         raise ValueError(f"a model needs at least two classes, got {m} label names")
@@ -263,8 +281,6 @@ def _check_classes(label_names, profiles, num_pairs: int) -> None:
         raise ValueError(f"label names must be distinct, got {list(label_names)!r}")
     if len(profiles) != m:
         raise ValueError(f"{m} label names but {len(profiles)} class profiles")
-    if any(p.class_id != i for i, p in enumerate(profiles)):
-        raise ValueError(f"profile i must be of class i, got {[p.class_id for p in profiles]}")
     dim = profiles[0].sum_vec.size
     if any(p.sum_vec.shape != (dim,) for p in profiles):
         raise ValueError(f"every class profile must hold {dim} sums")
@@ -473,9 +489,8 @@ def _model_from_doc(doc) -> CdfModel:
     for key in ("profiles", "pairs"):
         if not isinstance(doc[key], list):
             raise ValueError(f"{key} must be a list, got {type(doc[key]).__name__}")
-    profile_keys = _names(ClassProfile, "class_id")
     profiles = [
-        ClassProfile(class_id=i, **_object(p, profile_keys, f"class profile {i}"))
+        ClassProfile(**_object(p, _names(ClassProfile), f"class profile {i}"))
         for i, p in enumerate(doc["profiles"])
     ]
     # Checked before the pair contexts are built from the profiles.
@@ -487,7 +502,7 @@ def _model_from_doc(doc) -> CdfModel:
     for (x, y), s in zip(class_pairs(len(label_names)), doc["pairs"]):
         name = f"pair ({x},{y})"
         _object(s, pair_keys, name)
-        ctx = core.build_pair_context(profiles[x], profiles[y], cfg)
+        ctx = core.build_pair_context(x, y, profiles[x], profiles[y], cfg)
         try:
             if forms:
                 svm = SvmForm(**s)

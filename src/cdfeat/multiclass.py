@@ -1,5 +1,11 @@
 """One-vs-one engine (`fit_pairs`, `vote`), shared with the TF-IDF baseline.
 
+`fit_pairs` hands back each pair's `svm.SvmModel` as the pair is fitted, and
+its caller keeps what it needs: `train` the pairs `kept_pairs` gives, the
+baseline one `baseline.IndexedSvm` per pair. Training builds every pair's
+context from the class profiles, whose ids are their places in the list, and
+every `core.KlWeights` with `core.pair_kl_weights`.
+
 Prediction handles every pair in one pass over the sample matrix: the
 features of all pairs, then an (n, pairs) decision matrix (`pair_decisions`),
 then one vote and margin accumulation in pair order. With a linear or
@@ -24,7 +30,8 @@ import numpy as np
 
 from . import core
 from .model import (
-    CdfConfig, CdfModel, ClassProfile, Dataset, class_pairs, stores_forms, validate_dataset,
+    CdfConfig, CdfModel, ClassProfile, Dataset, check_rows, class_pairs, stores_forms,
+    validate_dataset,
 )
 from .svm import (
     DEFAULT_MAX_PASSES, DEFAULT_TOL, GridCell, KernelSpec, SvmForm, check_svm_settings,
@@ -67,12 +74,11 @@ def resolve_winner(votes, margin_sums) -> int:
     return best
 
 
-def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes,
-              kept=lambda key, svm: svm) -> tuple:
-    """(key, kept SVM) per class pair in order; pair_data(x, y) gives key,
-    features, +/-1 labels, and kept(key, svm) what is kept of the pair's
-    `SvmModel` (default: all of it). kept runs right after the pair's solve,
-    so a caller that keeps less holds one pair's full SvmModel at a time.
+def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes):
+    """An iterator of (key, `SvmModel`) per class pair in order, each pair
+    fitted when the iterator reaches it; pair_data(x, y) gives key, features
+    and +/-1 labels. A caller that keeps less of each SVM than all of it
+    holds one pair's full SvmModel at a time.
 
     ValueError for bad SVM settings, before any pair is fitted, and ValueError
     naming the pair for any failure of a pair's fit."""
@@ -82,14 +88,14 @@ def fit_pairs(num_classes, pair_data, kernel, c, tol, max_passes,
         x, y = pair
         try:
             key, features, labels = pair_data(x, y)
-            return key, kept(key, smo_train(
+            return key, smo_train(
                 features, labels, c, kernel.resolve(features.shape[1]),
                 tol=tol, max_passes=max_passes,
-            ))
+            )
         except Exception as exc:
             raise ValueError(f"training failed for pair ({x},{y}): {exc}") from exc
 
-    return tuple(map(fit, class_pairs(num_classes)))
+    return map(fit, class_pairs(num_classes))
 
 
 def kept_pairs(cfg: CdfConfig, kernel: KernelSpec, fitted) -> tuple:
@@ -124,8 +130,8 @@ def _fold_stage(dataset: Dataset) -> _FoldStage:
         raise ValueError("invalid dataset: " + "; ".join(problems))
     class_matrices = [dataset.class_matrix(cid) for cid in range(dataset.num_classes)]
     profiles = tuple(
-        ClassProfile(class_id=cid, sum_vec=core.class_sum(rows), cardinality=rows.shape[0])
-        for cid, rows in enumerate(class_matrices)
+        ClassProfile(sum_vec=core.class_sum(rows), cardinality=rows.shape[0])
+        for rows in class_matrices
     )
     return _FoldStage(dataset, class_matrices, profiles)
 
@@ -148,27 +154,24 @@ def _selection_stage(fold: _FoldStage, cfg: CdfConfig) -> _SelectionStage:
     m = fold.dataset.num_classes
     if m < 2:
         raise ValueError("training needs at least two classes")
-    pair_ids = class_pairs(m)
     contexts = {
-        (x, y): core.build_pair_context(fold.profiles[x], fold.profiles[y], cfg)
-        for x, y in pair_ids
+        (x, y): core.build_pair_context(x, y, fold.profiles[x], fold.profiles[y], cfg)
+        for x, y in class_pairs(m)
     }
     mode = cfg.feature_mode
     if mode == "elementwise_kl":
         return _SelectionStage(fold, cfg, contexts, None, None)
-    weights = core.pair_kl_weights(
-        list(contexts.values()), fold.dataset.dim, mode, cfg.smoothing_eps
-    )
+
+    def weights(ctxs):
+        return core.pair_kl_weights(ctxs, fold.dataset.dim, mode, cfg.smoothing_eps)
+
     blocks = [
         core.whole_kl_features(
-            rows,
-            core.select_pair_weights(
-                weights, [j for j, pair in enumerate(pair_ids) if cid in pair]
-            ),
+            rows, weights([ctx for pair, ctx in contexts.items() if cid in pair])
         )
         for cid, rows in enumerate(fold.class_matrices)
     ]
-    return _SelectionStage(fold, cfg, contexts, weights, blocks)
+    return _SelectionStage(fold, cfg, contexts, weights(list(contexts.values())), blocks)
 
 
 def _solve_stage(selection: _SelectionStage, kernel, c, tol, max_passes) -> CdfModel:
@@ -244,24 +247,16 @@ def predict(model: CdfModel, sample) -> tuple[int, VoteRecord]:
 
 
 def _sample_matrix(samples, dim: int) -> np.ndarray:
-    """The samples as an (n, dim) float matrix; ValueError names the first bad row.
-
-    A 2-D array is checked in two reductions; other input, or a matrix that
-    fails, is checked row by row to name the row.
-    """
+    """The samples as an (n, dim) float matrix; ValueError names the first bad
+    row (`model.check_rows`). Input other than a 2-D array of `dim` columns
+    is read row by row, to name a row of another length."""
     if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] == dim:
-        x = samples.astype(float, copy=False)
-        if x.size == 0 or (x.min() >= 0 and x.max() < np.inf):
-            return x
+        return check_rows(samples.astype(float, copy=False))
     rows = [np.asarray(row, dtype=float) for row in samples]
     for i, row in enumerate(rows):
         if row.shape != (dim,):
             raise ValueError(f"sample {i}: length {row.size} does not match model dim {dim}")
-    x = np.stack(rows) if rows else np.empty((0, dim))
-    bad = np.flatnonzero(~np.all(np.isfinite(x) & (x >= 0), axis=1))
-    if bad.size:
-        raise ValueError(f"sample {bad[0]}: components must be finite and >= 0")
-    return x
+    return check_rows(np.stack(rows) if rows else np.empty((0, dim)))
 
 
 def pair_decisions(model: CdfModel, samples) -> np.ndarray:

@@ -189,19 +189,19 @@ def _kernel_rows(spec: KernelSpec, x: np.ndarray):
     return row
 
 
-def check_solution(svm, coef_shape) -> None:
-    """ValueError unless `svm`'s bias, c, iterations and kkt_violation_max are
-    valid, and its `coef` has `coef_shape` and is a dual solution: within the
-    box |alpha| <= C, summing to zero."""
+def check_solution(svm, coef_shape, c) -> None:
+    """ValueError unless `c` and `svm`'s bias, iterations and kkt_violation_max
+    are valid, and its `coef` has `coef_shape` and is a dual solution under C
+    `c`: within the box |alpha| <= C, summing to zero."""
     co = svm.coef
     real("bias", svm.bias)
-    real("c", svm.c, 0)
+    real("c", c, 0)
     integer("iterations", svm.iterations, 0)
     real("kkt_violation_max", svm.kkt_violation_max)
     if co.shape != coef_shape:
         raise ValueError("one coefficient per support vector required")
     # Written as "not <=" so that a NaN or infinite coefficient fails too.
-    if not np.all(np.abs(co) <= svm.c * (1 + 1e-9) + 1e-12):
+    if not np.all(np.abs(co) <= c * (1 + 1e-9) + 1e-12):
         raise ValueError("coefficients must be finite and within the box |alpha| <= C")
     if not abs(float(np.sum(co))) <= 1e-6:
         raise ValueError("dual equality constraint sum(alpha_i y_i) = 0 violated")
@@ -226,7 +226,7 @@ class SvmModel(Record):
         if self.support_vectors.ndim != 2:
             raise ValueError(f"support vectors must be a 2-D array, got shape "
                              f"{self.support_vectors.shape}")
-        check_solution(self, self.support_vectors.shape[:1])
+        check_solution(self, self.support_vectors.shape[:1], self.c)
 
     @property
     def support_count(self) -> int:

@@ -57,7 +57,7 @@ def profiles(dataset) -> list[ClassProfile]:
     out = []
     for cid in range(dataset.num_classes):
         rows = dataset.class_matrix(cid)
-        out.append(ClassProfile(class_id=cid, sum_vec=core.class_sum(rows), cardinality=len(rows)))
+        out.append(ClassProfile(sum_vec=core.class_sum(rows), cardinality=len(rows)))
     return out
 
 
@@ -78,7 +78,7 @@ def train(dataset, cfg, kernel, c=DEFAULT_C, tol=DEFAULT_TOL,
     profs = profiles(dataset)
 
     def pair_data(x, y):
-        ctx = core.build_pair_context(profs[x], profs[y], cfg)
+        ctx = core.build_pair_context(x, y, profs[x], profs[y], cfg)
         return ctx, *pair_training_data(dataset, ctx, cfg)
 
     return CdfModel(
@@ -97,6 +97,7 @@ def train_keeping_svms(*args, **kwargs) -> tuple:
     seen, keep = [], multiclass.kept_pairs
 
     def spy(cfg, kernel, fitted):
+        fitted = tuple(fitted)
         seen.extend(svm for _, svm in fitted)
         return keep(cfg, kernel, fitted)
 

@@ -53,6 +53,13 @@ class TestFitIdf:
             sorted_idf = model.idf[order]
             assert np.all(np.diff(sorted_idf) <= 1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -2.0])
+    def test_rows_not_finite_or_negative_refused(self, bad):
+        counts = np.ones((3, 2))
+        counts[1, 1] = bad
+        with pytest.raises(ValueError, match=r"^sample 1: components must be finite and >= 0$"):
+            fit_idf(counts)
+
     def test_callers_array_stays_writable(self):
         idf = np.ones(3)
         model = TfIdfModel(idf)
@@ -91,6 +98,14 @@ class TestTransform:
         model = fit_idf(np.ones((2, 3)))
         with pytest.raises(ValueError, match="does not match"):
             transform(model, np.ones((1, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rows_not_finite_or_negative_refused(self, bad):
+        model = fit_idf(np.ones((2, 3)))
+        vectors = np.ones((4, 3))
+        vectors[2, 0] = bad
+        with pytest.raises(ValueError, match=r"^sample 2: components must be finite and >= 0$"):
+            transform(model, vectors)
 
 
 class TestOvoBaselinePath:
@@ -141,11 +156,24 @@ class TestOvoBaselinePath:
             replace(model, x=model.x[:12])
         svm = model.pairs[0][2]
         with pytest.raises(ValueError, match="one coefficient per support vector"):
-            replace(svm, coef=svm.coef[:-1])
-        with pytest.raises(ValueError, match="must share one kernel"):
-            replace(model, pairs=(
-                (0, 1, replace(svm, kernel=KernelSpec(kind="rbf", gamma=1.0))), *model.pairs[1:]
-            ))
+            replace(model, pairs=((0, 1, replace(svm, coef=svm.coef[:-1])), *model.pairs[1:]))
+        with pytest.raises(ValueError, match=r"pair \(0,1\): rows must be a vector"):
+            replace(model, pairs=((0, 1, replace(svm, rows=svm.rows[:, None])), *model.pairs[1:]))
+        # Every pair's coefficients are checked against the model's one C.
+        with pytest.raises(ValueError, match=r"within the box \|alpha\| <= C"):
+            replace(model, c=np.abs(svm.coef).max() / 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_decisions_refuse_rows_not_finite(self, bad):
+        x, y = gaussian_blobs(6, seed=63, dims=8, classes=3)
+        model = train_ovo(x, y, 3, KernelSpec(kind="polynomial"))
+        rows = x[:4].copy()
+        rows[3, 5] = bad
+        with pytest.raises(ValueError, match=r"^sample 3: components must be finite$"):
+            ovo_decisions(model, rows)
+        # A negative component is a feature value like any other.
+        rows[3, 5] = -1.0
+        assert np.isfinite(ovo_decisions(model, rows)).all()
 
     def test_pairs_out_of_order_refused(self):
         # predict_ovo votes pair k for the classes of class_pairs(m)[k].
@@ -156,11 +184,11 @@ class TestOvoBaselinePath:
                 replace(model, pairs=pairs)
 
 
-def svm_bits(svm, support_vectors):
-    """Every field of a pair SVM, floats and arrays by their bits."""
+def svm_bits(svm, support_vectors, kernel, c):
+    """Every fact of a pair SVM, floats and arrays by their bits."""
     return (
         support_vectors.shape, support_vectors.tobytes(), svm.coef.tobytes(),
-        float(svm.bias).hex(), svm.kernel, svm.c, svm.iterations,
+        float(svm.bias).hex(), kernel, c, svm.iterations,
         float(svm.kkt_violation_max).hex(),
     )
 
@@ -179,8 +207,8 @@ class TestSharedEngine:
         want = ovo_oracle.train_ovo(weighted, y, classes, kernel, c=10.0)
         assert [(cx, cy) for cx, cy, _ in model.pairs] == [(cx, cy) for cx, cy, _ in want]
         # The model's support vectors are rows of its matrix, bit for bit the oracle's copies.
-        assert ([svm_bits(s, model.x[s.rows]) for _, _, s in model.pairs]
-                == [svm_bits(s, s.support_vectors) for _, _, s in want])
+        assert ([svm_bits(s, model.x[s.rows], model.kernel, model.c) for _, _, s in model.pairs]
+                == [svm_bits(s, s.support_vectors, s.kernel, s.c) for _, _, s in want])
 
         probes = transform(idf, np.random.default_rng(5).random((40, 12)) * 5)
         batch = ovo_decisions(model, probes)

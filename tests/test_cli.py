@@ -212,10 +212,10 @@ class TestTrain:
         assert "samples=15" in report_path.read_text()
         train_ds, _ = gaussian_split(n_train=25, n_test=15)
         model = model_from_json(model_path.read_text())
-        for p in model.profiles:
+        for cid, p in enumerate(model.profiles):
             assert p.cardinality == 5
             np.testing.assert_allclose(
-                p.sum_vec, train_ds.class_matrix(p.class_id)[:5].sum(axis=0), rtol=1e-12
+                p.sum_vec, train_ds.class_matrix(cid)[:5].sum(axis=0), rtol=1e-12
             )
 
     @pytest.mark.parametrize("cap", ["0", "-1"])
@@ -735,6 +735,17 @@ class TestIdxEndToEnd:
         assert model_from_json(model_path.read_text()).label_names == ("3", "7")
         assert main(["eval", *data, "--model", str(model_path)]) == 0
         assert f"samples={raw.count(3) + raw.count(7)}" in capsys.readouterr().out.splitlines()
+
+    def test_class_without_images_exits_1_naming_it(self, tmp_path, capsys):
+        images_path, labels_path = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images_path.write_bytes(struct.pack(">IIII", 0x00000803, 4, 2, 2) + bytes(range(16)))
+        labels_path.write_bytes(struct.pack(">II", 0x00000801, 4) + bytes([1, 7, 1, 7]))
+        model_path = tmp_path / "m.json"
+        rc = main(["train", "--format", "idx", "--images", str(images_path),
+                   "--labels", str(labels_path), "--classes", "1,9", "--model", str(model_path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: no image has label 9"]
+        assert not model_path.exists()
 
     @pytest.mark.parametrize("classes, message", [
         ("1,x", "invalid int value: 'x'"),

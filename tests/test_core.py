@@ -22,10 +22,10 @@ import scalar_oracle
 from conftest import mnist_files, needs_mnist
 
 
-def profile_from(mean_vec, class_id=0, cardinality=4):
+def profile_from(mean_vec, cardinality=4):
     # Scaling by a power of two is exact, so the profile's mean_vec is mean_vec.
     mean_vec = np.asarray(mean_vec, dtype=float)
-    return ClassProfile(class_id=class_id, sum_vec=mean_vec * cardinality, cardinality=cardinality)
+    return ClassProfile(sum_vec=mean_vec * cardinality, cardinality=cardinality)
 
 
 class TestClassSum:
@@ -331,10 +331,10 @@ def training_rows(samples, ctx, cfg):
 
 class TestExtractPairFeatures:
     def setup_method(self):
-        self.profile_x = profile_from([4.0, 2.0, 0.0, 2.0], class_id=0)
-        self.profile_y = profile_from([1.0, 1.0, 4.0, 2.0], class_id=1)
+        self.profile_x = profile_from([4.0, 2.0, 0.0, 2.0])
+        self.profile_y = profile_from([1.0, 1.0, 4.0, 2.0])
         self.cfg = CdfConfig(b=1.0, b_prime=1.0)
-        self.ctx = build_pair_context(self.profile_x, self.profile_y, self.cfg)
+        self.ctx = build_pair_context(0, 1, self.profile_x, self.profile_y, self.cfg)
 
     def extract(self, samples_x, samples_y, cfg=None):
         cfg = cfg or self.cfg
@@ -376,22 +376,19 @@ class TestExtractPairFeatures:
         )
         assert features.shape == (2, self.ctx.mask.size)
 
-    def test_refuses_rows_of_another_width_or_pair(self):
+    def test_refuses_rows_of_another_width(self):
         rows = np.zeros((3, 2))
         with pytest.raises(ValueError, match="must be 2 wide"):
             extract_pair_features(rows, rows[:, :1], self.ctx, self.profile_x, self.profile_y,
-                                  self.cfg)
-        with pytest.raises(ValueError, match="profiles do not match"):
-            extract_pair_features(rows, rows, self.ctx, self.profile_y, self.profile_x,
                                   self.cfg)
 
 
 class TestBuildPairContext:
     def test_context_consistency(self):
-        p_x = profile_from([4.0, 0.0, 1.0], class_id=0)
-        p_y = profile_from([1.0, 3.0, 1.0], class_id=1)
+        p_x = profile_from([4.0, 0.0, 1.0])
+        p_y = profile_from([1.0, 3.0, 1.0])
         cfg = CdfConfig()
-        ctx = build_pair_context(p_x, p_y, cfg)
+        ctx = build_pair_context(0, 1, p_x, p_y, cfg)
         assert ctx.tau == cfg.b * ctx.mu_xy
         assert ctx.tau_prime == cfg.b_prime * ctx.mu_yx
         assert abs(float(np.sum(ctx.ref_x)) - 1.0) <= 1e-12
@@ -401,10 +398,10 @@ class TestBuildPairContext:
 class TestSampleFeatureConsistency:
     def test_extract_and_sample_feature_agree(self):
         rng = np.random.default_rng(61)
-        p_x = profile_from(rng.uniform(0, 5, size=10), class_id=0)
-        p_y = profile_from(rng.uniform(0, 5, size=10), class_id=1)
+        p_x = profile_from(rng.uniform(0, 5, size=10))
+        p_y = profile_from(rng.uniform(0, 5, size=10))
         cfg = CdfConfig()
-        ctx = build_pair_context(p_x, p_y, cfg)
+        ctx = build_pair_context(0, 1, p_x, p_y, cfg)
         sample = rng.uniform(0, 5, size=10)
         rows = training_rows([sample], ctx, cfg)
         features, _ = extract_pair_features(rows, rows, ctx, p_x, p_y, cfg)
@@ -418,9 +415,9 @@ class TestKlFeaturesAgainstScalarOracle:
     @pytest.mark.parametrize("mode", ["dual_kl", "scalar_kl", "elementwise_kl"])
     def test_batch_matches_per_row_oracle(self, mode):
         rng = np.random.default_rng(71)
-        p_x = profile_from(rng.uniform(0, 5, size=40), class_id=0)
-        p_y = profile_from(rng.uniform(0, 5, size=40), class_id=1)
-        ctx = build_pair_context(p_x, p_y, CdfConfig())
+        p_x = profile_from(rng.uniform(0, 5, size=40))
+        p_y = profile_from(rng.uniform(0, 5, size=40))
+        ctx = build_pair_context(0, 1, p_x, p_y, CdfConfig())
         x = rng.uniform(0, 5, size=(30, 40))
         x[x < 1.0] = 0.0  # zero components inside the mask
         x[3, ctx.mask] = 0.0  # masked total zero: the uniform distribution

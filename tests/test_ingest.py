@@ -186,10 +186,18 @@ class TestIdxDataset:
 
     def test_no_copy_when_every_row_is_kept(self):
         images = load_idx_images(image_bytes(4, 1, 2, [1, 2, 3, 4, 5, 6, 7, 8]))
-        for keep, names in ((None, ("3", "7")), ([7, 3], ("3", "7")), ([9, 7, 3], ("3", "7", "9"))):
+        for keep in (None, [7, 3]):
             ds = idx_dataset(images, [7, 3, 7, 3], keep_classes=keep)
             assert np.shares_memory(ds.samples, images.pixels)
-            assert list(ds.labels) == [1, 0, 1, 0] and ds.label_names == names
+            assert list(ds.labels) == [1, 0, 1, 0] and ds.label_names == ("3", "7")
+
+    def test_kept_label_without_images_is_named(self):
+        # Named by its raw label, not later as an empty dense class.
+        images = load_idx_images(image_bytes(4, 1, 2, [1, 2, 3, 4, 5, 6, 7, 8]))
+        with pytest.raises(ValueError, match=r"^no image has label 9$"):
+            idx_dataset(images, [7, 1, 7, 1], keep_classes=[1, 9])
+        with pytest.raises(ValueError, match=r"^no image has label 0, 9$"):
+            idx_dataset(images, [7, 1, 7, 1], keep_classes=[9, 7, 0])
 
 
 class TestSparse:

@@ -109,7 +109,7 @@ class TestValidateDataset:
 
 
 @pytest.mark.parametrize("make", [
-    lambda v: ClassProfile(class_id=0, sum_vec=v, cardinality=1),
+    lambda v: ClassProfile(sum_vec=v, cardinality=1),
     lambda v: SvmForm(weights=v, bias=0.0, support_count=0, iterations=0, kkt_violation_max=0.0),
 ], ids=["sum_vec", "weights"])
 @pytest.mark.parametrize("value", [
@@ -124,11 +124,11 @@ def test_record_refuses_elements_that_are_not_numbers(make, value):
 class TestClassProfile:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            ClassProfile(class_id=0, sum_vec=np.asarray([-2.0]), cardinality=2)
+            ClassProfile(sum_vec=np.asarray([-2.0]), cardinality=2)
 
     def test_mean_is_derived_and_read_only(self):
         sums = np.asarray([3.0, 1.0, 0.0, 1e300, 5e-324])
-        profile = ClassProfile(class_id=0, sum_vec=sums, cardinality=3)
+        profile = ClassProfile(sum_vec=sums, cardinality=3)
         assert profile.mean_vec.tobytes() == (sums / 3).tobytes()
         assert profile.mean_vec is profile.mean_vec
         with pytest.raises(ValueError):
@@ -472,13 +472,6 @@ class TestSerializationRoundTrip:
             replace(svm_model, pairs=((ctx, form),))
         assert isinstance(form, SvmForm) and isinstance(svm, SvmModel)
 
-    def test_profiles_out_of_place_refused(self):
-        # The file does not store class ids: profile i is class i.
-        model = self._tiny_model(1, classes=3)
-        p0, p1, p2 = model.profiles
-        with pytest.raises(ValueError, match=r"profile i must be of class i, got \[1, 0, 2\]"):
-            replace(model, profiles=(p1, p0, p2))
-
     @pytest.mark.parametrize("change", [
         lambda svm: {"c": 2 * svm.c},
         lambda svm: {"kernel": replace(svm.kernel, gamma=0.3)},
@@ -544,7 +537,7 @@ class TestDatasetHelpers:
         ds = Dataset.from_arrays(x, [0, 1])
         assert x.flags.writeable and not ds.samples.flags.writeable
         sums = np.ones(2)
-        ClassProfile(class_id=0, sum_vec=sums, cardinality=2)
+        ClassProfile(sum_vec=sums, cardinality=2)
         assert sums.flags.writeable
         px, counts = np.ones((1, 4)), np.eye(2, dtype=np.int64)
         images, cm = IdxImages(px, 2, 2), ConfusionMatrix(counts, 2)

@@ -674,16 +674,21 @@ class TestSampleFeatureIsABatchRow:
                 assert got.tobytes() == want.tobytes(), (ctx, row)
 
 
-class TestSelectPairWeights:
+class TestWeightsOfSomePairs:
     @pytest.mark.parametrize("mode", ("dual_kl", "scalar_kl"))
-    def test_selected_pairs_give_the_same_bits(self, mode):
-        # Dense rows, then rows that all take the sparse path.
+    def test_some_pairs_give_the_same_bits(self, mode):
+        # Training takes each class's features under the weights of its
+        # pairs alone. Dense rows, then rows that all take the sparse path.
         for ds in (oracle_dataset(4, seed=35), sparse_dataset(4, seed=35)):
-            model = train(ds, CdfConfig(feature_mode=mode), kernel=POLY2)
+            cfg = CdfConfig(feature_mode=mode)
+            model = train(ds, cfg, kernel=POLY2)
             whole = core.whole_kl_features(ds.samples, model.kl_weights)
+            contexts = [ctx for ctx, _ in model.pairs]
             for js in ([0], [5, 1, 3], list(range(len(model.pairs)))):
-                got = core.whole_kl_features(ds.samples[3:],
-                                             core.select_pair_weights(model.kl_weights, js))
+                weights = core.pair_kl_weights(
+                    [contexts[j] for j in js], model.dim, mode, cfg.smoothing_eps
+                )
+                got = core.whole_kl_features(ds.samples[3:], weights)
                 np.testing.assert_array_equal(got, whole[3:, js])
 
 
